@@ -1,6 +1,8 @@
-// Shared helpers for the benchmark binaries. Every bench regenerates one
-// table or figure of the paper (see DESIGN.md's experiment index) and prints
-// it in the paper's row/column structure.
+// Shared helpers for the benchmark binaries. The paper benches regenerate
+// the table or figure their file names after (table5_mutation.cpp is Table
+// 5, fig4_razor_trace.cpp is Figure 4) and print it in the paper's
+// row/column structure; ablation_*, crosscheck_* and campaign_* are this
+// repository's own experiments.
 #pragma once
 
 #include <cstdio>

@@ -12,6 +12,7 @@
 #include "analysis/mutant_cache.h"
 #include "campaign/executor.h"
 #include "util/artifact_store.h"
+#include "util/env.h"
 #include "util/timer.h"
 
 namespace xlv::analysis {
@@ -24,10 +25,7 @@ using insertion::SensorKind;
 using mutation::InjectedDesign;
 using mutation::MutantKind;
 
-bool referenceSimMode() noexcept {
-  const char* v = std::getenv("XLV_REFERENCE_SIM");
-  return v != nullptr && v[0] == '1' && v[1] == '\0';
-}
+bool referenceSimMode() { return util::envLongStrict("XLV_REFERENCE_SIM", 0, 0, 1) == 1; }
 
 const char* simBackendName(SimBackend b) noexcept {
   switch (b) {
@@ -49,22 +47,23 @@ SimBackend simBackendFromName(std::string_view name) {
                               "' (expected auto, interpreter or native)");
 }
 
-SimBackend resolveSimBackend(SimBackend requested) noexcept {
+SimBackend resolveSimBackend(SimBackend requested) {
   if (requested != SimBackend::Auto) return requested;
-  if (const char* v = std::getenv("XLV_BACKEND"); v != nullptr) {
-    const std::string_view name(v);
-    if (name == "native") return SimBackend::Native;
-    if (name == "interpreter") return SimBackend::Interpreter;
+  if (const char* v = std::getenv("XLV_BACKEND"); v != nullptr && *v != '\0') {
+    SimBackend b = SimBackend::Auto;
+    try {
+      b = simBackendFromName(v);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("XLV_BACKEND: ") + e.what());
+    }
+    if (b != SimBackend::Auto) return b;
   }
   return SimBackend::Interpreter;
 }
 
-int resolveBatchSize(int requested) noexcept {
+int resolveBatchSize(int requested) {
   if (requested >= 1) return requested;
-  if (const char* v = std::getenv("XLV_BATCH"); v != nullptr) {
-    return std::max(1, std::atoi(v));
-  }
-  return 1;
+  return static_cast<int>(util::envLongStrict("XLV_BATCH", 1, 1, INT_MAX));
 }
 
 namespace {
@@ -124,65 +123,46 @@ class Session {
   std::unique_ptr<abstraction::NativeSession> native_;
 };
 
-/// De-stringed testbench driver: resolves each driven port name to its
-/// SymbolId once per run (first use) and pushes values through the
-/// boxing-free setInputUint. One name lookup per (run, port) instead of one
-/// per (cycle, port) — the hot-loop de-stringing of the campaign rewrite.
-/// M is any model with design() and setInputUint (TlmIpModel or Session).
-template <class M>
-class PortBinder {
+/// De-stringed stimulus sink: the testbench driver runs ONCE per cycle into
+/// this recorder, which resolves each driven port name to its SymbolId on
+/// first use (one name lookup per (run, port), not per (cycle, port)) and
+/// captures the cycle's (symbol, value) row. replayInto() pushes the row
+/// through the boxing-free setInputUint of one model — or of every live
+/// batch member: K mutants, one driver pass.
+class DriveRecorder {
  public:
-  explicit PortBinder(M& model) : model_(&model) {}
+  explicit DriveRecorder(const ir::Design& design)
+      : design_(&design),
+        setter_([this](const std::string& name, std::uint64_t v) { record(name, v); }) {}
+  DriveRecorder(const DriveRecorder&) = delete;  // setter_ captures `this`
+  DriveRecorder& operator=(const DriveRecorder&) = delete;
 
-  void operator()(const std::string& name, std::uint64_t v) {
+  /// Run the driver for `cycle`, replacing the captured row.
+  void capture(const DriveFn& drive, std::uint64_t cycle) {
+    row_.clear();
+    drive(cycle, setter_);
+  }
+  /// M is any model with setInputUint (TlmIpModel or Session).
+  template <class M>
+  void replayInto(M& model) const {
+    for (const auto& [sym, v] : row_) model.setInputUint(sym, v);
+  }
+
+ private:
+  void record(const std::string& name, std::uint64_t v) {
     auto it = ids_.find(name);
     if (it == ids_.end()) {
-      const ir::SymbolId sym = model_->design().findSymbol(name);
+      const ir::SymbolId sym = design_->findSymbol(name);
       if (sym == ir::kNoSymbol) {
         throw std::invalid_argument("TlmIpModel: no symbol named '" + name + "'");
       }
       it = ids_.emplace(name, sym).first;
     }
-    model_->setInputUint(it->second, v);
+    row_.emplace_back(it->second, v);
   }
 
-  PortSetter setter() {
-    return [this](const std::string& name, std::uint64_t v) { (*this)(name, v); };
-  }
-
- private:
-  M* model_;
-  std::unordered_map<std::string, ir::SymbolId> ids_;
-};
-
-/// Stimulus sink for batched co-simulation: the shared driver runs ONCE per
-/// cycle into this recorder, and the captured (symbol, value) row is then
-/// replayed into every live batch member — K mutants, one driver pass.
-class DriveRecorder {
- public:
-  explicit DriveRecorder(const ir::Design& design) : design_(&design) {}
-
-  void clear() { row_.clear(); }
-  const std::vector<std::pair<ir::SymbolId, std::uint64_t>>& row() const noexcept {
-    return row_;
-  }
-
-  PortSetter setter() {
-    return [this](const std::string& name, std::uint64_t v) {
-      auto it = ids_.find(name);
-      if (it == ids_.end()) {
-        const ir::SymbolId sym = design_->findSymbol(name);
-        if (sym == ir::kNoSymbol) {
-          throw std::invalid_argument("TlmIpModel: no symbol named '" + name + "'");
-        }
-        it = ids_.emplace(name, sym).first;
-      }
-      row_.emplace_back(it->second, v);
-    };
-  }
-
- private:
   const ir::Design* design_;
+  PortSetter setter_;
   std::unordered_map<std::string, ir::SymbolId> ids_;
   std::vector<std::pair<ir::SymbolId, std::uint64_t>> row_;
 };
@@ -295,10 +275,10 @@ GoldenTrace recordGoldenTrace(const ir::Design& golden,
 
   const ir::SymbolId recoverySym = golden.findSymbol(cfg.recoveryPort);
   const DriveFn drive = tb.driverForTask(cfg.stimulusId);
-  PortBinder<Session<P>> ports(model);
-  const PortSetter setter = ports.setter();
+  DriveRecorder stimulus(model.design());
   for (std::uint64_t c = 0; c < tb.cycles; ++c) {
-    drive(c, setter);
+    stimulus.capture(drive, c);
+    stimulus.replayInto(model);
     if (recoverySym != ir::kNoSymbol) model.setInputUint(recoverySym, 1);
     model.scheduler();
     std::vector<std::uint64_t> outs;
@@ -448,14 +428,14 @@ const CampaignCheckpoints& ensureCheckpoints(const MutationCampaignContext& ctx)
       rec.recordedCycles = last;
       Session<P> model(ctx.layout, ctx.nativeLib);
       const DriveFn drive = ctx.tb.driverForTask(ctx.cfg.stimulusId);
-      PortBinder<Session<P>> ports(model);
-      const PortSetter setter = ports.setter();
+      DriveRecorder stimulus(model.design());
       for (std::uint64_t c = 0; c < last; ++c) {
         if (c != 0 && c % k == 0) {
           rec.cycles.push_back(c);
           model.saveWords(rec.snapWords.emplace_back());
         }
-        drive(c, setter);
+        stimulus.capture(drive, c);
+        stimulus.replayInto(model);
         if (ctx.hasRecovery) model.setInputUint(ctx.recoverySym, 1);
         model.scheduler();
       }
@@ -660,17 +640,15 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
     return true;
   };
 
-  DriveRecorder recorder(design);
-  const PortSetter recSetter = recorder.setter();
+  DriveRecorder stimulus(design);
   const std::vector<ir::SymbolId>& outSyms = design.outputs;
   std::size_t active = live.size();
   for (std::uint64_t c = minStart; c < cycles && active > 0; ++c) {
-    recorder.clear();
-    drive(c, recSetter);
+    stimulus.capture(drive, c);
     for (auto& m : live) {
       if (m.retired || c < m.startCycle) continue;
       MutantResult& res = results[slotOf[m.mutantIndex]];
-      for (const auto& [sym, v] : recorder.row()) m.model->setInputUint(sym, v);
+      stimulus.replayInto(*m.model);
       if (ctx.hasRecovery) m.model->setInputUint(ctx.recoverySym, 1);
       m.model->scheduler();
       ++m.executed;

@@ -70,11 +70,14 @@ const char* simBackendName(SimBackend b) noexcept;
 /// Inverse of simBackendName; throws std::invalid_argument on anything else.
 SimBackend simBackendFromName(std::string_view name);
 /// Resolve Auto against the XLV_BACKEND environment variable (one env read
-/// per call; campaigns resolve once at prepare time).
-SimBackend resolveSimBackend(SimBackend requested) noexcept;
+/// per call; campaigns resolve once at prepare time). Unset, empty or
+/// "auto" means the interpreter; a name simBackendFromName rejects throws
+/// std::invalid_argument.
+SimBackend resolveSimBackend(SimBackend requested);
 /// Resolve a batch size: values >= 1 pass through; 0 defers to the
-/// XLV_BATCH environment variable, defaulting to 1 (no batching).
-int resolveBatchSize(int requested) noexcept;
+/// XLV_BATCH environment variable (a positive integer, strictly parsed —
+/// util::envLongStrict), defaulting to 1 (no batching).
+int resolveBatchSize(int requested);
 
 struct MutantResult {
   int id = -1;
@@ -251,12 +254,13 @@ GoldenTrace recordGoldenTrace(const ir::Design& golden,
                               const Testbench& tb, const AnalysisConfig& cfg,
                               abstraction::NativeUseStats* nativeStats = nullptr);
 
-/// True when the XLV_REFERENCE_SIM environment variable is exactly "1":
+/// True when the XLV_REFERENCE_SIM environment variable is "1" (unset, empty
+/// and "0" mean off; anything else throws std::invalid_argument):
 /// every mutant replays the full testbench from reset (no checkpoint
 /// fast-forward, no verdict-saturation early exit). The reference path the
 /// conformance suite and the CI Release leg diff the fast path against;
 /// results are bit-identical either way, only the cycle ledgers move.
-bool referenceSimMode() noexcept;
+bool referenceSimMode();
 
 /// Campaign checkpoint store: periodic state snapshots of the injected
 /// layout simulated with NO active mutant (which, by mutant transparency,

@@ -1,6 +1,5 @@
 #include "campaign/dispatch.h"
 
-#include <poll.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -8,9 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -20,14 +17,11 @@
 
 #include "campaign/serialize.h"
 #include "util/codec.h"
+#include "util/env.h"
 #include "util/fault_point.h"
 #include "util/log.h"
-#include "util/subprocess.h"
 
 namespace xlv::campaign {
-
-namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
 
 // --- frame transport ---------------------------------------------------------
 
@@ -240,7 +234,7 @@ bool writeFd(int fd, std::string_view data) noexcept {
 
 void ignoreSigpipe() {
   // A dead peer must surface as EPIPE from write(), not kill the process;
-  // idempotent, so both the dispatcher and every worker call it on entry.
+  // idempotent, so every worker calls it on entry.
   ::signal(SIGPIPE, SIG_IGN);
 }
 
@@ -278,7 +272,7 @@ void OutboundBuffer::enqueue(std::string_view data) {
 }
 
 bool OutboundBuffer::flushTo(int fd) noexcept {
-  // Chaos hook on the dispatcher/server-side frame write: "fail" reports
+  // Chaos hook on the pool-side frame write: "fail" reports
   // the connection dead without writing; "short" delivers half of what is
   // queued first, so the peer sees a truncated stream. Both exercise the
   // same recovery the real EPIPE path takes.
@@ -308,36 +302,13 @@ bool OutboundBuffer::flushTo(int fd) noexcept {
   return true;
 }
 
-long envLongStrict(const char* name, long fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) {
-    throw std::invalid_argument(std::string(name) + "='" + s +
-                                "' is not a whole decimal integer");
-  }
-  return v;
-}
-
 int resolveWorkerCount(int requested) {
   if (requested > 0) return requested;
   if (requested < 0) return 1;
-  const char* s = std::getenv("XLV_WORKERS");
-  if (s != nullptr && *s != '\0') {
-    // Strict parse, unlike XLV_THREADS' warn-and-degrade: a worker pool is
-    // what the user explicitly asked the daemon for, so a typo should stop
-    // the run, not silently fan out differently.
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE || v < 1 || v > 1024) {
-      throw std::invalid_argument("XLV_WORKERS='" + std::string(s) +
-                                  "' is not an integer in [1, 1024]");
-    }
-    return static_cast<int>(v);
-  }
+  // Strict: a worker pool is what the user explicitly asked the daemon for,
+  // so a typo stops the run instead of silently fanning out differently.
+  const long env = util::envLongStrict("XLV_WORKERS", 0, 1, 1024);
+  if (env > 0) return static_cast<int>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
@@ -351,7 +322,7 @@ namespace {
 /// asserts.
 bool faultHookArmed(int workerIndex, int generation) {
   if (generation != 0) return false;
-  return envLongStrict("XLV_TEST_FAULT_WORKER", 0) == static_cast<long>(workerIndex);
+  return util::envLongStrict("XLV_TEST_FAULT_WORKER", 0) == static_cast<long>(workerIndex);
 }
 
 /// Poison-unit hook: unlike the per-slot hooks above this one is armed for
@@ -359,9 +330,9 @@ bool faultHookArmed(int workerIndex, int generation) {
 /// kills whoever runs it.  The server's quarantine path is what the matching
 /// test asserts, so the hook must survive respawns and work stealing.
 void maybeInjectPoison(const ShardUnit& unit) {
-  const long item = envLongStrict("XLV_TEST_POISON_ITEM", -1);
+  const long item = util::envLongStrict("XLV_TEST_POISON_ITEM", -1);
   if (item < 0 || unit.taskId != static_cast<std::size_t>(item)) return;
-  const long mutant = envLongStrict("XLV_TEST_POISON_MUTANT", -1);
+  const long mutant = util::envLongStrict("XLV_TEST_POISON_MUTANT", -1);
   if (mutant < 0) return;
   const bool hit = unit.wholeItem() ||
                    (unit.mutantBegin <= static_cast<std::size_t>(mutant) &&
@@ -371,15 +342,15 @@ void maybeInjectPoison(const ShardUnit& unit) {
 
 void maybeInjectFault(int workerIndex, int generation, std::uint64_t itemsDone) {
   if (!faultHookArmed(workerIndex, generation)) return;
-  const long dieAfter = envLongStrict("XLV_TEST_DIE_AFTER_ITEMS", -1);
+  const long dieAfter = util::envLongStrict("XLV_TEST_DIE_AFTER_ITEMS", -1);
   if (dieAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(dieAfter)) {
     ::raise(SIGKILL);  // crash mid-shard, no unwinding, no result
   }
-  const long exitAfter = envLongStrict("XLV_TEST_EXIT_AFTER_ITEMS", -1);
+  const long exitAfter = util::envLongStrict("XLV_TEST_EXIT_AFTER_ITEMS", -1);
   if (exitAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(exitAfter)) {
     ::_exit(9);  // orderly-looking nonzero exit without a result
   }
-  const long hangAfter = envLongStrict("XLV_TEST_HANG_AFTER_ITEMS", -1);
+  const long hangAfter = util::envLongStrict("XLV_TEST_HANG_AFTER_ITEMS", -1);
   if (hangAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(hangAfter)) {
     for (;;) ::pause();  // silent: no heartbeats, no result, never returns
   }
@@ -387,9 +358,8 @@ void maybeInjectFault(int workerIndex, int generation, std::uint64_t itemsDone) 
 
 }  // namespace
 
-int runDispatchWorker(const CampaignSpec* defaultSpec, const DispatchWorkerOptions& opt) {
+int runDispatchWorker(const DispatchWorkerOptions& opt) {
   ignoreSigpipe();
-  const std::uint64_t defaultFnv = defaultSpec != nullptr ? campaignSpecFnv(*defaultSpec) : 0;
   const std::uint64_t index = static_cast<std::uint64_t>(opt.workerIndex);
   const std::uint64_t generation = static_cast<std::uint64_t>(opt.generation);
   FrameReader reader;
@@ -420,7 +390,7 @@ int runDispatchWorker(const CampaignSpec* defaultSpec, const DispatchWorkerOptio
       XLV_ERROR("campaignd") << "worker " << index << ": corrupt frame stream: " << e.what();
       return 7;
     }
-    if (got == FrameRead::Eof) return 0;  // dispatcher closed our stdin: clean shutdown
+    if (got == FrameRead::Eof) return 0;  // the pool closed our stdin: clean shutdown
     if (got == FrameRead::Error) {
       XLV_ERROR("campaignd") << "worker " << index
                              << ": stdin read failed: " << std::strerror(readErrno);
@@ -438,40 +408,24 @@ int runDispatchWorker(const CampaignSpec* defaultSpec, const DispatchWorkerOptio
     }
     if (submit.shutdown) return 0;
 
-    // Resolve the unit's spec: the startup --spec for an empty specPath
-    // (single-campaign run mode), a cached/loaded handoff file otherwise
-    // (the server multiplexing many campaigns over one pool).
-    const CampaignSpec* spec = nullptr;
-    std::uint64_t fnv = 0;
-    if (submit.specPath.empty()) {
-      spec = defaultSpec;
-      fnv = defaultFnv;
-      if (spec == nullptr) {
+    auto it = specCache.find(submit.specPath);
+    if (it == specCache.end()) {
+      try {
+        std::ifstream in(submit.specPath, std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+        if (!in && bytes.empty()) {
+          throw std::runtime_error("cannot read '" + submit.specPath + "'");
+        }
+        it = specCache.emplace(submit.specPath, decodeCampaignSpec(bytes)).first;
+      } catch (const std::exception& e) {
         XLV_ERROR("campaignd") << "worker " << index
-                               << ": submit without specPath but no startup --spec";
+                               << ": spec handoff load failed: " << e.what();
         return 8;
       }
-    } else {
-      auto it = specCache.find(submit.specPath);
-      if (it == specCache.end()) {
-        try {
-          std::ifstream in(submit.specPath, std::ios::binary);
-          std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-          if (!in && bytes.empty()) {
-            throw std::runtime_error("cannot read " + submit.specPath);
-          }
-          it = specCache.emplace(submit.specPath, decodeCampaignSpec(bytes)).first;
-        } catch (const std::exception& e) {
-          XLV_ERROR("campaignd") << "worker " << index
-                                 << ": spec handoff load failed: " << e.what();
-          return 8;
-        }
-      }
-      spec = &it->second;
-      fnv = campaignSpecFnv(*spec);
     }
-    if (submit.specFnv != fnv) {
+    const CampaignSpec& spec = it->second;
+    if (submit.specFnv != campaignSpecFnv(spec)) {
       XLV_ERROR("campaignd") << "worker " << index
                              << ": submit fingerprint mismatch (spec skew)";
       return 8;
@@ -518,14 +472,14 @@ int runDispatchWorker(const CampaignSpec* defaultSpec, const DispatchWorkerOptio
     result.attempt = submit.attempt;
     try {
       result.output =
-          runShardUnits(*spec, {submit.unit}, static_cast<int>(submit.taskIndex),
+          runShardUnits(spec, {submit.unit}, static_cast<int>(submit.taskIndex),
                         static_cast<int>(submit.taskCount));
     } catch (const std::exception& e) {
       stopBeater();
       // Item-level failures travel INSIDE the result; reaching here means
       // the unit itself was malformed (task id outside the spec). The
-      // dispatcher sees the death and re-queues; the attempt budget stops
-      // an unrunnable unit from looping forever.
+      // pool sees the death and re-queues; the attempt budget then
+      // quarantines an unrunnable unit instead of looping forever.
       XLV_ERROR("campaignd") << "worker " << index << ": unit failed: " << e.what();
       return 10;
     }
@@ -535,429 +489,6 @@ int runDispatchWorker(const CampaignSpec* defaultSpec, const DispatchWorkerOptio
     ++itemsDone;
     if (!sendStatus("ready")) return 6;
   }
-}
-
-// --- dispatcher --------------------------------------------------------------
-
-namespace {
-
-/// Spec handoff file shared by all workers, removed when the dispatch ends.
-struct SpecFileGuard {
-  fs::path path;
-  ~SpecFileGuard() {
-    if (!path.empty()) {
-      std::error_code ec;
-      fs::remove(path, ec);
-    }
-  }
-};
-
-struct WorkerSlot {
-  util::Subprocess proc;
-  FrameReader reader;
-  OutboundBuffer out;  ///< frames queued for the worker's non-blocking stdin
-  int generation = 0;
-  int respawns = 0;
-  bool ready = false;     ///< announced ready, waiting for work
-  bool busy = false;      ///< accepted a submit that has not completed
-  bool retired = false;   ///< dead with no respawn budget (or shut down)
-  bool timedOut = false;  ///< we SIGKILLed it for heartbeat silence
-  std::size_t taskIndex = 0;
-  Clock::time_point lastBeat{};
-};
-
-}  // namespace
-
-DispatchResult runDispatcher(const CampaignSpec& spec, const DispatchOptions& opt) {
-  if (opt.workerCommand.empty()) {
-    throw std::invalid_argument("runDispatcher: workerCommand must not be empty");
-  }
-  if (opt.heartbeatIntervalMs <= 0 || opt.heartbeatTimeoutMs <= 0) {
-    throw std::invalid_argument("runDispatcher: heartbeat interval/timeout must be > 0");
-  }
-  if (opt.maxTaskAttempts < 1) {
-    throw std::invalid_argument("runDispatcher: maxTaskAttempts must be >= 1");
-  }
-  ignoreSigpipe();
-
-  DispatchResult res;
-  DispatchLedger& led = res.ledger;
-
-  const DispatchUnitPlan plan =
-      planDispatchUnits(spec, opt.maxFragmentMutants, opt.mutantCounts);
-  TaskQueue queue(plan);
-  led.tasksTotal = queue.taskCount();
-  if (queue.taskCount() == 0) {
-    res.result.name = spec.name;
-    return res;
-  }
-  const std::uint64_t taskCount = queue.taskCount();
-
-  const int workers = resolveWorkerCount(opt.workers);
-  led.workersRequested = static_cast<std::uint64_t>(workers);
-
-  // Ship the spec once through a file; every worker decodes the same bytes,
-  // and the fingerprint in each submit frame re-checks the pairing.
-  SpecFileGuard specFile;
-  {
-    const fs::path dir = opt.specDir.empty() ? fs::temp_directory_path() : fs::path(opt.specDir);
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    specFile.path = dir / ("xlv-campaignd-spec-" + std::to_string(::getpid()) + "-" +
-                           std::to_string(plan.specFnv) + ".xlv");
-    std::ofstream out(specFile.path, std::ios::binary | std::ios::trunc);
-    out << encodeCampaignSpec(spec);
-    if (!out) {
-      throw DispatchError("cannot write spec handoff file " + specFile.path.string());
-    }
-  }
-
-  std::vector<WorkerSlot> slots(static_cast<std::size_t>(workers));
-  auto spawnSlot = [&](std::size_t i) {
-    WorkerSlot& s = slots[i];
-    std::vector<std::string> argv = opt.workerCommand;
-    argv.push_back("--spec");
-    argv.push_back(specFile.path.string());
-    argv.push_back("--index");
-    argv.push_back(std::to_string(i));
-    argv.push_back("--generation");
-    argv.push_back(std::to_string(s.generation));
-    argv.push_back("--heartbeat-ms");
-    argv.push_back(std::to_string(opt.heartbeatIntervalMs));
-    const util::SubprocessEnv env = {
-        {"XLV_WORKER_INDEX", std::to_string(i)},
-        {"XLV_WORKER_GENERATION", std::to_string(s.generation)},
-    };
-    // Chaos hook, same contract as the campaign service's spawnWorker: a
-    // "fail" yields a never-started slot on the normal respawn path.
-    s.proc = util::faultPoint("worker.spawn") == util::FaultAction::None
-                 ? util::Subprocess::spawn(argv, env)
-                 : util::Subprocess{};
-    s.reader = FrameReader{};
-    s.out = OutboundBuffer{};
-    s.ready = false;
-    s.busy = false;
-    s.timedOut = false;
-    if (!s.proc.started()) {
-      s.retired = true;
-      XLV_ERROR("campaignd") << "worker " << i << ": spawn failed";
-      return false;
-    }
-    // Both pipe ends go non-blocking: all outbound bytes ride s.out (drained
-    // on POLLOUT), so a worker with a full stdin pipe can never wedge the
-    // single-threaded loop while it is itself blocked writing a result.
-    util::setNonBlocking(s.proc.stdinFd());
-    util::setNonBlocking(s.proc.stdoutFd());
-    s.lastBeat = Clock::now();
-    ++led.workersSpawned;
-    return true;
-  };
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (spawnSlot(i)) ++live;
-  }
-  if (live == 0) throw DispatchError("could not spawn any worker process");
-
-  std::vector<ShardOutput> outputs(queue.taskCount());
-  std::vector<char> haveOutput(queue.taskCount(), 0);
-  std::uint64_t seqCounter = 0;
-
-  auto requeueLost = [&](WorkerSlot& s, std::size_t slotIndex, const std::string& reason) {
-    if (!s.busy) return;
-    s.busy = false;
-    if (queue.isCompleted(s.taskIndex)) return;  // its result was drained in time
-    const DispatchTask& t = queue.task(s.taskIndex);
-    if (static_cast<int>(t.attempts) >= opt.maxTaskAttempts) {
-      throw DispatchError("task " + std::to_string(t.index) + " (item " +
-                          std::to_string(t.unit.taskId) + ") lost after " +
-                          std::to_string(t.attempts) + " attempts (last: " + reason + ")");
-    }
-    queue.requeue(s.taskIndex);
-    RequeueRecord rec;
-    rec.taskIndex = t.index;
-    rec.unit = t.unit;
-    rec.attempt = t.attempts;
-    rec.reason = reason;
-    rec.workerIndex = slotIndex;
-    rec.generation = static_cast<std::uint64_t>(s.generation);
-    led.requeuedShards.push_back(rec);
-    XLV_WARN("campaignd") << "re-queued task " << t.index << " (attempt " << t.attempts
-                          << " lost to worker " << slotIndex << ": " << reason << ")";
-  };
-
-  // One frame from one worker; throws util::DecodeError on a corrupt or
-  // out-of-protocol document (the caller kills the worker).
-  auto handleFrame = [&](WorkerSlot& s, const std::string& doc) {
-    const std::string tag = util::peekDocumentTag(doc);
-    if (tag == kStatusFrameTag) {
-      const StatusFrame st = decodeStatusFrame(doc);
-      s.lastBeat = Clock::now();
-      if (st.state == "ready") {
-        s.ready = true;
-      }
-      return;
-    }
-    if (tag == kHeartbeatFrameTag) {
-      decodeHeartbeatFrame(doc);
-      s.lastBeat = Clock::now();
-      ++led.heartbeats;
-      return;
-    }
-    if (tag == kResultFrameTag) {
-      ResultFrame rf = decodeResultFrame(doc);
-      s.lastBeat = Clock::now();
-      if (rf.taskIndex >= taskCount) {
-        throw util::DecodeError("result for unknown task " + std::to_string(rf.taskIndex));
-      }
-      if (queue.complete(rf.taskIndex)) {
-        outputs[rf.taskIndex] = std::move(rf.output);
-        haveOutput[rf.taskIndex] = 1;
-        ++led.tasksCompleted;
-      } else {
-        // A retry raced its SIGKILLed predecessor's drained result; both
-        // copies are bit-identical, so dropping one is safe by design.
-        ++led.duplicateResults;
-      }
-      if (s.busy && s.taskIndex == rf.taskIndex) s.busy = false;
-      return;
-    }
-    throw util::DecodeError("unexpected frame '" + tag + "' from a worker");
-  };
-
-  auto drainReader = [&](WorkerSlot& s) {
-    std::string doc;
-    while (s.reader.next(doc)) handleFrame(s, doc);
-  };
-
-  // Death of a worker process: reap it, salvage any result already in the
-  // pipe, re-queue what it was running, respawn the slot if budget remains.
-  auto handleDeath = [&](std::size_t i, const char* reasonHint) {
-    WorkerSlot& s = slots[i];
-    try {
-      drainReader(s);
-    } catch (const util::DecodeError&) {
-      // A crash can truncate mid-frame; whatever did not parse is lost work
-      // the re-queue below recovers.
-    }
-    // A failed submit write lands here while the process may still be alive
-    // (its stream is desynced either way) — put it down before reaping, or
-    // wait() blocks the dispatcher on a live child.
-    if (s.proc.running()) s.proc.kill(SIGKILL);
-    s.proc.wait();
-    std::string reason = reasonHint != nullptr ? reasonHint
-                         : s.timedOut          ? "heartbeat-timeout"
-                         : s.proc.termSignal() != 0 ? "worker-signal"
-                                                    : "worker-exit";
-    XLV_WARN("campaignd") << "worker " << i << " gen " << s.generation << " died ("
-                          << reason << ", exit=" << s.proc.exitCode()
-                          << ", signal=" << s.proc.termSignal() << ")";
-    requeueLost(s, i, reason);
-    s.ready = false;
-    if (!queue.done() && s.respawns < opt.maxWorkerRespawns) {
-      ++s.respawns;
-      ++s.generation;
-      ++led.workerRespawns;
-      spawnSlot(i);
-    } else {
-      s.retired = true;
-    }
-  };
-
-  while (!queue.done()) {
-    // Assignment: hand the heaviest pending unit to every idle worker. The
-    // steal is the claim — workers that finish early come back ready and
-    // immediately pull the next unit off the shared queue.
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      WorkerSlot& s = slots[i];
-      if (s.retired || !s.ready || s.busy || !queue.hasPending()) continue;
-      const DispatchTask& t = queue.claim();
-      SubmitFrame submit;
-      submit.specFnv = plan.specFnv;
-      submit.seq = ++seqCounter;
-      submit.taskIndex = t.index;
-      submit.taskCount = taskCount;
-      submit.attempt = t.attempts - 1;
-      submit.unit = t.unit;
-      s.ready = false;
-      s.busy = true;
-      s.taskIndex = t.index;
-      s.lastBeat = Clock::now();
-      // Queue + opportunistic flush, never a blocking write: leftover bytes
-      // wait for POLLOUT in the poll below.
-      s.out.enqueue(frameWire(encodeSubmitFrame(submit)));
-      if (!s.out.flushTo(s.proc.stdinFd())) {
-        // EPIPE: the worker died between frames; its EOF will be handled
-        // below, but the unit must not wait for that.
-        handleDeath(i, "submit-write-failed");
-        continue;
-      }
-      ++led.submissions;
-    }
-
-    if (queue.done()) break;
-
-    bool anyAlive = false;
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> fdSlot;
-    std::vector<char> fdIsStdin;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].retired || !slots[i].proc.started()) continue;
-      anyAlive = true;
-      fds.push_back(pollfd{slots[i].proc.stdoutFd(), POLLIN, 0});
-      fdSlot.push_back(i);
-      fdIsStdin.push_back(0);
-      // Re-arm the submit path only while bytes are actually queued; an
-      // always-armed POLLOUT on an empty buffer would busy-spin the loop.
-      if (!slots[i].out.empty() && slots[i].proc.stdinFd() >= 0) {
-        fds.push_back(pollfd{slots[i].proc.stdinFd(), POLLOUT, 0});
-        fdSlot.push_back(i);
-        fdIsStdin.push_back(1);
-      }
-    }
-    if (!anyAlive) {
-      throw DispatchError("all workers lost with " +
-                          std::to_string(queue.taskCount() - queue.completedCount()) +
-                          " tasks unfinished");
-    }
-
-    const int pollMs = std::clamp(opt.heartbeatTimeoutMs / 4, 10, 100);
-    const int got = ::poll(fds.data(), fds.size(), pollMs);
-    if (got < 0 && errno != EINTR) {
-      throw DispatchError(std::string("poll failed: ") + std::strerror(errno));
-    }
-
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      const std::size_t i = fdSlot[k];
-      WorkerSlot& s = slots[i];
-      if (s.retired) continue;  // a handleDeath above may have retired it
-      if (fdIsStdin[k]) {
-        if ((fds[k].revents & (POLLOUT | POLLHUP | POLLERR)) == 0) continue;
-        if (!s.out.flushTo(s.proc.stdinFd())) {
-          handleDeath(i, "submit-write-failed");
-        }
-        continue;
-      }
-      if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      char buf[65536];
-      const ssize_t n = ::read(s.proc.stdoutFd(), buf, sizeof buf);
-      if (n > 0) {
-        s.reader.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-        try {
-          drainReader(s);
-        } catch (const util::DecodeError& e) {
-          XLV_ERROR("campaignd") << "worker " << i << ": corrupt stream: " << e.what();
-          s.proc.kill(SIGKILL);
-          handleDeath(i, "protocol-error");
-        }
-      } else if (n == 0) {
-        handleDeath(i, nullptr);
-      } else if (errno != EINTR && errno != EAGAIN) {
-        handleDeath(i, nullptr);
-      }
-    }
-
-    // Hang detection: a busy worker silent past the timeout gets SIGKILLed;
-    // the EOF shows up on the next poll and runs the normal death path
-    // (which salvages any result racing the kill through the pipe).
-    const auto now = Clock::now();
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      WorkerSlot& s = slots[i];
-      if (s.retired || !s.busy || s.timedOut) continue;
-      const auto silentMs =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - s.lastBeat).count();
-      if (silentMs > opt.heartbeatTimeoutMs) {
-        XLV_WARN("campaignd") << "worker " << i << " silent for " << silentMs
-                              << " ms on task " << s.taskIndex << "; killing";
-        s.timedOut = true;
-        ++led.workersKilled;
-        s.proc.kill(SIGKILL);
-      }
-    }
-  }
-
-  // Clean shutdown: an explicit frame plus stdin EOF, then a short grace
-  // before escalating to SIGKILL (the slot destructor would anyway).
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    WorkerSlot& s = slots[i];
-    if (s.retired || !s.proc.started()) continue;
-    SubmitFrame bye;
-    bye.specFnv = plan.specFnv;
-    bye.seq = ++seqCounter;
-    bye.shutdown = true;
-    s.out.enqueue(frameWire(encodeSubmitFrame(bye)));
-    // Best-effort drain of the non-blocking pipe: an idle worker accepts
-    // the few bye bytes immediately, and stdin EOF below is an equally
-    // clean shutdown signal if it does not.
-    const auto byeDeadline = Clock::now() + std::chrono::milliseconds(200);
-    while (!s.out.empty() && Clock::now() < byeDeadline) {
-      if (!s.out.flushTo(s.proc.stdinFd())) break;
-      if (!s.out.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    s.proc.closeStdin();
-  }
-  const auto grace = Clock::now() + std::chrono::seconds(2);
-  for (WorkerSlot& s : slots) {
-    if (s.retired || !s.proc.started()) continue;
-    while (s.proc.running() && Clock::now() < grace) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    if (s.proc.running()) s.proc.kill(SIGKILL);
-    s.proc.wait();
-  }
-
-  std::vector<ShardOutput> collected;
-  collected.reserve(outputs.size());
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    if (!haveOutput[i]) {
-      throw DispatchError("task " + std::to_string(i) + " completed without an output");
-    }
-    collected.push_back(std::move(outputs[i]));
-  }
-  res.result = mergeShards(spec, collected);
-  XLV_INFO("campaignd") << "dispatched " << led.tasksTotal << " tasks to " << workers
-                        << " workers: " << led.submissions << " submissions, "
-                        << led.requeuedShards.size() << " re-queues, "
-                        << led.duplicateResults << " duplicate results";
-  return res;
-}
-
-// --- ledger JSON -------------------------------------------------------------
-
-std::string encodeDispatchLedgerJson(const DispatchLedger& ledger) {
-  std::string out = "{\n";
-  auto num = [&](const char* key, std::uint64_t v, bool comma = true) {
-    out += "  \"";
-    out += key;
-    out += "\": ";
-    out += std::to_string(v);
-    out += comma ? ",\n" : "\n";
-  };
-  num("tasksTotal", ledger.tasksTotal);
-  num("tasksCompleted", ledger.tasksCompleted);
-  num("submissions", ledger.submissions);
-  num("duplicateResults", ledger.duplicateResults);
-  num("workersRequested", ledger.workersRequested);
-  num("workersSpawned", ledger.workersSpawned);
-  num("workerRespawns", ledger.workerRespawns);
-  num("workersKilled", ledger.workersKilled);
-  num("heartbeats", ledger.heartbeats);
-  out += "  \"requeuedShards\": [";
-  for (std::size_t i = 0; i < ledger.requeuedShards.size(); ++i) {
-    const RequeueRecord& r = ledger.requeuedShards[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"taskIndex\": " + std::to_string(r.taskIndex);
-    out += ", \"itemId\": " + std::to_string(r.unit.taskId);
-    out += ", \"mutantBegin\": " + std::to_string(r.unit.mutantBegin);
-    out += ", \"mutantEnd\": " + std::to_string(r.unit.mutantEnd);
-    out += ", \"attempt\": " + std::to_string(r.attempt);
-    out += ", \"reason\": \"" + r.reason + "\"";
-    out += ", \"workerIndex\": " + std::to_string(r.workerIndex);
-    out += ", \"generation\": " + std::to_string(r.generation);
-    out += "}";
-  }
-  out += ledger.requeuedShards.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
 }
 
 }  // namespace xlv::campaign

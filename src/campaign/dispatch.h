@@ -1,21 +1,21 @@
-// Campaign dispatcher daemon: work-stealing worker pool with crash recovery.
+// Campaign worker pool: work-stealing units with crash recovery.
 //
-// PR 3's static sharding (campaign/shard.h) splits a campaign into N
+// Static sharding (campaign/shard.h) splits a campaign into N
 // weight-balanced slices up front — good enough when every fragment costs
-// what the planner guessed, and useless when a worker dies. This layer is
-// the dynamic counterpart (ROADMAP "campaign service", local step): a
-// dispatcher process
+// what the planner guessed, and useless when a worker dies. The pool is the
+// dynamic counterpart. One event loop (campaign/server.cpp) owns it for
+// both `xlv_campaignd serve` and `run`, which is one in-process campaign on
+// that loop (runDispatcher below). The loop
 //
-//   * splits the spec into STEALABLE UNITS (planDispatchUnits — the flat
+//   * splits each spec into STEALABLE UNITS (planDispatchUnits — the flat
 //     unit/weight list underneath planShards, mutant-range fragments and
-//     all) and queues them heaviest-first,
+//     all) and queues them heaviest-first (TaskQueue),
 //   * spawns a pool of worker subprocesses (util/subprocess.h) that each
 //     loop { recv unit, run it via runShardUnits, stream the ShardOutput
-//     back },
+//     back } (runDispatchWorker),
 //   * schedules by WORK-STEALING: a worker that finishes early just claims
 //     the next queued unit, so one mispredicted 100x fragment delays one
-//     worker, not the whole static plan,
-//   * merges results incrementally via mergeShards as they arrive, and
+//     worker, not the whole static plan, and
 //   * RE-QUEUES the in-flight unit of any worker that dies (exit, signal)
 //     or goes silent past the heartbeat timeout (SIGKILLed first). Retries
 //     are safe because unit results are bit-identical by construction —
@@ -24,11 +24,10 @@
 //
 // Wire protocol: length-framed util/codec documents over the workers'
 // stdin/stdout pipes (frameWire / FrameReader below; frame schemas in
-// campaign/serialize.h, codec v5). Everything is versioned, so a
-// mixed-version dispatcher/worker pair refuses to talk instead of skewing
-// results.
+// campaign/serialize.h). Everything is versioned, so a mixed-version
+// pool/worker pair refuses to talk instead of skewing results.
 //
-// The dispatcher is deliberately SINGLE-THREADED (one poll(2) loop): every
+// The loop is deliberately SINGLE-THREADED (one poll(2) loop): every
 // scheduling decision is a deterministic function of the event order, which
 // is what the scheduler unit tests pin down.
 #pragma once
@@ -105,7 +104,7 @@ FrameRead readFrameBlocking(int fd, FrameReader& reader, std::string& doc,
                             int* errnoOut = nullptr);
 
 /// Per-connection outbound byte queue for a non-blocking fd. The
-/// single-threaded dispatcher/server loops never issue a blocking write:
+/// single-threaded event loop never issues a blocking write:
 /// frames are enqueue()d here and flushTo() drains as much as the fd
 /// accepts, with POLLOUT re-arming the rest. This is the fix for the
 /// submit-path deadlock (a worker with a full stdin pipe while itself
@@ -142,7 +141,7 @@ struct DispatchTask {
 /// ordered heaviest-first (weight desc, index asc — LPT scheduling), so the
 /// expensive fragments start first and the small ones backfill idle
 /// workers; a re-queued task goes to the FRONT (it already waited once).
-/// Single-threaded by design: only the dispatcher loop touches it.
+/// Single-threaded by design: only the pool's event loop touches it.
 class TaskQueue {
  public:
   TaskQueue() = default;
@@ -196,102 +195,153 @@ class TaskQueue {
   std::size_t retired_ = 0;
 };
 
-// --- dispatcher --------------------------------------------------------------
+// --- worker pool -------------------------------------------------------------
 
-/// Scheduling failed in a way retries cannot fix: a task exhausted its
-/// attempt budget, every worker slot died with work pending, or the worker
-/// pool could not be spawned at all. (Campaign ITEM errors are not dispatch
-/// errors — they travel inside the merged result like everywhere else.)
+/// Scheduling failed in a way retries cannot fix: the worker pool could not
+/// be spawned at all, or every worker slot died with work pending.
+/// (Campaign ITEM errors are not dispatch errors — they travel inside the
+/// merged result like everywhere else, and so does a quarantined unit.)
 class DispatchError : public std::runtime_error {
  public:
   explicit DispatchError(const std::string& what)
       : std::runtime_error("dispatch: " + what) {}
 };
 
-struct DispatchOptions {
+/// Worker-pool settings shared by `xlv_campaignd run` (runDispatcher) and
+/// `serve` (ServeOptions in campaign/server.h extends this).
+struct PoolOptions {
   /// Worker pool size; 0 = resolveWorkerCount(0) (XLV_WORKERS or hardware).
   int workers = 0;
-  /// Stealable-unit granularity, as ShardPlanOptions::maxFragmentMutants.
+  /// Stealable-unit granularity, as ShardPlanOptions::maxFragmentMutants
+  /// (a served submission may override it per campaign).
   std::size_t maxFragmentMutants = 0;
-  /// Optional per-item mutant counts (planDispatchUnits semantics).
-  std::vector<std::size_t> mutantCounts;
   /// Command prefix that execs ONE WORKER speaking the frame protocol on
-  /// stdin/stdout; the dispatcher appends "--spec <path> --index <i>
-  /// --generation <g> --heartbeat-ms <n>". Required.
+  /// stdin/stdout; the pool appends "--index <i> --generation <g>
+  /// --heartbeat-ms <n>". Required.
   std::vector<std::string> workerCommand;
   /// Milliseconds between worker heartbeats while a unit runs.
   int heartbeatIntervalMs = 200;
   /// A busy worker silent this long is presumed hung: SIGKILL + re-queue.
   int heartbeatTimeoutMs = 10000;
-  /// Submission budget per task (first run + retries); exhausting it is a
-  /// DispatchError.
+  /// Submission budget per task (first run + retries). An exhausted
+  /// multi-mutant fragment is bisected, an exhausted irreducible unit is
+  /// quarantined (its item carries a structured error).
   int maxTaskAttempts = 3;
   /// Respawn budget per worker slot after a crash/kill.
   int maxWorkerRespawns = 2;
-  /// Directory for the spec handoff file ("" = std::filesystem temp dir).
-  std::string specDir;
 };
 
-/// One crash-recovery re-queue, as surfaced in the ledger (the acceptance
-/// criterion: a killed worker's unit must show up here AND in the merged
-/// result).
+/// Run mode needs nothing beyond the pool settings.
+using DispatchOptions = PoolOptions;
+
+/// One crash-recovery re-queue, as surfaced in the ledger (a killed
+/// worker's unit must show up here AND in the merged result).
 struct RequeueRecord {
+  std::uint64_t campaignId = 0;
   std::uint64_t taskIndex = 0;
   ShardUnit unit;
   std::uint64_t attempt = 0;  ///< 1-based submission attempt that was lost
-  std::string reason;  ///< "worker-exit" | "worker-signal" | "heartbeat-timeout" | "submit-write-failed"
+  std::string reason;  ///< "worker-exit" | "worker-signal" | "heartbeat-timeout" | "submit-write-failed" | "protocol-error"
   std::uint64_t workerIndex = 0;
   std::uint64_t generation = 0;
 };
 
-struct DispatchLedger {
+/// One campaign's scheduling record (a served submission, or run mode's
+/// single in-process campaign).
+struct CampaignLedgerEntry {
+  std::uint64_t campaignId = 0;
+  std::string name;  ///< ClientSubmitFrame::clientName (run mode: the spec name)
+  std::uint64_t unitsTotal = 0;
+  std::uint64_t unitsCompleted = 0;
+  /// Crash-recovery re-queues attributed to this campaign (its units lost
+  /// to dead/hung workers).
+  std::uint64_t requeues = 0;
+  /// Results that arrived after this campaign was cancelled and were
+  /// dropped instead of forwarded.
+  std::uint64_t discardedResults = 0;
+  bool cancelled = false;
+  std::string error;  ///< non-empty when dispatch gave up on the campaign
+  /// Poison-unit splits: a multi-mutant fragment that exhausted its attempt
+  /// budget is split in half and both halves re-queued, isolating the
+  /// poison mutant instead of failing the campaign.
+  std::uint64_t bisections = 0;
+  /// Task indices of quarantined units — irreducible (whole-item or
+  /// single-mutant) units that exhausted their attempts. Their items carry
+  /// structured errors; the rest of the campaign completed normally.
+  std::vector<std::uint64_t> quarantined;
+  /// True when the campaign was still in flight as a drain began and the
+  /// server finished it before exiting (informational).
+  bool drained = false;
+};
+
+/// The worker pool's ledger, the same for both modes.
+struct ServeLedger {
+  std::uint64_t campaignsAccepted = 0;
+  std::uint64_t campaignsRejected = 0;
+  std::uint64_t campaignsCompleted = 0;
+  std::uint64_t campaignsCancelled = 0;
+  /// Units of every finished campaign (final counts: bisection halves
+  /// included) and how many of them completed with a genuine result.
   std::uint64_t tasksTotal = 0;
   std::uint64_t tasksCompleted = 0;
-  std::uint64_t submissions = 0;       ///< submit frames accepted by workers
-  std::uint64_t duplicateResults = 0;  ///< results discarded (task already done)
+  std::uint64_t submissions = 0;       ///< submit frames queued to workers
+  std::uint64_t duplicateResults = 0;  ///< retry raced its predecessor's result
+  std::uint64_t discardedResults = 0;  ///< results of cancelled campaigns
   std::uint64_t workersRequested = 0;
   std::uint64_t workersSpawned = 0;  ///< processes ever spawned (incl. respawns)
   std::uint64_t workerRespawns = 0;
   std::uint64_t workersKilled = 0;  ///< heartbeat-timeout SIGKILLs
   std::uint64_t heartbeats = 0;
+  std::uint64_t quarantinedUnits = 0;  ///< irreducible poison units isolated
+  std::uint64_t bisections = 0;        ///< poison-fragment splits
+  std::uint64_t deadlineFailures = 0;  ///< campaigns failed past their deadline
+  std::uint64_t clientReadTimeouts = 0;  ///< half-open clients closed
+  std::uint64_t frameCapRejects = 0;   ///< oversize client frames rejected
+  std::uint64_t drainRequests = 0;     ///< drain signals received
+  bool drained = false;  ///< the run ended via a drain signal, not quota
+  /// Every crash-recovery re-queue, in order.
   std::vector<RequeueRecord> requeuedShards;
+  /// Every admitted campaign, in admission order (live ones are finalized
+  /// into here when the server stops).
+  std::vector<CampaignLedgerEntry> campaigns;
 };
+
+/// The ledger as a JSON object (`--ledger`; CI uploads it next to the
+/// BENCH_*.json artifacts). Keys are the field names; requeuedShards and
+/// campaigns are arrays of objects.
+std::string encodeServeLedgerJson(const ServeLedger& ledger);
 
 struct DispatchResult {
   CampaignResult result;  ///< mergeShards output, bit-identical to runCampaign
-  DispatchLedger ledger;
+  ServeLedger ledger;
 };
 
-/// Run the campaign through a dispatcher-owned worker pool. Blocks until
-/// every unit completed (merging incrementally as results stream back) and
-/// returns the merged result plus the scheduling ledger. Throws
-/// DispatchError when recovery is impossible (see class doc);
-/// std::invalid_argument on a malformed request (empty workerCommand,
-/// non-positive timeouts).
+/// Run one campaign through a worker pool: an in-process campaign on the
+/// campaign server's event loop (campaign/server.cpp), with no listener.
+/// Blocks until every unit completed, was bisected or was quarantined,
+/// then merges the collected unit outputs. Throws DispatchError when the
+/// pool cannot be spawned or is lost; std::invalid_argument on a malformed
+/// request (empty workerCommand, non-positive timeouts).
 DispatchResult runDispatcher(const CampaignSpec& spec, const DispatchOptions& opt);
 
 struct DispatchWorkerOptions {
   int workerIndex = 0;
   int generation = 0;
   int heartbeatIntervalMs = 200;
-  int inFd = 0;    ///< frames from the dispatcher (stdin)
-  int outFd = 1;   ///< frames to the dispatcher (stdout)
+  int inFd = 0;    ///< frames from the pool (stdin)
+  int outFd = 1;   ///< frames to the pool (stdout)
 };
 
 /// Worker main loop (the "worker" subcommand of tools/xlv_campaignd): recv
 /// SubmitFrames, run each unit via runShardUnits, stream StatusFrame /
 /// HeartbeatFrame / ResultFrame back. Returns the process exit code: 0
-/// after a clean shutdown frame or dispatcher EOF, nonzero on protocol
-/// errors (codec version skew, spec fingerprint mismatch, stdin I/O
-/// failure).
+/// after a clean shutdown frame or pool EOF, nonzero on protocol errors
+/// (codec version skew, spec fingerprint mismatch, stdin I/O failure).
 ///
-/// `defaultSpec` (may be null) serves submits whose specPath is empty — the
-/// single-campaign `run` mode ships the spec once at worker startup. A
-/// submit with a non-empty specPath loads (and caches, keyed by path +
-/// fingerprint) that spec instead, which is how one worker pool serves many
-/// campaigns at once under campaign/server.h. Either way the SubmitFrame's
-/// specFnv must match the spec actually loaded, or the worker refuses with
-/// exit 8.
+/// Every submit names its campaign's spec handoff file (specPath); the
+/// worker loads and caches it keyed by path, which is how one pool serves
+/// many campaigns at once. The SubmitFrame's specFnv must match the spec
+/// actually loaded, or the worker refuses with exit 8.
 ///
 /// Fault-injection hooks (tests/campaign/dispatch_fault_test.cpp), honored
 /// only when XLV_TEST_FAULT_WORKER (default 0) names this workerIndex AND
@@ -301,25 +351,13 @@ struct DispatchWorkerOptions {
 ///   XLV_TEST_HANG_AFTER_ITEMS=N  stop heartbeating and sleep forever
 ///                                (exercises the heartbeat timeout);
 ///   XLV_TEST_EXIT_AFTER_ITEMS=N  _exit(9) (orderly-looking failure).
-int runDispatchWorker(const CampaignSpec* defaultSpec, const DispatchWorkerOptions& opt);
+/// XLV_TEST_POISON_ITEM=I with XLV_TEST_POISON_MUTANT=M makes EVERY worker
+/// SIGKILL itself on a unit covering item I's mutant M (a poison unit).
+int runDispatchWorker(const DispatchWorkerOptions& opt);
 
 /// Worker pool size: `requested` when > 0, else strict-parsed XLV_WORKERS
-/// (positive integer, else std::invalid_argument), else
+/// (an integer in [1, 1024], else std::invalid_argument), else
 /// hardware_concurrency (>= 1).
 int resolveWorkerCount(int requested);
-
-/// Strict env-knob parse shared by every daemon tunable (XLV_HEARTBEAT_MS,
-/// XLV_HEARTBEAT_TIMEOUT_MS, the XLV_TEST_* fault hooks): `fallback` when
-/// the variable is unset or empty, the parsed value when it is a whole
-/// decimal integer, and std::invalid_argument — naming the variable and the
-/// offending value — otherwise. Deliberately the same contract as
-/// XLV_WORKERS in resolveWorkerCount: a typo stops the daemon, it never
-/// silently runs with a default.
-long envLongStrict(const char* name, long fallback);
-
-/// The ledger as a JSON object (CI uploads it next to the BENCH_*.json
-/// artifacts; keys are the DispatchLedger field names, requeuedShards as an
-/// array of objects).
-std::string encodeDispatchLedgerJson(const DispatchLedger& ledger);
 
 }  // namespace xlv::campaign

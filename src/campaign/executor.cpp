@@ -2,81 +2,31 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <mutex>
-#include <set>
-#include <string>
 #include <thread>
 
+#include "util/env.h"
 #include "util/log.h"
 
 namespace xlv::campaign {
 
-namespace {
-
-int hardwareThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-std::mutex g_envWarnMutex;
-std::set<std::string> g_envValuesWarned;
-
-/// Warn once per distinct malformed value: campaigns construct one executor
-/// per analysis, so an unconditional warning would repeat per item.
-void warnBadEnvOnce(const std::string& value, const char* why) {
-  std::lock_guard<std::mutex> lock(g_envWarnMutex);
-  if (g_envValuesWarned.insert(value).second) {
-    XLV_WARN("campaign") << "ignoring XLV_THREADS='" << value << "': " << why
-                         << "; using auto thread count";
-  }
-}
-
-int envThreads() {
-  const char* s = std::getenv("XLV_THREADS");
-  if (s == nullptr || *s == '\0') return 0;
-  // Strict parse: "4abc" must not silently run on 4 threads — a malformed
-  // override is ignored loudly so a typo'd CI variable degrades to auto
-  // instead of masking itself.
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') {
-    warnBadEnvOnce(s, "not an integer");
-    return 0;
-  }
-  if (errno == ERANGE || v < 1 || v > 4096) {
-    warnBadEnvOnce(s, "outside [1, 4096]");
-    return 0;
-  }
-  return static_cast<int>(v);
-}
-
-}  // namespace
-
-void resetThreadEnvWarningsForTest() {
-  std::lock_guard<std::mutex> lock(g_envWarnMutex);
-  g_envValuesWarned.clear();
-}
-
 int resolveThreadCount(int requested) {
-  static std::once_flag logged;
-  const int env = envThreads();
-  const int hw = hardwareThreads();
   // Only 0 means auto; a negative count (stray sentinel, arithmetic bug)
   // degrades to serial rather than silently fanning out.
-  const int resolved = requested > 0 ? requested
-                       : requested < 0 ? 1
-                                       : (env > 0 ? env : hw);
+  if (requested > 0) return requested;
+  if (requested < 0) return 1;
+  const int env = static_cast<int>(util::envLongStrict("XLV_THREADS", 0, 1, 4096));
+  const unsigned hwRaw = std::thread::hardware_concurrency();
+  const int hw = hwRaw == 0 ? 1 : static_cast<int>(hwRaw);
+  static std::once_flag logged;
   std::call_once(logged, [&] {
     XLV_INFO("campaign") << "thread pool default: " << (env > 0 ? env : hw)
                          << (env > 0 ? " (XLV_THREADS override)" : " (hardware_concurrency)")
                          << ", hardware=" << hw;
   });
-  return std::max(1, resolved);
+  return env > 0 ? env : hw;
 }
 
 Executor::Executor(ExecutorConfig cfg)

@@ -27,7 +27,7 @@ namespace xlv::campaign {
 
 struct ExecutorConfig {
   /// Worker threads. 0 = auto: the XLV_THREADS environment variable when set
-  /// to a positive integer, otherwise std::thread::hardware_concurrency().
+  /// (see resolveThreadCount), otherwise std::thread::hardware_concurrency().
   /// Negative values degrade to 1 (serial), never to auto.
   int threads = 0;
   /// Task indices claimed per atomic fetch. 0 = auto (n / (threads * 8),
@@ -37,13 +37,10 @@ struct ExecutorConfig {
 
 /// Resolve a requested thread count against the XLV_THREADS override and the
 /// hardware concurrency (logged once per process via util/log, component
-/// "campaign"). A malformed or out-of-range override is ignored with a
-/// warning (once per distinct value) and degrades to auto.
+/// "campaign"). Only auto (0) reads the override, strictly
+/// (util::envLongStrict): anything but an integer in [1, 4096] throws
+/// std::invalid_argument.
 int resolveThreadCount(int requested);
-
-/// Test hook: forget which malformed XLV_THREADS values were already warned
-/// about, so warning assertions stay valid under --gtest_repeat.
-void resetThreadEnvWarningsForTest();
 
 class Executor {
  public:

@@ -100,19 +100,17 @@ core::FlowPrefix decodeFlowPrefix(std::string_view data, const ips::CaseStudy& c
 /// mutant-range fragment), or shut down cleanly.
 struct SubmitFrame {
   std::uint64_t specFnv = 0;    ///< fingerprint of the spec the unit belongs to
-  /// Which client campaign the unit belongs to when a server multiplexes
-  /// several over one worker pool (campaign/server.h); 0 in the
-  /// single-campaign `run` mode.
+  /// Which campaign the unit belongs to (the pool multiplexes several,
+  /// campaign/server.h).
   std::uint64_t campaignId = 0;
   std::uint64_t seq = 0;        ///< dispatcher-wide submission sequence number
   std::uint64_t taskIndex = 0;  ///< index into the campaign's dispatch unit list
   std::uint64_t taskCount = 0;  ///< total units (the merge's shardCount)
   std::uint64_t attempt = 0;    ///< 0 = first run, >0 = crash-recovery retry
   ShardUnit unit;
-  /// Spec handoff file for this unit's campaign. Empty = the worker's
-  /// startup --spec (the `run` mode); non-empty = load (and cache by
-  /// fingerprint) from this path, which is how one worker pool serves many
-  /// campaigns. The specFnv cross-check applies either way.
+  /// Spec handoff file for this unit's campaign: the worker loads (and
+  /// caches by path) the spec from here, which is how one worker pool
+  /// serves many campaigns. specFnv must match the loaded spec.
   std::string specPath;
   bool shutdown = false;  ///< true: no more work; unit/task fields ignored
   bool operator==(const SubmitFrame&) const = default;

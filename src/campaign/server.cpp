@@ -141,6 +141,9 @@ struct Campaign {
   bool cancelled = false;
   std::string error;
   ClientConn* conn = nullptr;  ///< null once the client connection is gone
+  /// Run mode's in-process campaign: unit outputs collect here instead of
+  /// streaming to a client connection.
+  std::vector<ShardOutput>* sink = nullptr;
   std::uint64_t bisections = 0;
   std::vector<std::uint64_t> quarantined;  ///< retired irreducible task indices
   std::uint64_t deadlineMs = 0;            ///< 0 = no deadline
@@ -150,7 +153,17 @@ struct Campaign {
 
 class Server {
  public:
-  explicit Server(const ServeOptions& opt) : opt_(opt) {}
+  explicit Server(const ServeOptions& opt) : opt_(opt) {
+    if (opt_.workerCommand.empty()) {
+      throw std::invalid_argument("campaignd: workerCommand must not be empty");
+    }
+    if (opt_.heartbeatIntervalMs <= 0 || opt_.heartbeatTimeoutMs <= 0) {
+      throw std::invalid_argument("campaignd: heartbeat interval/timeout must be > 0");
+    }
+    if (opt_.maxTaskAttempts < 1) {
+      throw std::invalid_argument("campaignd: maxTaskAttempts must be >= 1");
+    }
+  }
   ~Server() {
     for (auto& conn : conns_) {
       if (conn->fd >= 0) ::close(conn->fd);
@@ -165,6 +178,17 @@ class Server {
     if (drainReadFd_ >= 0) ::close(drainReadFd_);
   }
 
+  /// Bind the client listener (serve mode). Without it the loop runs only
+  /// the in-process campaigns added below.
+  void listen();
+  /// Put an in-process campaign on the scheduler before run(): its unit
+  /// outputs collect into `sink` instead of streaming to a client.
+  void addLocalCampaign(const CampaignSpec& spec, const DispatchUnitPlan& plan,
+                        std::vector<ShardOutput>& sink) {
+    Campaign* c = startCampaign(spec, plan, spec.name, 0);
+    if (c == nullptr) throw DispatchError("cannot write the spec handoff file");
+    c->sink = &sink;
+  }
   ServeResult run();
 
  private:
@@ -176,7 +200,6 @@ class Server {
     return out;
   }
 
-  void listen();
   bool spawnWorker(std::size_t i);
   void assignWork();
   void submitUnit(std::size_t wi, Campaign& c);
@@ -184,6 +207,8 @@ class Server {
   void onClientReadable(ClientConn& conn);
   void processClientFrames(ClientConn& conn);
   void admit(ClientConn& conn, const ClientSubmitFrame& f);
+  Campaign* startCampaign(const CampaignSpec& spec, const DispatchUnitPlan& plan,
+                          const std::string& name, std::uint64_t deadlineMs);
   void reject(ClientConn& conn, const std::string& reason, std::uint64_t retryMs);
   void flushConn(ClientConn& conn);
   void clientGone(ClientConn& conn);
@@ -215,7 +240,6 @@ class Server {
   ServeLedger ledger_;
   int listenFd_ = -1;
   std::string boundPath_;
-  fs::path specDir_;
   std::vector<ServerWorker> workers_;
   std::vector<std::unique_ptr<ClientConn>> conns_;
   std::map<std::uint64_t, Campaign> campaigns_;
@@ -311,7 +335,7 @@ bool Server::spawnWorker(std::size_t i) {
   s.timedOut = false;
   if (!s.proc.started()) {
     s.retired = true;
-    XLV_ERROR("campaignd") << "serve worker " << i << ": spawn failed";
+    XLV_ERROR("campaignd") << "worker " << i << ": spawn failed";
     return false;
   }
   util::setNonBlocking(s.proc.stdinFd());
@@ -480,51 +504,54 @@ void Server::admit(ClientConn& conn, const ClientSubmitFrame& f) {
     return;
   }
 
+  Campaign* c = startCampaign(spec, plan, f.clientName, f.deadlineMs);
+  if (c == nullptr) {
+    reject(conn, "server cannot stage the spec handoff file", opt_.rejectRetryAfterMs);
+    return;
+  }
+  c->conn = &conn;
+  conn.campaignId = c->id;
+
+  AcceptFrame accept;
+  accept.campaignId = c->id;
+  accept.specFnv = c->specFnv;
+  accept.unitCount = c->taskCount;
+  conn.out.enqueue(frameWire(encodeAcceptFrame(accept)));
+  flushConn(conn);  // may cancel c (client write failure sets finishing)
+  if (!c->finishing && c->taskCount == 0) finishSuccess(*c);  // empty spec: done before it began
+}
+
+/// Stage the spec handoff file and put the campaign's units on the
+/// scheduler; null when the handoff file cannot be written.
+Campaign* Server::startCampaign(const CampaignSpec& spec, const DispatchUnitPlan& plan,
+                                const std::string& name, std::uint64_t deadlineMs) {
   const std::uint64_t id = ++lastCampaignId_;
   const fs::path specPath =
-      specDir_ / ("xlv-campaignd-serve-" + std::to_string(::getpid()) + "-" +
-                  std::to_string(id) + ".xlv");
+      fs::temp_directory_path() / ("xlv-campaignd-" + std::to_string(::getpid()) + "-" +
+                                   std::to_string(id) + ".xlv");
   {
     std::ofstream out(specPath, std::ios::binary | std::ios::trunc);
     out << encodeCampaignSpec(spec);  // canonical bytes: fnv-checkable by workers
-    if (!out) {
-      reject(conn, "server cannot stage the spec handoff file", opt_.rejectRetryAfterMs);
-      return;
-    }
+    if (!out) return nullptr;
   }
 
   Campaign c;
   c.id = id;
-  c.name = f.clientName;
+  c.name = name;
   c.specFnv = plan.specFnv;
   c.specPath = specPath.string();
   c.queue = TaskQueue(plan);
   c.taskCount = c.queue.taskCount();
-  if (f.deadlineMs > 0) {
-    c.deadlineMs = f.deadlineMs;
-    c.deadlineAt = Clock::now() + std::chrono::milliseconds(f.deadlineMs);
+  if (deadlineMs > 0) {
+    c.deadlineMs = deadlineMs;
+    c.deadlineAt = Clock::now() + std::chrono::milliseconds(deadlineMs);
   }
-  c.conn = &conn;
-  conn.campaignId = id;
-  auto [it, inserted] = campaigns_.emplace(id, std::move(c));
-  (void)inserted;
+  Campaign& live = campaigns_.emplace(id, std::move(c)).first->second;
   rr_.push_back(id);
   ++ledger_.campaignsAccepted;
-  XLV_INFO("campaignd") << "campaign " << id << " ('" << f.clientName << "') admitted: "
-                        << it->second.taskCount << " units";
-
-  AcceptFrame accept;
-  accept.campaignId = id;
-  accept.specFnv = plan.specFnv;
-  accept.unitCount = it->second.taskCount;
-  conn.out.enqueue(frameWire(encodeAcceptFrame(accept)));
-  flushConn(conn);
-
-  auto again = campaigns_.find(id);
-  if (again != campaigns_.end() && !again->second.finishing &&
-      again->second.taskCount == 0) {
-    finishSuccess(again->second);  // empty spec: done before it began
-  }
+  XLV_INFO("campaignd") << "campaign " << id << " ('" << name << "') admitted: "
+                        << live.taskCount << " units";
+  return &live;
 }
 
 void Server::reject(ClientConn& conn, const std::string& reason, std::uint64_t retryMs) {
@@ -587,7 +614,7 @@ void Server::onWorkerReadable(std::size_t i) {
     try {
       drainWorker(i);
     } catch (const util::DecodeError& e) {
-      XLV_ERROR("campaignd") << "serve worker " << i << ": corrupt stream: " << e.what();
+      XLV_ERROR("campaignd") << "worker " << i << ": corrupt stream: " << e.what();
       s.proc.kill(SIGKILL);
       workerDeath(i, "protocol-error");
     }
@@ -654,19 +681,15 @@ void Server::onResult(std::size_t wi, ResultFrame rf) {
     ++ledger_.duplicateResults;
     return;
   }
-  ItemResultFrame ir;
-  ir.campaignId = c.id;
-  ir.taskIndex = rf.taskIndex;
-  ir.taskCount = c.taskCount;
-  ir.output = std::move(rf.output);
-  if (c.conn != nullptr && !c.conn->dead) {
-    c.conn->out.enqueue(frameWire(encodeItemResultFrame(ir)));
-    flushConn(*c.conn);  // may cancel c (client write failure sets finishing)
-  }
+  streamOutput(c, rf.taskIndex, std::move(rf.output));
   if (!c.finishing && c.queue.done()) finishSuccess(c);
 }
 
 void Server::streamOutput(Campaign& c, std::size_t taskIndex, ShardOutput output) {
+  if (c.sink != nullptr) {
+    c.sink->push_back(std::move(output));
+    return;
+  }
   if (c.conn == nullptr || c.conn->dead) return;
   ItemResultFrame ir;
   ir.campaignId = c.id;
@@ -758,6 +781,8 @@ void Server::requeueLostUnit(std::size_t wi, const std::string& reason) {
   }
   c.queue.requeue(s.taskIndex);
   ++c.requeues;
+  ledger_.requeuedShards.push_back(RequeueRecord{c.id, t.index, t.unit, t.attempts, reason, wi,
+                                                 static_cast<std::uint64_t>(s.generation)});
   XLV_WARN("campaignd") << "re-queued task " << t.index << " of campaign " << c.id
                         << " (attempt " << t.attempts << " lost to worker " << wi
                         << ": " << reason << ")";
@@ -779,7 +804,7 @@ void Server::workerDeath(std::size_t i, const char* reasonHint) {
                              : s.timedOut          ? "heartbeat-timeout"
                              : s.proc.termSignal() != 0 ? "worker-signal"
                                                         : "worker-exit";
-  XLV_WARN("campaignd") << "serve worker " << i << " gen " << s.generation << " died ("
+  XLV_WARN("campaignd") << "worker " << i << " gen " << s.generation << " died ("
                         << reason << ", exit=" << s.proc.exitCode()
                         << ", signal=" << s.proc.termSignal() << ")";
   requeueLostUnit(i, reason);
@@ -795,7 +820,7 @@ void Server::workerDeath(std::size_t i, const char* reasonHint) {
   const bool anyAlive = std::any_of(workers_.begin(), workers_.end(),
                                     [](const ServerWorker& w) { return !w.retired; });
   if (!anyAlive && !campaigns_.empty()) {
-    throw DispatchError("all serve workers lost with " +
+    throw DispatchError("all workers lost with " +
                         std::to_string(campaigns_.size()) + " campaigns live");
   }
 }
@@ -856,6 +881,8 @@ void Server::finalize(Campaign& c) {
   e.quarantined = c.quarantined;
   e.drained = c.drained;
   ledger_.campaigns.push_back(e);
+  ledger_.tasksTotal += e.unitsTotal;
+  ledger_.tasksCompleted += e.unitsCompleted;
   if (c.cancelled) {
     ++ledger_.campaignsCancelled;
   } else {
@@ -927,7 +954,7 @@ void Server::heartbeatScan() {
     const auto silentMs =
         std::chrono::duration_cast<std::chrono::milliseconds>(now - s.lastBeat).count();
     if (silentMs > opt_.heartbeatTimeoutMs) {
-      XLV_WARN("campaignd") << "serve worker " << i << " silent for " << silentMs
+      XLV_WARN("campaignd") << "worker " << i << " silent for " << silentMs
                             << " ms on campaign " << s.campaignId << " task "
                             << s.taskIndex << "; killing";
       s.timedOut = true;
@@ -1065,15 +1092,6 @@ void Server::shutdownWorkers() {
 }
 
 ServeResult Server::run() {
-  if (opt_.workerCommand.empty()) {
-    throw std::invalid_argument("serve: workerCommand must not be empty");
-  }
-  if (opt_.heartbeatIntervalMs <= 0 || opt_.heartbeatTimeoutMs <= 0) {
-    throw std::invalid_argument("serve: heartbeat interval/timeout must be > 0");
-  }
-  if (opt_.maxTaskAttempts < 1) {
-    throw std::invalid_argument("serve: maxTaskAttempts must be >= 1");
-  }
   ignoreSigpipe();
 
   if (opt_.enableSignalDrain) {
@@ -1094,23 +1112,18 @@ ServeResult Server::run() {
     ::sigaction(SIGINT, &sa, nullptr);
   }
 
-  specDir_ = opt_.specDir.empty() ? fs::temp_directory_path() : fs::path(opt_.specDir);
-  std::error_code ec;
-  fs::create_directories(specDir_, ec);
-
-  listen();
-
   const int workerCount = resolveWorkerCount(opt_.workers);
+  ledger_.workersRequested = static_cast<std::uint64_t>(workerCount);
   workers_.resize(static_cast<std::size_t>(workerCount));
   std::size_t live = 0;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (spawnWorker(i)) ++live;
   }
-  if (live == 0) throw DispatchError("could not spawn any serve worker");
+  if (live == 0) throw DispatchError("could not spawn any worker process");
   XLV_INFO("campaignd") << "serving on "
-                        << (!boundPath_.empty()
-                                ? boundPath_
-                                : "127.0.0.1:" + std::to_string(opt_.tcpPort))
+                        << (!boundPath_.empty()  ? boundPath_
+                            : listenFd_ >= 0     ? "127.0.0.1:" + std::to_string(opt_.tcpPort)
+                                                 : std::string("no listener"))
                         << " with " << live << " workers";
 
   struct PollRef {
@@ -1130,8 +1143,10 @@ ServeResult Server::run() {
 
     std::vector<pollfd> fds;
     std::vector<PollRef> refs;
-    fds.push_back(pollfd{listenFd_, POLLIN, 0});
-    refs.push_back({Ref::Listener, 0});
+    if (listenFd_ >= 0) {
+      fds.push_back(pollfd{listenFd_, POLLIN, 0});
+      refs.push_back({Ref::Listener, 0});
+    }
     if (drainReadFd_ >= 0) {
       fds.push_back(pollfd{drainReadFd_, POLLIN, 0});
       refs.push_back({Ref::DrainPipe, 0});
@@ -1228,9 +1243,40 @@ ServeResult Server::run() {
   return ServeResult{ledger_};
 }
 
+/// Merge one campaign's unit outputs. Bisection appends tasks mid-campaign,
+/// so outputs produced before a split carry a stale shardCount; every output
+/// is normalized to the final unit count first.
+CampaignResult mergeUnitOutputs(const CampaignSpec& spec, std::vector<ShardOutput>& outputs,
+                                std::uint64_t unitCount) {
+  for (ShardOutput& o : outputs) o.shardCount = static_cast<int>(unitCount);
+  return mergeShards(spec, outputs);
+}
+
 }  // namespace
 
-ServeResult runCampaignServer(const ServeOptions& opt) { return Server(opt).run(); }
+ServeResult runCampaignServer(const ServeOptions& opt) {
+  Server server(opt);
+  server.listen();
+  return server.run();
+}
+
+DispatchResult runDispatcher(const CampaignSpec& spec, const DispatchOptions& opt) {
+  ServeOptions so;
+  static_cast<PoolOptions&>(so) = opt;
+  so.maxCampaignsServed = 1;
+  Server server(so);
+  DispatchResult res;
+  const DispatchUnitPlan plan = planDispatchUnits(spec, opt.maxFragmentMutants);
+  if (plan.units.empty()) {
+    res.result.name = spec.name;
+    return res;
+  }
+  std::vector<ShardOutput> outputs;
+  server.addLocalCampaign(spec, plan, outputs);
+  res.ledger = server.run().ledger;
+  res.result = mergeUnitOutputs(spec, outputs, res.ledger.campaigns.front().unitsTotal);
+  return res;
+}
 
 // --- client ------------------------------------------------------------------
 
@@ -1298,15 +1344,8 @@ SubmitOutcome submitCampaignOnce(const CampaignSpec& spec, const SubmitOptions& 
         const CampaignDoneFrame done = decodeCampaignDoneFrame(doc);
         out.done = true;
         out.quarantined = done.quarantined;
-        if (done.unitsTotal > 0) {
-          // Server-side bisection appends tasks, so outputs streamed before
-          // a split carry a stale shardCount; the done frame's unitsTotal
-          // is the final count every output must agree on before merging.
-          out.unitCount = done.unitsTotal;
-          for (ShardOutput& o : out.outputs) {
-            o.shardCount = static_cast<int>(done.unitsTotal);
-          }
-        }
+        // The FINAL unit count: server-side bisection appends tasks.
+        if (done.unitsTotal > 0) out.unitCount = done.unitsTotal;
         if (!done.error.empty()) {
           out.error = done.error;
         } else if (done.cancelled) {
@@ -1324,7 +1363,7 @@ SubmitOutcome submitCampaignOnce(const CampaignSpec& spec, const SubmitOptions& 
 
   if (out.done && out.error.empty()) {
     try {
-      out.result = mergeShards(spec, out.outputs);
+      out.result = mergeUnitOutputs(spec, out.outputs, out.unitCount);
     } catch (const std::exception& e) {
       out.error = std::string("merge failed: ") + e.what();
     }
@@ -1396,9 +1435,12 @@ std::string encodeServeLedgerJson(const ServeLedger& ledger) {
   num("campaignsRejected", ledger.campaignsRejected);
   num("campaignsCompleted", ledger.campaignsCompleted);
   num("campaignsCancelled", ledger.campaignsCancelled);
+  num("tasksTotal", ledger.tasksTotal);
+  num("tasksCompleted", ledger.tasksCompleted);
   num("submissions", ledger.submissions);
   num("duplicateResults", ledger.duplicateResults);
   num("discardedResults", ledger.discardedResults);
+  num("workersRequested", ledger.workersRequested);
   num("workersSpawned", ledger.workersSpawned);
   num("workerRespawns", ledger.workerRespawns);
   num("workersKilled", ledger.workersKilled);
@@ -1410,6 +1452,22 @@ std::string encodeServeLedgerJson(const ServeLedger& ledger) {
   num("frameCapRejects", ledger.frameCapRejects);
   num("drainRequests", ledger.drainRequests);
   out += std::string("  \"drained\": ") + (ledger.drained ? "true" : "false") + ",\n";
+  out += "  \"requeuedShards\": [";
+  for (std::size_t i = 0; i < ledger.requeuedShards.size(); ++i) {
+    const RequeueRecord& r = ledger.requeuedShards[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += "    {\"campaignId\": " + std::to_string(r.campaignId);
+    out += ", \"taskIndex\": " + std::to_string(r.taskIndex);
+    out += ", \"itemId\": " + std::to_string(r.unit.taskId);
+    out += ", \"mutantBegin\": " + std::to_string(r.unit.mutantBegin);
+    out += ", \"mutantEnd\": " + std::to_string(r.unit.mutantEnd);
+    out += ", \"attempt\": " + std::to_string(r.attempt);
+    out += ", \"reason\": \"" + escape(r.reason) + "\"";
+    out += ", \"workerIndex\": " + std::to_string(r.workerIndex);
+    out += ", \"generation\": " + std::to_string(r.generation);
+    out += "}";
+  }
+  out += ledger.requeuedShards.empty() ? "],\n" : "\n  ],\n";
   out += "  \"campaigns\": [";
   for (std::size_t i = 0; i < ledger.campaigns.size(); ++i) {
     const CampaignLedgerEntry& c = ledger.campaigns[i];

@@ -1,16 +1,18 @@
-// Campaign service: socket front end over the dispatcher worker pool.
+// Campaign service: the worker pool's event loop, with a socket front end.
 //
-// PR 7's dispatcher (campaign/dispatch.h) runs ONE campaign through a
-// work-stealing pool and exits. This layer is the ROADMAP campaign-service
-// sub-step (2): a long-lived server that listens on a Unix-domain socket
-// (optionally loopback TCP), accepts campaign submissions from many
-// concurrent clients, and multiplexes them over a single worker pool and
-// one shared artifact store. The wire protocol is the same length-framed
+// One single-threaded poll(2) loop owns the worker pool of
+// campaign/dispatch.h and multiplexes campaigns over it. `xlv_campaignd
+// serve` listens on a Unix-domain socket (optionally loopback TCP), accepts
+// campaign submissions from many concurrent clients, and runs them over a
+// single worker pool and one shared artifact store. `xlv_campaignd run`
+// (runDispatcher) starts the same loop without a listener and one
+// in-process campaign whose unit outputs collect in memory instead of
+// streaming to a socket. The wire protocol is the same length-framed
 // codec-document stream the workers speak — FrameReader is transport-
-// agnostic, so pointing it at a socket fd instead of a pipe is the whole
-// transport change. Client-facing frame schemas live in campaign/serialize
-// (codec v6): ClientSubmitFrame -> AcceptFrame | RejectFrame, then streamed
-// ItemResultFrames and a final CampaignDoneFrame.
+// agnostic, so a socket fd and a pipe are read alike. Client-facing frame
+// schemas live in campaign/serialize: ClientSubmitFrame -> AcceptFrame |
+// RejectFrame, then streamed ItemResultFrames and a final
+// CampaignDoneFrame.
 //
 // Scheduling is ROUND-ROBIN FAIR ACROSS campaigns and HEAVIEST-FIRST WITHIN
 // a campaign: each idle worker takes the heaviest pending unit of the next
@@ -25,20 +27,18 @@
 // single campaign bigger than the whole budget is still servable.
 //
 // Crash semantics, both directions:
-//   * worker death  — exactly the dispatcher's recovery: salvage drained
-//     results, re-queue the lost unit (attributed to its owning campaign's
-//     ledger entry), respawn the slot. A unit exhausting its attempt budget
-//     fails ONLY its campaign (CampaignDoneFrame with error), never the
-//     server.
+//   * worker death  — salvage drained results, re-queue the lost unit
+//     (attributed to its owning campaign's ledger entry), respawn the slot.
+//     A unit exhausting its attempt budget is bisected or quarantined; it
+//     costs its own item, never its campaign or the server.
 //   * client death  — a dying client's campaign is cancelled: its pending
 //     units leave the scheduler immediately, in-flight units run to
 //     completion with their results discarded (counted, not merged), and
 //     the cancellation lands in the per-campaign ledger.
 //
-// The server itself is single-threaded (one poll(2) loop, like the
-// dispatcher) and every fd — listener, clients, worker pipes — is
-// non-blocking with per-connection outbound buffers (OutboundBuffer), so no
-// peer can wedge the loop.
+// Every fd — listener, clients, worker pipes — is non-blocking with
+// per-connection outbound buffers (OutboundBuffer), so no peer can wedge
+// the loop.
 #pragma once
 
 #include <cstdint>
@@ -51,28 +51,12 @@
 
 namespace xlv::campaign {
 
-struct ServeOptions {
+struct ServeOptions : PoolOptions {
   /// AF_UNIX listen path; takes precedence over tcpPort. The path is
   /// unlinked (if stale) before bind and removed on shutdown.
   std::string socketPath;
   /// Loopback (127.0.0.1) TCP listen port, used when socketPath is empty.
   int tcpPort = 0;
-  /// Worker pool size; 0 = resolveWorkerCount(0) (XLV_WORKERS or hardware).
-  int workers = 0;
-  /// Default stealable-unit granularity for submissions that do not set
-  /// their own (ClientSubmitFrame::maxFragmentMutants == 0).
-  std::size_t maxFragmentMutants = 0;
-  /// Command prefix that execs one worker (same contract as
-  /// DispatchOptions::workerCommand, minus "--spec": served units carry
-  /// their spec handoff path per-frame). Required.
-  std::vector<std::string> workerCommand;
-  int heartbeatIntervalMs = 200;
-  int heartbeatTimeoutMs = 10000;
-  int maxTaskAttempts = 3;
-  int maxWorkerRespawns = 2;
-  /// Directory for per-campaign spec handoff files ("" = std::filesystem
-  /// temp dir).
-  std::string specDir;
   /// Admission bound: a submission is rejected when the queued-unit total
   /// would exceed this — unless the server is idle (nothing pending), which
   /// always admits so an oversized single campaign still runs.
@@ -102,57 +86,6 @@ struct ServeOptions {
   bool enableSignalDrain = false;
 };
 
-/// One admitted campaign's scheduling record.
-struct CampaignLedgerEntry {
-  std::uint64_t campaignId = 0;
-  std::string name;  ///< ClientSubmitFrame::clientName
-  std::uint64_t unitsTotal = 0;
-  std::uint64_t unitsCompleted = 0;
-  /// Crash-recovery re-queues attributed to this campaign (its units lost
-  /// to dead/hung workers).
-  std::uint64_t requeues = 0;
-  /// Results that arrived after this campaign was cancelled and were
-  /// dropped instead of forwarded.
-  std::uint64_t discardedResults = 0;
-  bool cancelled = false;
-  std::string error;  ///< non-empty when dispatch gave up on the campaign
-  /// Poison-unit splits: a multi-mutant fragment that exhausted its attempt
-  /// budget is split in half and both halves re-queued, isolating the
-  /// poison mutant instead of failing the campaign.
-  std::uint64_t bisections = 0;
-  /// Task indices of quarantined units — irreducible (whole-item or
-  /// single-mutant) units that exhausted their attempts. Their items carry
-  /// structured errors; the rest of the campaign completed normally.
-  std::vector<std::uint64_t> quarantined;
-  /// True when the campaign was still in flight as a drain began and the
-  /// server finished it before exiting (informational).
-  bool drained = false;
-};
-
-struct ServeLedger {
-  std::uint64_t campaignsAccepted = 0;
-  std::uint64_t campaignsRejected = 0;
-  std::uint64_t campaignsCompleted = 0;
-  std::uint64_t campaignsCancelled = 0;
-  std::uint64_t submissions = 0;       ///< submit frames queued to workers
-  std::uint64_t duplicateResults = 0;  ///< retry raced its predecessor's result
-  std::uint64_t discardedResults = 0;  ///< results of cancelled campaigns
-  std::uint64_t workersSpawned = 0;
-  std::uint64_t workerRespawns = 0;
-  std::uint64_t workersKilled = 0;  ///< heartbeat-timeout SIGKILLs
-  std::uint64_t heartbeats = 0;
-  std::uint64_t quarantinedUnits = 0;  ///< irreducible poison units isolated
-  std::uint64_t bisections = 0;        ///< poison-fragment splits
-  std::uint64_t deadlineFailures = 0;  ///< campaigns failed past their deadline
-  std::uint64_t clientReadTimeouts = 0;  ///< half-open clients closed
-  std::uint64_t frameCapRejects = 0;   ///< oversize client frames rejected
-  std::uint64_t drainRequests = 0;     ///< drain signals received
-  bool drained = false;  ///< the run ended via a drain signal, not quota
-  /// Every admitted campaign, in admission order (live ones are finalized
-  /// into here when the server stops).
-  std::vector<CampaignLedgerEntry> campaigns;
-};
-
 struct ServeResult {
   ServeLedger ledger;
 };
@@ -163,10 +96,6 @@ struct ServeResult {
 /// pending); std::invalid_argument on a malformed request (no listen
 /// address, empty workerCommand, non-positive timeouts).
 ServeResult runCampaignServer(const ServeOptions& opt);
-
-/// The ledger as a JSON object (CI uploads it next to the dispatcher's
-/// BENCH_campaignd_ledger.json; per-campaign entries under "campaigns").
-std::string encodeServeLedgerJson(const ServeLedger& ledger);
 
 // --- client ------------------------------------------------------------------
 

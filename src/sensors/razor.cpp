@@ -1,13 +1,18 @@
 #include "sensors/razor.h"
 
 #include <map>
+#include <mutex>
 
 namespace xlv::sensors {
 
 using namespace xlv::ir;
 
 std::shared_ptr<const Module> buildRazor(int width) {
+  // Campaign threads make their first calls concurrently; the lock spans
+  // the build so every caller for one width gets the same instance.
+  static std::mutex mutex;
   static std::map<int, std::shared_ptr<const Module>> cache;
+  std::lock_guard<std::mutex> lock(mutex);
   auto it = cache.find(width);
   if (it != cache.end()) return it->second;
 

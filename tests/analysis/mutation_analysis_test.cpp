@@ -2,6 +2,9 @@
 // the Table 5 mutant-set generators.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+
 #include "analysis/mutation_analysis.h"
 #include "ir/builder.h"
 #include "ir/elaborate.h"
@@ -140,6 +143,49 @@ TEST(MutationAnalysis, ReportCountsConsistent) {
   EXPECT_EQ(report.total(), report.countKilled());
   EXPECT_EQ(rig.tb.cycles, report.cyclesPerRun);
   EXPECT_GT(report.simSeconds, 0.0);
+}
+
+/// Sets one env knob for the scope and unsets it after, even on failure.
+struct KnobEnv {
+  const char* name;
+  KnobEnv(const char* n, const char* value) : name(n) { ::setenv(n, value, 1); }
+  ~KnobEnv() { ::unsetenv(name); }
+};
+
+TEST(MutationAnalysis, SimulationKnobsParseStrictly) {
+  // A typo in a knob stops the run; it never silently means the default.
+  {
+    KnobEnv env("XLV_BATCH", "8x");
+    EXPECT_THROW(resolveBatchSize(0), std::invalid_argument);
+    EXPECT_EQ(4, resolveBatchSize(4)) << "an explicit batch never reads the env";
+  }
+  {
+    KnobEnv env("XLV_BATCH", "8");
+    EXPECT_EQ(8, resolveBatchSize(0));
+  }
+  {
+    KnobEnv env("XLV_BACKEND", "natvie");
+    EXPECT_THROW(resolveSimBackend(SimBackend::Auto), std::invalid_argument);
+  }
+  {
+    KnobEnv env("XLV_BACKEND", "native");
+    EXPECT_EQ(SimBackend::Native, resolveSimBackend(SimBackend::Auto));
+  }
+  {
+    KnobEnv env("XLV_REFERENCE_SIM", "yes");
+    EXPECT_THROW(referenceSimMode(), std::invalid_argument);
+  }
+  for (const char* off : {"", "0"}) {
+    KnobEnv env("XLV_REFERENCE_SIM", off);
+    EXPECT_FALSE(referenceSimMode()) << "XLV_REFERENCE_SIM='" << off << "'";
+  }
+  {
+    KnobEnv env("XLV_REFERENCE_SIM", "1");
+    EXPECT_TRUE(referenceSimMode());
+  }
+  EXPECT_EQ(1, resolveBatchSize(0));
+  EXPECT_EQ(SimBackend::Interpreter, resolveSimBackend(SimBackend::Auto));
+  EXPECT_FALSE(referenceSimMode());
 }
 
 }  // namespace

@@ -196,6 +196,41 @@ TEST(DispatchFault, DispatcherRejectsMalformedOptions) {
   }
 }
 
+TEST(DispatchFault, PoisonUnitIsBisectedAndQuarantinedInRunMode) {
+  XLV_REQUIRE_DAEMON();
+  FaultEnv env;
+  // Every worker of every generation SIGKILLs itself on item 0's mutant 1.
+  // Run mode shares serve mode's recovery: the [0,2) fragment is bisected
+  // and the irreducible [1,2) half quarantined; the campaign completes with
+  // a structured item error instead of a DispatchError.
+  // FaultEnv does not clear the poison hooks, so this guard owns them.
+  struct PoisonEnv {
+    PoisonEnv() {
+      ::setenv("XLV_TEST_POISON_ITEM", "0", 1);
+      ::setenv("XLV_TEST_POISON_MUTANT", "1", 1);
+    }
+    ~PoisonEnv() {
+      ::unsetenv("XLV_TEST_POISON_ITEM");
+      ::unsetenv("XLV_TEST_POISON_MUTANT");
+    }
+  } poison;
+  DispatchOptions opt = daemonOptions();
+  opt.maxTaskAttempts = 2;
+  opt.maxWorkerRespawns = 50;  // each poison hit costs one respawn
+  const DispatchResult out = runDispatcher(builtinCampaignSpec("single"), opt);
+
+  ASSERT_EQ(out.result.items.size(), 1u);
+  EXPECT_NE(out.result.items[0].error.find("quarantined"), std::string::npos)
+      << out.result.items[0].error;
+  EXPECT_EQ(out.ledger.bisections, 1u) << "one split isolates the poison in a 2-mutant fragment";
+  EXPECT_EQ(out.ledger.quarantinedUnits, 1u);
+  ASSERT_EQ(out.ledger.campaigns.size(), 1u);
+  EXPECT_EQ(out.ledger.campaigns.front().quarantined.size(), 1u);
+  EXPECT_TRUE(out.ledger.campaigns.front().error.empty()) << out.ledger.campaigns.front().error;
+  // The bisected original and the quarantined half are retired, not completed.
+  EXPECT_EQ(out.ledger.tasksCompleted + 2, out.ledger.tasksTotal);
+}
+
 #else  // !XLV_CAMPAIGND_BIN
 
 TEST(DispatchFault, DaemonBinaryUnavailable) {

@@ -22,6 +22,7 @@
 #include "campaign/dispatch.h"
 #include "campaign/serialize.h"
 #include "util/codec.h"
+#include "util/env.h"
 #include "util/subprocess.h"
 
 namespace xlv::campaign {
@@ -390,24 +391,24 @@ TEST(DispatchSched, EnvLongStrictThrowsOnMalformedValues) {
   // silently fell back on a typo — a daemon run with a mistyped heartbeat
   // timeout used the default and nobody noticed.
   ::unsetenv("XLV_TEST_ENV_LONG");
-  EXPECT_EQ(envLongStrict("XLV_TEST_ENV_LONG", 42), 42);
+  EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42), 42);
   {
     EnvGuard env("XLV_TEST_ENV_LONG", "");
-    EXPECT_EQ(envLongStrict("XLV_TEST_ENV_LONG", 42), 42);
+    EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42), 42);
   }
   {
     EnvGuard env("XLV_TEST_ENV_LONG", "250");
-    EXPECT_EQ(envLongStrict("XLV_TEST_ENV_LONG", 42), 250);
+    EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42), 250);
   }
   {
     EnvGuard env("XLV_TEST_ENV_LONG", "-3");
-    EXPECT_EQ(envLongStrict("XLV_TEST_ENV_LONG", 42), -3);
+    EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42), -3);
   }
   const char* bad[] = {"250ms", "abc", "1.5", "99999999999999999999"};
   for (const char* value : bad) {
     EnvGuard env("XLV_TEST_ENV_LONG", value);
     try {
-      envLongStrict("XLV_TEST_ENV_LONG", 42);
+      util::envLongStrict("XLV_TEST_ENV_LONG", 42);
       FAIL() << "accepted '" << value << "'";
     } catch (const std::invalid_argument& e) {
       // The message names the variable AND the offending value, so the
@@ -421,7 +422,7 @@ TEST(DispatchSched, EnvLongStrictThrowsOnMalformedValues) {
 // --- ledger JSON -------------------------------------------------------------
 
 TEST(DispatchSched, LedgerJsonCarriesRequeueRecords) {
-  DispatchLedger ledger;
+  ServeLedger ledger;
   ledger.tasksTotal = 5;
   ledger.tasksCompleted = 5;
   ledger.submissions = 6;
@@ -432,7 +433,7 @@ TEST(DispatchSched, LedgerJsonCarriesRequeueRecords) {
   rec.reason = "heartbeat-timeout";
   rec.workerIndex = 1;
   ledger.requeuedShards.push_back(rec);
-  const std::string json = encodeDispatchLedgerJson(ledger);
+  const std::string json = encodeServeLedgerJson(ledger);
   EXPECT_NE(json.find("\"tasksTotal\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"reason\": \"heartbeat-timeout\""), std::string::npos);
   EXPECT_NE(json.find("\"mutantBegin\": 4"), std::string::npos);

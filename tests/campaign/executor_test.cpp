@@ -99,36 +99,28 @@ TEST(Executor, EnvOverrideDrivesAutoThreadCount) {
   EXPECT_EQ(2, resolveThreadCount(2)) << "explicit request beats the env override";
 
   ASSERT_EQ(0, setenv("XLV_THREADS", "not-a-number", 1));
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  EXPECT_EQ(hw == 0 ? 1 : hw, resolveThreadCount(0)) << "garbage env falls back to hardware";
+  EXPECT_THROW(resolveThreadCount(0), std::invalid_argument) << "garbage env must not run";
+  EXPECT_EQ(2, resolveThreadCount(2)) << "an explicit request never reads the env";
 
   ASSERT_EQ(0, unsetenv("XLV_THREADS"));
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
   EXPECT_EQ(hw == 0 ? 1 : hw, resolveThreadCount(0));
 }
 
-TEST(Executor, MalformedEnvOverrideWarnsAndFallsBackToAuto) {
-  // Strict parsing: "4abc" must not silently run on 4 threads, and every
-  // malformed or out-of-range value degrades to the auto thread count with
-  // a visible warning (an empty variable is simply unset — no warning).
+TEST(Executor, MalformedEnvOverrideThrows) {
+  // Strict parsing: "4abc" must not silently run on 4 threads, and no
+  // malformed or out-of-range value degrades to auto — each one stops the
+  // run with a message naming the variable. An empty variable is unset.
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int autoThreads = hw == 0 ? 1 : hw;
-  resetThreadEnvWarningsForTest();  // warnings are once per value per process
-  struct Case {
-    const char* value;
-    bool expectWarning;
-  };
-  for (const Case& c : {Case{"", false}, Case{"0", true}, Case{"-3", true},
-                        Case{"foo", true}, Case{"99999", true}, Case{"4abc", true}}) {
-    ASSERT_EQ(0, setenv("XLV_THREADS", c.value, 1));
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(autoThreads, resolveThreadCount(0)) << "XLV_THREADS='" << c.value << "'";
-    const std::string warnings = testing::internal::GetCapturedStderr();
-    if (c.expectWarning) {
-      EXPECT_NE(std::string::npos, warnings.find("XLV_THREADS"))
-          << "expected a warning for XLV_THREADS='" << c.value << "'";
-    } else {
-      EXPECT_EQ(std::string::npos, warnings.find("XLV_THREADS"))
-          << "unexpected warning for XLV_THREADS='" << c.value << "': " << warnings;
+  ASSERT_EQ(0, setenv("XLV_THREADS", "", 1));
+  EXPECT_EQ(hw == 0 ? 1 : hw, resolveThreadCount(0));
+  for (const char* value : {"0", "-3", "foo", "99999", "4abc"}) {
+    ASSERT_EQ(0, setenv("XLV_THREADS", value, 1));
+    try {
+      resolveThreadCount(0);
+      ADD_FAILURE() << "accepted XLV_THREADS='" << value << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string::npos, std::string(e.what()).find("XLV_THREADS")) << e.what();
     }
   }
   ASSERT_EQ(0, unsetenv("XLV_THREADS"));

@@ -1,16 +1,20 @@
-// xlv_campaignd — campaign dispatcher daemon (campaign/dispatch.h) and
-// campaign service (campaign/server.h).
+// xlv_campaignd — campaign worker pool (campaign/dispatch.h) behind one
+// event loop (campaign/server.h), in two modes.
 //
 // Where xlv_campaign shards a campaign STATICALLY (plan once, run each slice
 // in its own process, merge by hand), the daemon owns the whole loop: it
-// splits the spec into stealable units (whole items and mutant-range
+// splits each spec into stealable units (whole items and mutant-range
 // fragments), spawns a pool of worker subprocesses of ITSELF (the internal
 // `worker` subcommand), schedules by work-stealing — an idle worker claims
-// the heaviest queued unit — and merges the streamed results incrementally
-// into one CampaignResult that is bit-identical (sameResults) to the
-// single-process run. A worker that crashes, exits or goes silent past the
-// heartbeat timeout is SIGKILLed/reaped and its unit re-queued; the retry
-// is safe because unit results are bit-identical by construction.
+// the heaviest queued unit — and merges the unit results into one
+// CampaignResult that is bit-identical (sameResults) to the single-process
+// run. A worker that crashes, exits or goes silent past the heartbeat
+// timeout is SIGKILLed/reaped and its unit re-queued; the retry is safe
+// because unit results are bit-identical by construction. A unit that
+// exhausts its attempt budget is bisected down to the poison mutant, which
+// is quarantined with a structured per-item error.
+//
+// `run` is one in-process campaign on that loop, with no socket:
 //
 //   xlv_campaign spec --preset single -o spec.xlv
 //   xlv_campaignd run --spec spec.xlv --workers 3 --max-fragment 2 \
@@ -18,12 +22,12 @@
 //   xlv_campaign run --spec spec.xlv -o single.xlv
 //   xlv_campaign diff single.xlv daemon.xlv     # exit 0 iff identical
 //
-// `serve` turns the same worker pool into a long-lived service on a
-// Unix-domain socket (or loopback TCP): many clients submit campaigns
-// concurrently (`xlv_campaign submit --socket ...`), units are scheduled
-// round-robin-fair across campaigns and heaviest-first within one, results
-// stream back per unit, and a bounded admission queue answers overload with
-// a structured reject instead of buffering without limit:
+// `serve` adds a listener on a Unix-domain socket (or loopback TCP): many
+// clients submit campaigns concurrently (`xlv_campaign submit --socket
+// ...`), units are scheduled round-robin-fair across campaigns and
+// heaviest-first within one, results stream back per unit, and a bounded
+// admission queue answers overload with a structured reject instead of
+// buffering without limit:
 //
 //   xlv_campaignd serve --socket /tmp/xlv.sock --workers 3 \
 //                       --max-campaigns-served 3 --ledger serve_ledger.json
@@ -38,13 +42,15 @@
 // corresponding flags). Fault-injection hooks for the test harness
 // (XLV_TEST_DIE_AFTER_ITEMS / XLV_TEST_HANG_AFTER_ITEMS /
 // XLV_TEST_EXIT_AFTER_ITEMS, scoped by XLV_TEST_FAULT_WORKER to one
-// worker's generation 0) are documented in campaign/dispatch.h.
+// worker's generation 0; XLV_TEST_POISON_ITEM / XLV_TEST_POISON_MUTANT for
+// every worker) are documented in campaign/dispatch.h.
 //
 // Exit codes: 0 success, 1 usage or runtime error, 3 campaign completed but
-// one or more items errored (the merged output is still written), 6
-// dispatch failure (a unit exhausted its retry budget, or the whole worker
-// pool died). The internal worker subcommand exits 0 on clean shutdown and
-// nonzero on protocol errors (see campaign/dispatch.h).
+// one or more items errored or were quarantined (the merged output is
+// still written), 6 the worker pool could not be spawned or was lost. The
+// internal worker subcommand exits 0 on clean shutdown and nonzero on
+// protocol errors (see campaign/dispatch.h).
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -59,6 +65,7 @@
 #include "campaign/server.h"
 #include "campaign/shard.h"
 #include "util/artifact_store.h"
+#include "util/env.h"
 #include "util/fault_point.h"
 #include "util/log.h"
 
@@ -70,53 +77,52 @@ using namespace xlv;
   if (error != nullptr) std::fprintf(stderr, "xlv_campaignd: %s\n\n", error);
   std::fputs(
       "usage:\n"
-      "  xlv_campaignd run --spec FILE [--workers N] [--max-fragment M]\n"
-      "                    [--heartbeat-ms N] [--heartbeat-timeout-ms N]\n"
-      "                    [--max-attempts N] [--max-respawns N]\n"
-      "                    [--cache-dir DIR] [--cache-max-bytes N]\n"
-      "                    [--ledger FILE] [-o FILE] [--verbose]\n"
-      "  xlv_campaignd serve (--socket PATH | --tcp-port P) [--workers N]\n"
-      "                    [--max-fragment M] [--max-pending-units N]\n"
-      "                    [--max-campaigns N] [--max-campaigns-served N]\n"
-      "                    [--retry-after-ms N] [--heartbeat-ms N]\n"
-      "                    [--heartbeat-timeout-ms N] [--max-attempts N]\n"
-      "                    [--max-respawns N] [--max-client-frame-bytes N]\n"
-      "                    [--client-read-timeout-ms N] [cache flags]\n"
-      "                    [--ledger FILE] [--verbose]\n"
-      "  xlv_campaignd worker [--spec FILE] --index I --generation G\n"
-      "                       --heartbeat-ms N [cache flags]   (internal)\n"
+      "  xlv_campaignd run --spec FILE [pool flags] [--ledger FILE] [-o FILE]\n"
+      "  xlv_campaignd serve (--socket PATH | --tcp-port P) [pool flags]\n"
+      "                    [--max-pending-units N] [--max-campaigns N]\n"
+      "                    [--max-campaigns-served N] [--retry-after-ms N]\n"
+      "                    [--max-client-frame-bytes N]\n"
+      "                    [--client-read-timeout-ms N] [--ledger FILE]\n"
+      "  xlv_campaignd worker --index I --generation G --heartbeat-ms N\n"
+      "                       [cache flags]   (internal)\n"
+      "pool flags: [--workers N] [--max-fragment M] [--heartbeat-ms N]\n"
+      "            [--heartbeat-timeout-ms N] [--max-attempts N]\n"
+      "            [--max-respawns N] [cache flags] [--verbose]\n"
+      "cache flags: [--cache-dir DIR] [--cache-max-bytes N]\n"
       "\n"
-      "run dispatches one campaign across a pool of worker subprocesses with\n"
-      "work-stealing scheduling and crash-recovery re-queue; the merged\n"
-      "result (-o, default stdout) is bit-identical to a single-process\n"
-      "`xlv_campaign run`. --max-fragment M splits items into mutant-range\n"
-      "fragments of at most M mutants — the stealable unit size. --ledger\n"
-      "writes the scheduling ledger (submissions, re-queues, kills) as JSON.\n"
+      "Both modes run campaigns on one worker pool with work-stealing\n"
+      "scheduling and crash-recovery re-queue; a merged result is\n"
+      "bit-identical to a single-process `xlv_campaign run`. --max-fragment M\n"
+      "splits items into mutant-range fragments of at most M mutants — the\n"
+      "stealable unit size. A unit that exhausts --max-attempts does not\n"
+      "fail its campaign: multi-mutant fragments are bisected to isolate the\n"
+      "poison mutant and the irreducible unit is quarantined with a\n"
+      "structured per-item error. --ledger writes the scheduling ledger\n"
+      "(submissions, re-queues, quarantines, per-campaign entries) as JSON.\n"
+      "\n"
+      "run executes one campaign in process (no socket) and writes the merged\n"
+      "result (-o, default stdout); it exits 3 when items errored or were\n"
+      "quarantined, 6 when the worker pool could not be spawned or was lost.\n"
       "\n"
       "serve accepts campaign submissions from many concurrent clients\n"
       "(`xlv_campaign submit`) on a Unix-domain socket (--socket) or\n"
-      "loopback TCP port (--tcp-port), multiplexing them over one worker\n"
-      "pool: round-robin-fair across campaigns, heaviest-first within one,\n"
-      "bounded admission (--max-pending-units/--max-campaigns; overload is\n"
-      "answered with a structured reject carrying --retry-after-ms). A\n"
-      "dying client's campaign is cancelled. --max-campaigns-served stops\n"
-      "the server after that many campaigns finished (0 = serve forever);\n"
-      "--ledger writes per-campaign scheduling entries as JSON on exit.\n"
-      "SIGTERM/SIGINT drain the server: in-flight campaigns finish, new\n"
-      "submissions are rejected with a retry hint, then it exits 0 (a\n"
-      "second signal stops immediately). A unit that exhausts its attempt\n"
-      "budget no longer fails its campaign: multi-mutant fragments are\n"
-      "bisected to isolate the poison mutant and the irreducible unit is\n"
-      "quarantined with a structured per-item error. --max-client-frame-\n"
-      "bytes caps untrusted client frames (default 16 MiB, structured\n"
-      "reject); --client-read-timeout-ms closes half-open clients that\n"
-      "never complete a submission (default 30000, 0 = off). XLV_FAULTS\n"
-      "arms deterministic chaos injection (util/fault_point.h grammar).\n"
+      "loopback TCP port (--tcp-port): round-robin-fair across campaigns,\n"
+      "heaviest-first within one, bounded admission (--max-pending-units/\n"
+      "--max-campaigns; overload is answered with a structured reject\n"
+      "carrying --retry-after-ms). A dying client's campaign is cancelled.\n"
+      "--max-campaigns-served stops the server after that many campaigns\n"
+      "finished (0 = serve forever). SIGTERM/SIGINT drain the server:\n"
+      "in-flight campaigns finish, new submissions are rejected with a retry\n"
+      "hint, then it exits 0 (a second signal stops immediately).\n"
+      "--max-client-frame-bytes caps untrusted client frames (default 16\n"
+      "MiB, structured reject); --client-read-timeout-ms closes half-open\n"
+      "clients that never complete a submission (default 30000, 0 = off).\n"
       "\n"
       "--cache-dir is forwarded to every worker, so the pool shares one\n"
       "artifact store. XLV_WORKERS sets the pool size when --workers is\n"
       "absent; XLV_HEARTBEAT_MS / XLV_HEARTBEAT_TIMEOUT_MS set the flag\n"
-      "defaults (strict parses: a malformed value aborts).\n",
+      "defaults (strict parses: a malformed value aborts). XLV_FAULTS arms\n"
+      "deterministic chaos injection (util/fault_point.h grammar).\n",
       stderr);
   std::exit(1);
 }
@@ -158,18 +164,6 @@ struct Args {
     }
   }
 };
-
-/// Strict env default for a positive tunable: envLongStrict's contract
-/// (throw on malformed, fallback when unset) plus a positivity check —
-/// exactly as strict as XLV_WORKERS.
-long envPositive(const char* name, long fallback) {
-  const long v = campaign::envLongStrict(name, fallback);
-  if (v < 1) {
-    throw std::invalid_argument(std::string(name) + "=" + std::to_string(v) +
-                                " must be a positive integer");
-  }
-  return v;
-}
 
 Args parseArgs(int argc, char** argv, int first) {
   Args a;
@@ -253,24 +247,30 @@ std::vector<std::string> workerCommand(const char* self, const Args& a) {
   return cmd;
 }
 
-int cmdRun(const char* self, const Args& a) {
-  if (a.spec.empty()) usage("--spec FILE is required");
+/// The pool settings `run` and `serve` share, from flags with strict env
+/// defaults.
+void fillPoolOptions(const char* self, const Args& a, campaign::PoolOptions& opt) {
   if (a.workers < 0) usage("--workers must be >= 0 (0 = XLV_WORKERS or hardware)");
   if (a.maxFragment < 0) usage("--max-fragment must be >= 0 (0 = whole items)");
-  const campaign::CampaignSpec spec = campaign::decodeCampaignSpec(readFile(a.spec));
-
-  campaign::DispatchOptions opt;
   opt.workers = static_cast<int>(a.workers);
   opt.maxFragmentMutants = static_cast<std::size_t>(a.maxFragment);
   opt.heartbeatIntervalMs = static_cast<int>(
-      a.heartbeatMs > 0 ? a.heartbeatMs : envPositive("XLV_HEARTBEAT_MS", 200));
-  opt.heartbeatTimeoutMs =
-      static_cast<int>(a.heartbeatTimeoutMs > 0
-                           ? a.heartbeatTimeoutMs
-                           : envPositive("XLV_HEARTBEAT_TIMEOUT_MS", 10000));
+      a.heartbeatMs > 0 ? a.heartbeatMs
+                        : util::envLongStrict("XLV_HEARTBEAT_MS", 200, 1, INT_MAX));
+  opt.heartbeatTimeoutMs = static_cast<int>(
+      a.heartbeatTimeoutMs > 0
+          ? a.heartbeatTimeoutMs
+          : util::envLongStrict("XLV_HEARTBEAT_TIMEOUT_MS", 10000, 1, INT_MAX));
   if (a.maxAttempts > 0) opt.maxTaskAttempts = static_cast<int>(a.maxAttempts);
   if (a.maxRespawns >= 0) opt.maxWorkerRespawns = static_cast<int>(a.maxRespawns);
   opt.workerCommand = workerCommand(self, a);
+}
+
+int cmdRun(const char* self, const Args& a) {
+  if (a.spec.empty()) usage("--spec FILE is required");
+  campaign::DispatchOptions opt;
+  fillPoolOptions(self, a, opt);
+  const campaign::CampaignSpec spec = campaign::decodeCampaignSpec(readFile(a.spec));
 
   campaign::DispatchResult res;
   try {
@@ -281,14 +281,15 @@ int cmdRun(const char* self, const Args& a) {
   }
   writeOutput(a.out, campaign::encodeCampaignResult(res.result));
   if (!a.ledger.empty()) {
-    writeOutput(a.ledger, campaign::encodeDispatchLedgerJson(res.ledger));
+    writeOutput(a.ledger, campaign::encodeServeLedgerJson(res.ledger));
   }
   std::fprintf(stderr,
-               "campaignd: %llu tasks, %llu submissions, %zu re-queues, %llu duplicate "
-               "results, %llu workers spawned (%llu respawns, %llu killed)\n",
+               "campaignd: %llu tasks, %llu submissions, %zu re-queues, %llu quarantined, "
+               "%llu duplicate results, %llu workers spawned (%llu respawns, %llu killed)\n",
                static_cast<unsigned long long>(res.ledger.tasksTotal),
                static_cast<unsigned long long>(res.ledger.submissions),
                res.ledger.requeuedShards.size(),
+               static_cast<unsigned long long>(res.ledger.quarantinedUnits),
                static_cast<unsigned long long>(res.ledger.duplicateResults),
                static_cast<unsigned long long>(res.ledger.workersSpawned),
                static_cast<unsigned long long>(res.ledger.workerRespawns),
@@ -306,22 +307,10 @@ int cmdServe(const char* self, const Args& a) {
   if (a.socket.empty() && a.tcpPort <= 0) {
     usage("serve: --socket PATH or --tcp-port P is required");
   }
-  if (a.workers < 0) usage("--workers must be >= 0 (0 = XLV_WORKERS or hardware)");
-  if (a.maxFragment < 0) usage("--max-fragment must be >= 0 (0 = whole items)");
-
   campaign::ServeOptions opt;
+  fillPoolOptions(self, a, opt);
   opt.socketPath = a.socket;
   opt.tcpPort = static_cast<int>(a.tcpPort);
-  opt.workers = static_cast<int>(a.workers);
-  opt.maxFragmentMutants = static_cast<std::size_t>(a.maxFragment);
-  opt.heartbeatIntervalMs = static_cast<int>(
-      a.heartbeatMs > 0 ? a.heartbeatMs : envPositive("XLV_HEARTBEAT_MS", 200));
-  opt.heartbeatTimeoutMs =
-      static_cast<int>(a.heartbeatTimeoutMs > 0
-                           ? a.heartbeatTimeoutMs
-                           : envPositive("XLV_HEARTBEAT_TIMEOUT_MS", 10000));
-  if (a.maxAttempts > 0) opt.maxTaskAttempts = static_cast<int>(a.maxAttempts);
-  if (a.maxRespawns >= 0) opt.maxWorkerRespawns = static_cast<int>(a.maxRespawns);
   if (a.maxPendingUnits > 0) opt.maxPendingUnits = static_cast<std::size_t>(a.maxPendingUnits);
   if (a.maxCampaigns > 0) opt.maxCampaigns = static_cast<std::size_t>(a.maxCampaigns);
   if (a.maxCampaignsServed > 0) {
@@ -337,7 +326,6 @@ int cmdServe(const char* self, const Args& a) {
   }
   // The daemon owns its process: SIGTERM/SIGINT mean "drain and exit 0".
   opt.enableSignalDrain = true;
-  opt.workerCommand = workerCommand(self, a);
 
   campaign::ServeResult res;
   try {
@@ -367,17 +355,14 @@ int cmdServe(const char* self, const Args& a) {
 int cmdWorker(const Args& a) {
   if (a.index < 0) usage("worker: --index I (>= 0) is required");
   if (a.generation < 0) usage("worker: --generation G (>= 0) is required");
+  // Every submit frame names its campaign's spec handoff file.
+  if (!a.spec.empty()) usage("worker: --spec is not a worker flag");
   configureCache(a);
-  // --spec is optional: run-mode workers get their campaign up front,
-  // serve-mode workers get per-submit spec handoff paths instead.
-  campaign::CampaignSpec spec;
-  const bool haveSpec = !a.spec.empty();
-  if (haveSpec) spec = campaign::decodeCampaignSpec(readFile(a.spec));
   campaign::DispatchWorkerOptions opt;
   opt.workerIndex = static_cast<int>(a.index);
   opt.generation = static_cast<int>(a.generation);
   opt.heartbeatIntervalMs = a.heartbeatMs > 0 ? static_cast<int>(a.heartbeatMs) : 200;
-  return campaign::runDispatchWorker(haveSpec ? &spec : nullptr, opt);
+  return campaign::runDispatchWorker(opt);
 }
 
 }  // namespace
