@@ -85,66 +85,57 @@ constexpr const char* kTraceTag = "golden-trace";
 // otherwise silently disable the divergence-driven fast path.
 constexpr int kTraceVersion = kGoldenTraceCodecVersion;
 
-/// Pack a [cycle][idx] word matrix into width * cycles little-endian
-/// 8-byte words (row-major). Fixed-width binary inside one length-prefixed
-/// codec field: byte-stable, compact, endianness-explicit.
-std::string packWords(const std::vector<std::vector<std::uint64_t>>& rows,
-                      std::size_t width) {
-  std::string out;
-  out.reserve(rows.size() * width * 8);
-  for (const auto& row : rows) {
-    for (std::uint64_t w : row) {
-      for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>((w >> (8 * b)) & 0xff));
+/// Pack `count` words into little-endian 8-byte words. Fixed-width binary
+/// inside one length-prefixed codec field: byte-stable, compact,
+/// endianness-explicit. A table's words are its rows in order (row-major).
+std::string packWords(const std::uint64_t* words, std::size_t count) {
+  std::string out(count * 8, '\0');
+  for (std::size_t i = 0; i < count; ++i) {
+    for (int b = 0; b < 8; ++b) {
+      out[i * 8 + b] = static_cast<char>((words[i] >> (8 * b)) & 0xff);
     }
   }
   return out;
 }
 
-std::vector<std::vector<std::uint64_t>> unpackWords(std::string_view bytes,
-                                                    std::size_t cycles, std::size_t width,
-                                                    const char* what) {
-  if (bytes.size() != cycles * width * 8) {
-    throw util::DecodeError(std::string(what) + ": expected " +
-                            std::to_string(cycles * width * 8) + " bytes, found " +
-                            std::to_string(bytes.size()));
+/// Inverse of packWords into `count` words at `out`; `bytes` must hold
+/// exactly count * 8 bytes.
+void unpackWords(std::string_view bytes, std::uint64_t* out, std::size_t count,
+                 const char* what) {
+  if (bytes.size() != count * 8) {
+    throw util::DecodeError(std::string(what) + ": expected " + std::to_string(count * 8) +
+                            " bytes, found " + std::to_string(bytes.size()));
   }
-  std::vector<std::vector<std::uint64_t>> rows(cycles);
-  std::size_t pos = 0;
-  for (auto& row : rows) {
-    row.resize(width);
-    for (auto& w : row) {
-      w = 0;
-      for (int b = 0; b < 8; ++b) {
-        w |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[pos++])) << (8 * b);
-      }
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t w = 0;
+    for (int b = 0; b < 8; ++b) {
+      w |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i * 8 + b])) << (8 * b);
     }
+    out[i] = w;
   }
-  return rows;
 }
 
 }  // namespace
 
 std::string encodeGoldenTrace(const GoldenTrace& trace) {
-  const std::size_t cycles = trace.outputs.size();
-  const std::size_t outWidth = cycles == 0 ? 0 : trace.outputs.front().size();
-  const std::size_t epWidth =
-      trace.endpoints.empty() ? 0 : trace.endpoints.front().size();
-  // The format assumes the invariants recordGoldenTrace guarantees — one
-  // row per cycle in BOTH matrices, uniform row widths. Enforce them here
-  // so a malformed trace fails loudly at encode time instead of producing
-  // an artifact its own decode rejects as corrupt on every warm run.
-  if (trace.endpoints.size() != cycles) {
-    throw std::invalid_argument("golden trace: endpoints rows != outputs rows");
+  // A zero-cycle trace has no columns: both widths are written as 0, and
+  // decode rejects anything else.
+  const std::size_t cycles = trace.cycles;
+  const std::size_t outWidth = cycles == 0 ? 0 : trace.outWidth;
+  const std::size_t epWidth = cycles == 0 ? 0 : trace.epWidth;
+  // The format assumes the invariants recordGoldenTrace guarantees — each
+  // table holds one row of its width per cycle. Enforce them here so a
+  // malformed trace fails loudly at encode time instead of producing an
+  // artifact its own decode rejects as corrupt on every warm run.
+  if (trace.outputs.size() != cycles * outWidth) {
+    throw std::invalid_argument("golden trace: outputs table holds " +
+                                std::to_string(trace.outputs.size()) +
+                                " words, not cycles x outWidth");
   }
-  for (const auto& row : trace.outputs) {
-    if (row.size() != outWidth) {
-      throw std::invalid_argument("golden trace: ragged outputs rows");
-    }
-  }
-  for (const auto& row : trace.endpoints) {
-    if (row.size() != epWidth) {
-      throw std::invalid_argument("golden trace: ragged endpoints rows");
-    }
+  if (trace.endpoints.size() != cycles * epWidth) {
+    throw std::invalid_argument("golden trace: endpoints table holds " +
+                                std::to_string(trace.endpoints.size()) +
+                                " words, not cycles x epWidth");
   }
   if (trace.firstActivity.size() != epWidth) {
     throw std::invalid_argument("golden trace: firstActivity size != endpoint count");
@@ -153,9 +144,9 @@ std::string encodeGoldenTrace(const GoldenTrace& trace) {
   e.u64("cycles", cycles);
   e.u64("outWidth", outWidth);
   e.u64("epWidth", epWidth);
-  e.str("outputs", packWords(trace.outputs, outWidth));
-  e.str("endpoints", packWords(trace.endpoints, epWidth));
-  e.str("firstActivity", packWords({trace.firstActivity}, epWidth));
+  e.str("outputs", packWords(trace.outputs.data(), trace.outputs.size()));
+  e.str("endpoints", packWords(trace.endpoints.data(), trace.endpoints.size()));
+  e.str("firstActivity", packWords(trace.firstActivity.data(), epWidth));
   return e.take();
 }
 
@@ -171,13 +162,13 @@ GoldenTrace decodeGoldenTrace(std::string_view data) {
   // zero-width trace (no outputs AND no sensors — nothing the analysis
   // could compare, unreachable from recordGoldenTrace on any accepted
   // design) is bounded by cycles <= data.size(), so such a degenerate
-  // artifact rebuilds rather than driving an unbounded row allocation.
+  // artifact decodes to empty tables rather than an unbounded allocation.
   if (cycles > data.size() || outWidth > data.size() / 8 || epWidth > data.size() / 8) {
     throw util::DecodeError("golden trace: implausible cycle/word counts");
   }
-  // Canonical zero-cycle traces carry zero widths (encode derives both from
-  // the first row, which doesn't exist): nonzero widths here are corrupt
-  // bytes that would otherwise decode to a value re-encoding differently.
+  // Canonical zero-cycle traces carry zero widths (encode writes them so):
+  // nonzero widths here are corrupt bytes that would otherwise decode to a
+  // value re-encoding differently.
   if (cycles == 0 && (outWidth != 0 || epWidth != 0)) {
     throw util::DecodeError("golden trace: zero-cycle trace with nonzero widths");
   }
@@ -186,12 +177,18 @@ GoldenTrace decodeGoldenTrace(std::string_view data) {
     throw util::DecodeError("golden trace: implausible cycle/word counts");
   }
   GoldenTrace trace;
-  trace.outputs = unpackWords(d.str("outputs"), cycles, outWidth, "golden trace outputs");
-  trace.endpoints =
-      unpackWords(d.str("endpoints"), cycles, epWidth, "golden trace endpoints");
-  std::vector<std::vector<std::uint64_t>> fa =
-      unpackWords(d.str("firstActivity"), 1, epWidth, "golden trace firstActivity");
-  trace.firstActivity = std::move(fa.front());
+  trace.cycles = cycles;
+  trace.outWidth = outWidth;
+  trace.epWidth = epWidth;
+  trace.outputs = util::MappedWords(cycles * outWidth);
+  unpackWords(d.str("outputs"), trace.outputs.data(), trace.outputs.size(),
+              "golden trace outputs");
+  trace.endpoints = util::MappedWords(cycles * epWidth);
+  unpackWords(d.str("endpoints"), trace.endpoints.data(), trace.endpoints.size(),
+              "golden trace endpoints");
+  trace.firstActivity.resize(epWidth);
+  unpackWords(d.str("firstActivity"), trace.firstActivity.data(), epWidth,
+              "golden trace firstActivity");
   d.finish();
   return trace;
 }

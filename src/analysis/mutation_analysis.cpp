@@ -260,13 +260,15 @@ GoldenTrace recordGoldenTrace(const ir::Design& golden,
   }
 
   GoldenTrace trace;
-  trace.outputs.reserve(tb.cycles);
-  trace.endpoints.reserve(tb.cycles);
+  trace.cycles = tb.cycles;
+  trace.outWidth = golden.outputs.size();
+  trace.epWidth = n;
+  trace.outputs = util::MappedWords(trace.cycles * trace.outWidth);
+  trace.endpoints = util::MappedWords(trace.cycles * trace.epWidth);
   // "No activity yet" and "quiet for the whole run" share the tb.cycles
   // sentinel: a sensor that never fires simply keeps it. A zero-cycle
-  // trace has no endpoint columns at all — the codec derives the metadata
-  // width from the (empty) endpoint rows, and recorder and encoder must
-  // agree.
+  // trace has no endpoint columns at all — the codec writes zero widths
+  // for it, and recorder and encoder must agree.
   trace.firstActivity.assign(tb.cycles == 0 ? 0 : n, tb.cycles);
   // Endpoint state at the previous cycle boundary, full SV planes (the
   // initial values before cycle 0 seed the comparison).
@@ -281,14 +283,10 @@ GoldenTrace recordGoldenTrace(const ir::Design& golden,
     stimulus.replayInto(model);
     if (recoverySym != ir::kNoSymbol) model.setInputUint(recoverySym, 1);
     model.scheduler();
-    std::vector<std::uint64_t> outs;
-    outs.reserve(golden.outputs.size());
-    for (ir::SymbolId o : golden.outputs) outs.push_back(model.valueUint(o));
-    trace.outputs.push_back(std::move(outs));
-    std::vector<std::uint64_t> eps;
-    eps.reserve(endpointSyms.size());
-    for (ir::SymbolId e : endpointSyms) eps.push_back(model.valueUint(e));
-    trace.endpoints.push_back(std::move(eps));
+    std::uint64_t* outs = trace.outputs.data() + c * trace.outWidth;
+    for (ir::SymbolId o : golden.outputs) *outs++ = model.valueUint(o);
+    std::uint64_t* eps = trace.endpoints.data() + c * trace.epWidth;
+    for (ir::SymbolId e : endpointSyms) *eps++ = model.valueUint(e);
     // First-activity tracking: the first value-plane change of the endpoint
     // register OR the first cycle the golden run itself would trip one of
     // the mutant loop's observation predicates. Until that cycle a mutant
@@ -475,6 +473,7 @@ namespace {
 template <class P>
 struct BatchMember {
   int mutantIndex = -1;
+  std::size_t slot = 0;  ///< index into the group's results/stats
   int sensorIdx = -1;
   ir::SymbolId eSym = ir::kNoSymbol, qSym = ir::kNoSymbol, mvSym = ir::kNoSymbol,
                okSym = ir::kNoSymbol;
@@ -523,6 +522,7 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
 
     BatchMember<P> m;
     m.mutantIndex = mutantIndex;
+    m.slot = slot;
     const InsertedSensor* sensor = nullptr;
     for (std::size_t i = 0; i < ctx.sensors.size(); ++i) {
       if (ctx.sensors[i].endpointName == res.endpoint) {
@@ -561,10 +561,6 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
     live.push_back(std::move(m));
   }
   const int batched = live.size() >= 2 ? static_cast<int>(live.size()) : 0;
-
-  // Slot map back into results/stats (full-skips left gaps).
-  std::unordered_map<int, std::size_t> slotOf;
-  for (std::size_t slot = 0; slot < indices.size(); ++slot) slotOf[indices[slot]] = slot;
 
   // Checkpoint fast-forward, member by member: restore the deepest campaign
   // checkpoint at or before each member's limit instead of re-simulating
@@ -647,7 +643,7 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
     stimulus.capture(drive, c);
     for (auto& m : live) {
       if (m.retired || c < m.startCycle) continue;
-      MutantResult& res = results[slotOf[m.mutantIndex]];
+      MutantResult& res = results[m.slot];
       stimulus.replayInto(*m.model);
       if (ctx.hasRecovery) m.model->setInputUint(ctx.recoverySym, 1);
       m.model->scheduler();
@@ -656,7 +652,7 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
       // Kill check against the golden output row; a killed mutant stays
       // killed, so the scan is skipped once it has fired.
       if (!res.killed) {
-        const std::vector<std::uint64_t>& goldRow = gold.outputs[c];
+        const std::uint64_t* goldRow = gold.outputRow(c);
         for (std::size_t o = 0; o < outSyms.size(); ++o) {
           if (m.model->valueUint(outSyms[o]) != goldRow[o]) {
             res.killed = true;
@@ -673,7 +669,7 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
         if (m.qSym != ir::kNoSymbol && c >= 1 && m.sensorIdx >= 0) {
           m.correctionObserved = true;
           if (m.model->valueUint(m.qSym) !=
-              gold.endpoints[c - 1][static_cast<std::size_t>(m.sensorIdx)]) {
+              gold.endpoint(c - 1, static_cast<std::size_t>(m.sensorIdx))) {
             m.correctionViolated = true;
           }
         }
@@ -697,12 +693,11 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
   }
 
   for (const auto& m : live) {
-    const std::size_t slot = slotOf[m.mutantIndex];
-    stats[slot].cyclesSimulated += m.executed;
-    stats[slot].cyclesSkipped += cycles - m.executed;
+    stats[m.slot].cyclesSimulated += m.executed;
+    stats[m.slot].cyclesSkipped += cycles - m.executed;
     if (m.qSym != ir::kNoSymbol) {
-      results[slot].correctionChecked = m.correctionObserved;
-      results[slot].corrected = m.correctionObserved && !m.correctionViolated;
+      results[m.slot].correctionChecked = m.correctionObserved;
+      results[m.slot].corrected = m.correctionObserved && !m.correctionViolated;
     }
   }
   return batched;

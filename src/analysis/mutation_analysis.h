@@ -45,6 +45,7 @@
 #include "analysis/testbench.h"
 #include "insertion/insertion.h"
 #include "mutation/adam.h"
+#include "util/mapped_words.h"
 
 namespace xlv::analysis {
 
@@ -143,6 +144,9 @@ struct AnalysisReport {
   /// fresh co-simulation. Equal to results.size() on a fully warm run —
   /// the "zero re-simulations" ledger the variant-sweep tests assert.
   int mutantCacheHits = 0;
+  /// Workers the per-mutant tasks could run on: the enclosing campaign
+  /// pool's size when the analysis runs inside a campaign item, else
+  /// AnalysisConfig::threads — capped at the task count.
   int threadsUsed = 1;
   /// Native-backend ledger: shared-object compiles this analysis performed
   /// versus libraries served from the in-process or artifact-store cache.
@@ -184,7 +188,9 @@ struct AnalysisConfig {
   std::string recoveryPort = "recovery_en";
   /// Worker threads for the per-mutant campaign: 1 = serial (today's
   /// behavior), 0 = auto (XLV_THREADS env override, else hardware
-  /// concurrency), n > 1 = exactly n.
+  /// concurrency), n > 1 = exactly n. Ignored when the analysis runs inside
+  /// an executor task, such as a campaign item: its mutant tasks then join
+  /// the enclosing pool (campaign/executor.h, nested runs).
   int threads = 1;
   /// Stimulus identity for stateful testbenches: every run (golden and each
   /// mutant) uses a fresh driver from Testbench::driverForTask(stimulusId),
@@ -235,13 +241,27 @@ struct AnalysisConfig {
 /// sensor-observation predicates the mutant loop evaluates (E == 1,
 /// MEAS_VAL != 0, OUT_OK == 0) — before that cycle the mutant run's state is
 /// bit-identical to the golden run's, so the skipped prefix provably
-/// contributes nothing to the MutantResult. A value of outputs.size() means
+/// contributes nothing to the MutantResult. A value of `cycles` means
 /// the whole run is quiet for that endpoint (the mutant is transparent end
 /// to end and needs no simulation at all).
+///
+/// Both tables are flat and row-major, one row per cycle, in mappings of
+/// their own (util/mapped_words.h): a freed trace goes back to the OS
+/// instead of into a worker thread's malloc arena.
 struct GoldenTrace {
-  std::vector<std::vector<std::uint64_t>> outputs;    // [cycle][outIdx]
-  std::vector<std::vector<std::uint64_t>> endpoints;  // [cycle][sensorIdx]
-  std::vector<std::uint64_t> firstActivity;           // [sensorIdx]
+  std::size_t cycles = 0;
+  std::size_t outWidth = 0;  ///< output ports per row
+  std::size_t epWidth = 0;   ///< sensor endpoints per row
+  util::MappedWords outputs;                 ///< [cycle × outWidth]
+  util::MappedWords endpoints;               ///< [cycle × epWidth]
+  std::vector<std::uint64_t> firstActivity;  ///< [sensorIdx]
+
+  const std::uint64_t* outputRow(std::size_t cycle) const noexcept {
+    return outputs.data() + cycle * outWidth;
+  }
+  std::uint64_t endpoint(std::size_t cycle, std::size_t sensorIdx) const noexcept {
+    return endpoints[cycle * epWidth + sensorIdx];
+  }
 };
 
 /// Record the golden trajectory on the backend cfg.backend resolves to

@@ -156,14 +156,12 @@ CampaignSpec fullMatrixCampaign(const std::vector<ips::CaseStudy>& cases,
   CampaignSpec spec;
   spec.name = "full-matrix";
   spec.executor = exec;
-  const bool outerParallel = resolveThreadCount(exec.threads) > 1;
   for (const auto& cs : cases) {
     for (auto kind : {insertion::SensorKind::Razor, insertion::SensorKind::Counter}) {
       CampaignItem item;
       item.caseStudy = cs;
       item.options = base;
       item.options.sensorKind = kind;
-      if (outerParallel) item.options.analysisThreads = 1;
       spec.items.push_back(std::move(item));
     }
   }

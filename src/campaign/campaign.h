@@ -9,12 +9,11 @@
 // completes), mirroring how a regression farm reports one broken seed
 // without discarding the batch.
 //
-// Two levels of parallelism compose:
-//   * across items  — CampaignSpec::executor (this file);
-//   * within one item's mutation analysis — FlowOptions::analysisThreads
-//     (the per-mutant campaign inside analyzeMutations).
-// fullMatrixCampaign() keeps the inner level serial when the outer pool has
-// more than one worker, avoiding oversubscription.
+// One pool serves both levels of parallelism: CampaignSpec::executor sizes
+// it, items are its outer tasks, and each item's mutation analysis posts its
+// mutant batches as a nested job on the same pool (campaign/executor.h), so
+// workers with no item left help the items still running. The thread budget
+// is CampaignSpec::executor.threads at both levels.
 #pragma once
 
 #include <cstddef>
@@ -125,7 +124,7 @@ int campaignExitCode(const CampaignResult& result) noexcept;
 
 /// The paper's full experiment matrix: every case study × both sensor
 /// kinds, with `base` options applied to each item (sensorKind overridden
-/// per item; analysisThreads forced to 1 when the outer pool is parallel).
+/// per item).
 CampaignSpec fullMatrixCampaign(const std::vector<ips::CaseStudy>& cases,
                                 const core::FlowOptions& base, ExecutorConfig exec = {});
 

@@ -15,9 +15,37 @@
 //   * deterministic failure — when tasks throw, the exception of the
 //     LOWEST-indexed failing task is rethrown after all workers have
 //     stopped, so a campaign fails the same way at any thread count.
+//
+// Nesting: one pool per outermost run. A campaign item runs a mutation
+// analysis, which runs its own executor — the two levels share ONE pool:
+//
+//   * the outermost run() (a thread not inside any run's task) with
+//     threads > 1 starts `threads` workers, the caller included, and joins
+//     them before it returns: no thread outlives it, so a process that
+//     forks between runs (the daemon spawning its workers) forks with no
+//     pool thread left;
+//   * a run() called from inside one of that pool's tasks starts no thread
+//     and ignores its own ExecutorConfig::threads: it posts its indices as a
+//     job on the enclosing pool, drains the job on the calling thread, and
+//     idle workers claim chunks of it. A few-item campaign thus spreads each
+//     item's mutants over whichever workers have no item left;
+//   * thread budget: at no nesting depth do more than the outermost run's
+//     `threads` tasks run at once. Under an outermost threads == 1 run every
+//     nested run is inline on the caller, in index order;
+//   * each job keeps the guarantees above: results go into index slots and
+//     the job's lowest-index exception is rethrown to the job's own caller;
+//   * a nested caller whose job has no unclaimed chunks left waits for the
+//     in-flight ones; it never starts another job's work, which could hold
+//     up its own return. The outermost caller helps while it waits: every
+//     other job in the pool is nested under its own.
+//
+// Rule for util::OnceCache users: a build lambda must not call run().
+// Otherwise the thread building a key can wait on its own nested job while
+// a helper of that job waits for the same key. Every build in the codebase
+// (stage prefix, golden trace, checkpoints, mutant result, native library)
+// is serial.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <type_traits>
@@ -26,7 +54,8 @@
 namespace xlv::campaign {
 
 struct ExecutorConfig {
-  /// Worker threads. 0 = auto: the XLV_THREADS environment variable when set
+  /// Worker threads of an outermost run (a nested run uses the enclosing
+  /// pool instead). 0 = auto: the XLV_THREADS environment variable when set
   /// (see resolveThreadCount), otherwise std::thread::hardware_concurrency().
   /// Negative values degrade to 1 (serial), never to auto.
   int threads = 0;
@@ -46,16 +75,14 @@ class Executor {
  public:
   explicit Executor(ExecutorConfig cfg = {});
 
-  /// The resolved worker count this executor launches for large-enough runs.
+  /// The resolved worker count this executor starts as an outermost run.
   int threads() const noexcept { return threads_; }
 
-  /// Workers actually engaged for an n-task run (never more than n, at
-  /// least 1). The single source of truth for reported thread counts.
-  int effectiveThreads(std::size_t n) const noexcept {
-    if (n == 0) return 1;
-    return static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(threads_), n));
-  }
+  /// Workers an n-task run called from this thread can engage: the
+  /// enclosing pool's size inside a run's task, threads() outside, capped
+  /// at n (at least 1). The single source of truth for reported thread
+  /// counts.
+  int effectiveThreads(std::size_t n) const noexcept;
 
   /// Run task(0) .. task(n-1), blocking until all complete. `task` must be
   /// safe to invoke concurrently from multiple threads for distinct indices.

@@ -396,7 +396,10 @@ void Server::submitUnit(std::size_t wi, Campaign& c) {
 
 void Server::acceptClients() {
   for (;;) {
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
+    // Close-on-exec: a worker spawned later must not inherit the client's
+    // socket, or dropping the client would not close its connection — the
+    // client would wait forever on a stream the worker keeps open.
+    const int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN: drained the backlog

@@ -67,7 +67,6 @@ CampaignSpec expandSweep(const SweepSpec& sweep) {
   CampaignSpec spec;
   spec.name = sweep.name;
   spec.executor = sweep.executor;
-  const bool outerParallel = resolveThreadCount(sweep.executor.threads) > 1;
 
   // Each axis iterates its value list, or a single "unset" slot when the
   // axis is not swept (std::nullopt keeps the base/case-study value).
@@ -106,7 +105,6 @@ CampaignSpec expandSweep(const SweepSpec& sweep) {
                   if (be) item.options.backend = *be;
                   if (sweep.shareGoldenTraces) item.options.useGoldenCache = true;
                   if (sweep.shareMutantResults) item.options.useMutantCache = true;
-                  if (outerParallel) item.options.analysisThreads = 1;
                   item.label = sweepPointLabel(cs, item.options, sweep.axes);
                   if (sweep.sharePrefixes) {
                     item.prefixKey = core::flowPrefixKey(cs, item.options);

@@ -82,8 +82,8 @@ std::string sweepPointLabel(const ips::CaseStudy& cs, const core::FlowOptions& o
                             const SweepAxes& axes);
 
 /// Flatten the cross-product into a CampaignSpec (see file comment for the
-/// ordering and sharing rules). Forces analysisThreads = 1 on every item
-/// when the outer executor is parallel, mirroring fullMatrixCampaign.
+/// ordering and sharing rules). Each point's mutation analysis shares the
+/// sweep executor's pool with the points themselves (campaign/executor.h).
 CampaignSpec expandSweep(const SweepSpec& sweep);
 
 /// Convenience: expandSweep + runCampaign.

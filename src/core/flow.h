@@ -95,9 +95,10 @@ struct FlowOptions {
   bool measureTlm = true;          ///< abstracted TLM model timing (Table 3)
   bool measureOptimized = true;    ///< HDTLib 2-state policy (Table 4)
   bool runMutationAnalysis = true; ///< Table 5
-  /// Worker threads for the per-mutant analysis campaign: 1 = serial,
-  /// 0 = auto (XLV_THREADS / hardware), n > 1 = exactly n. A campaign that
-  /// already parallelizes across flows should keep this at 1.
+  /// Worker threads for the per-mutant analysis of a standalone runFlow:
+  /// 1 = serial, 0 = auto (XLV_THREADS / hardware), n > 1 = exactly n.
+  /// Inside a campaign item it has no effect: the analysis runs on the
+  /// campaign's pool (campaign/executor.h, nested runs).
   int analysisThreads = 1;
 };
 

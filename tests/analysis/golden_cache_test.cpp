@@ -1,9 +1,12 @@
 // Golden-trace cache: key discrimination (distinct hfRatio / cycles /
 // testbench must miss), concurrent-access safety (one recording per key,
-// whatever the race), and cached-vs-uncached report equality.
+// whatever the race), cached-vs-uncached report equality, and the trace
+// codec's pinned byte format.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -130,6 +133,95 @@ TEST(OnceCache, BuildFailureIsRetriedNotCached) {
   auto v = cache.getOrBuild("k", [] { return 42; });
   ASSERT_NE(nullptr, v);
   EXPECT_EQ(42, *v);
+}
+
+/// A 3-cycle trace with two outputs and one sensor, built by hand.
+GoldenTrace handBuiltTrace() {
+  GoldenTrace t;
+  t.cycles = 3;
+  t.outWidth = 2;
+  t.epWidth = 1;
+  t.outputs = util::MappedWords(6);
+  const std::uint64_t outs[6] = {0x0123456789abcdefULL, 1, 2, ~0ULL, 0, 0x8000000000000000ULL};
+  for (std::size_t i = 0; i < 6; ++i) t.outputs[i] = outs[i];
+  t.endpoints = util::MappedWords(3);
+  t.endpoints[0] = 5;
+  t.endpoints[1] = 6;
+  t.endpoints[2] = 0xdeadbeefULL;
+  t.firstActivity = {1};
+  return t;
+}
+
+TEST(GoldenTraceCodec, EncodingIsPinnedSoStoredArtifactsStayReadable) {
+  // The bytes the nested-row encoder (codec v3) wrote for this trace: the
+  // flat tables must encode to exactly them, and decode them back.
+  static constexpr char kStored[] =
+      "xlv golden-trace v3\n"
+      "cycles=1:3\n"
+      "outWidth=1:2\n"
+      "epWidth=1:1\n"
+      "outputs=48:"
+      "\xef\xcd\xab\x89\x67\x45\x23\x01"
+      "\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x02\x00\x00\x00\x00\x00\x00\x00"
+      "\xff\xff\xff\xff\xff\xff\xff\xff"
+      "\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x80"
+      "\n"
+      "endpoints=24:"
+      "\x05\x00\x00\x00\x00\x00\x00\x00"
+      "\x06\x00\x00\x00\x00\x00\x00\x00"
+      "\xef\xbe\xad\xde\x00\x00\x00\x00"
+      "\n"
+      "firstActivity=8:"
+      "\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\n";
+  const std::string stored(kStored, sizeof(kStored) - 1);
+  ASSERT_EQ(3, kGoldenTraceCodecVersion);
+  EXPECT_EQ(stored, encodeGoldenTrace(handBuiltTrace()));
+
+  const GoldenTrace t = decodeGoldenTrace(stored);
+  const GoldenTrace want = handBuiltTrace();
+  EXPECT_EQ(3u, t.cycles);
+  EXPECT_EQ(2u, t.outWidth);
+  EXPECT_EQ(1u, t.epWidth);
+  ASSERT_EQ(6u, t.outputs.size());
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(want.outputs[i], t.outputs[i]) << i;
+  EXPECT_EQ(~0ULL, t.outputRow(1)[1]);
+  EXPECT_EQ(0xdeadbeefULL, t.endpoint(2, 0));
+  EXPECT_EQ(want.firstActivity, t.firstActivity);
+  EXPECT_EQ(stored, encodeGoldenTrace(t));
+}
+
+TEST(GoldenTraceCodec, EncodeRejectsTablesNotSizedCyclesTimesWidth) {
+  GoldenTrace shortOutputs = handBuiltTrace();
+  shortOutputs.outputs = util::MappedWords(5);
+  EXPECT_THROW(encodeGoldenTrace(shortOutputs), std::invalid_argument);
+
+  GoldenTrace longEndpoints = handBuiltTrace();
+  longEndpoints.endpoints = util::MappedWords(4);
+  EXPECT_THROW(encodeGoldenTrace(longEndpoints), std::invalid_argument);
+
+  GoldenTrace wideRows = handBuiltTrace();
+  wideRows.outWidth = 3;  // the table no longer holds cycles x outWidth words
+  EXPECT_THROW(encodeGoldenTrace(wideRows), std::invalid_argument);
+
+  GoldenTrace missingActivity = handBuiltTrace();
+  missingActivity.firstActivity.clear();
+  EXPECT_THROW(encodeGoldenTrace(missingActivity), std::invalid_argument);
+}
+
+TEST(GoldenTraceCodec, RecordedTraceRoundTripsThroughTheCodec) {
+  const Fixture f;
+  const GoldenTrace rec = recordGoldenTrace<hdt::FourState>(f.flow.augmentedDesign,
+                                                            f.flow.sensors, f.tb, f.cfg);
+  ASSERT_EQ(f.tb.cycles, rec.cycles);
+  EXPECT_EQ(f.flow.augmentedDesign.outputs.size(), rec.outWidth);
+  EXPECT_EQ(f.flow.sensors.size(), rec.epWidth);
+  EXPECT_EQ(rec.cycles * rec.outWidth, rec.outputs.size());
+  EXPECT_EQ(rec.cycles * rec.epWidth, rec.endpoints.size());
+  const std::string bytes = encodeGoldenTrace(rec);
+  EXPECT_EQ(bytes, encodeGoldenTrace(decodeGoldenTrace(bytes)));
 }
 
 }  // namespace

@@ -162,8 +162,31 @@ TEST(Campaign, FullMatrixSpansCasesTimesKinds) {
   ASSERT_EQ(4u, spec.items.size());
   EXPECT_EQ(SensorKind::Razor, spec.items[0].options.sensorKind);
   EXPECT_EQ(SensorKind::Counter, spec.items[1].options.sensorKind);
-  // The outer pool is parallel, so the inner analysis must be serialized.
-  for (const auto& item : spec.items) EXPECT_EQ(1, item.options.analysisThreads);
+}
+
+TEST(Campaign, OneItemCampaignSpreadsItsMutantsOverThePool) {
+  // One item on four threads: the item's mutation analysis runs as a
+  // nested job on the campaign's pool, so the workers with no item of
+  // their own simulate its mutants — with results identical to one thread.
+  CampaignItem item;
+  item.caseStudy = ips::buildDspCase();
+  item.options.sensorKind = SensorKind::Razor;
+  item.options.testbenchCycles = 120;
+  item.options.measureRtl = false;
+  item.options.measureOptimized = false;
+  CampaignSpec spec;
+  spec.items.push_back(item);
+
+  spec.executor = ExecutorConfig{1, 0};
+  const CampaignResult serial = runCampaign(spec);
+  spec.executor = ExecutorConfig{4, 0};
+  const CampaignResult pooled = runCampaign(spec);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(pooled.ok());
+  ASSERT_GT(serial.items[0].report.analysis.total(), 1);
+  EXPECT_TRUE(pooled.sameResults(serial));
+  EXPECT_EQ(1, serial.items[0].report.analysis.threadsUsed);
+  EXPECT_GT(pooled.items[0].report.analysis.threadsUsed, 1);
 }
 
 TEST(Flow, MakeDriverOnlyTestbenchWorksEndToEnd) {

@@ -16,6 +16,7 @@
 // The tests skip (not fail) when the tools were not built.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -678,6 +679,51 @@ TEST(CampaignServer, HalfOpenClientIsTimedOutWithAStructuredReject) {
   EXPECT_TRUE(server.error.empty()) << server.error;
   EXPECT_EQ(ledger.clientReadTimeouts, 1u);
   EXPECT_EQ(ledger.campaignsRejected, 1u);
+}
+
+TEST(CampaignServer, DroppedClientSeesEofWhileARespawnedWorkerRuns) {
+  // A worker spawned after a client connected must not inherit the
+  // client's socket: when the server drops that client, the client has to
+  // see the close at once, not when the worker happens to exit.
+  XLV_REQUIRE_DAEMON();
+  FaultEnv env;
+  env.set("XLV_TEST_DIE_AFTER_ITEMS", "0");  // worker 0 dies on its first unit
+  ServerHarness server([](ServeOptions& o) {
+    o.clientReadTimeoutMs = 1500;
+    o.maxCampaignsServed = 0;
+    o.enableSignalDrain = true;
+  });
+  // A half-open client: connected, never sends, so the server drops it
+  // after clientReadTimeoutMs...
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
+                server.opt.socketPath.c_str());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0)
+      << std::strerror(errno);
+  // ...while a campaign makes worker 0 die and respawn in the meantime.
+  const SubmitOutcome out =
+      submitCampaign(builtinCampaignSpec("single"), server.clientOptions("respawner"));
+  EXPECT_TRUE(out.done && out.error.empty()) << out.error;
+
+  bool eof = false;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(8);
+  while (!eof && std::chrono::steady_clock::now() < deadline) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) <= 0) continue;
+    char buf[512];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    eof = n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN);
+  }
+  ::close(fd);
+  EXPECT_TRUE(eof) << "the dropped client's connection stayed open";
+  ::kill(::getpid(), SIGTERM);
+  const ServeLedger& ledger = server.ledger();
+  EXPECT_TRUE(server.error.empty()) << server.error;
+  EXPECT_EQ(ledger.clientReadTimeouts, 1u);
+  EXPECT_GE(ledger.workerRespawns, 1u);
 }
 
 TEST(CampaignServer, DeadlineExceededFailsTheCampaignStructurally) {

@@ -343,12 +343,14 @@ analysis::GoldenTrace randomGoldenTrace(Prng& rng) {
   const std::size_t cycles = rng.below(12);
   const std::size_t outW = rng.below(4);
   const std::size_t epW = rng.below(4);
+  trace.cycles = cycles;
+  trace.outWidth = outW;
+  trace.epWidth = epW;
+  trace.outputs = util::MappedWords(cycles * outW);
+  trace.endpoints = util::MappedWords(cycles * epW);
   for (std::size_t c = 0; c < cycles; ++c) {
-    std::vector<std::uint64_t> outs(outW), eps(epW);
-    for (auto& w : outs) w = rng.next();
-    for (auto& w : eps) w = rng.next();
-    trace.outputs.push_back(std::move(outs));
-    trace.endpoints.push_back(std::move(eps));
+    for (std::size_t o = 0; o < outW; ++o) trace.outputs[c * outW + o] = rng.next();
+    for (std::size_t e = 0; e < epW; ++e) trace.endpoints[c * epW + e] = rng.next();
   }
   // epWidth is derived from the endpoint rows at encode time: a zero-cycle
   // trace has no rows, hence no endpoint columns to carry metadata for.
