@@ -506,32 +506,26 @@ std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
   emitIntList(os, "kHfFall", layout.hfFall);
 
   {
-    // Mutant table: kind encoded 0 = MinDelay, 1 = MaxDelay, 2 = DeltaDelay;
-    // `first` marks the first mutant of each target (edge-commit dedup).
-    os << "struct Mut { int target; int tmpVar; int kind; int deltaTicks; int first; };\n";
+    // Mutant phase tables (TlmModelLayout): per mutant, the index of its
+    // target in kTgt and its phase point; per distinct target, the symbol
+    // and the tmp variable its update lands from.
+    const std::size_t nTgt = layout.mutantTargets.size();
+    os << "enum : int { kNTgt = " << nTgt << ", kMaxDelayPhase = "
+       << maxDelayPhase(layout.cfg.hfRatio) << " };\n";
+    os << "struct Mut { int target; int phase; };\n";
     os << "static const Mut kMut[" << (nMut == 0 ? 1 : nMut) << "] = {";
-    if (nMut == 0) {
-      os << "{-1, -1, 0, 0, 0}";
-    } else {
-      for (std::size_t i = 0; i < nMut; ++i) {
-        const auto& m = layout.mutants[i];
-        int kind = 0;
-        switch (m.spec.kind) {
-          case mutation::MutantKind::MinDelay: kind = 0; break;
-          case mutation::MutantKind::MaxDelay: kind = 1; break;
-          case mutation::MutantKind::DeltaDelay: kind = 2; break;
-        }
-        bool first = true;
-        for (std::size_t k = 0; k < i; ++k) {
-          if (layout.mutants[k].target == m.target) {
-            first = false;
-            break;
-          }
-        }
-        os << (i ? ", " : "") << "{" << static_cast<int>(m.target) << ", "
-           << static_cast<int>(m.tmpVar) << ", " << kind << ", " << m.spec.deltaTicks
-           << ", " << (first ? 1 : 0) << "}";
-      }
+    if (nMut == 0) os << "{-1, " << kNoPhase << "}";
+    for (std::size_t i = 0; i < nMut; ++i) {
+      os << (i ? ", " : "") << "{" << layout.mutantTargetOf[i] << ", "
+         << layout.mutantPhase[i] << "}";
+    }
+    os << "};\n";
+    os << "struct Tgt { int sym; int tmp; };\n";
+    os << "static const Tgt kTgt[" << (nTgt == 0 ? 1 : nTgt) << "] = {";
+    if (nTgt == 0) os << "{-1, -1}";
+    for (std::size_t t = 0; t < nTgt; ++t) {
+      os << (t ? ", " : "") << "{" << static_cast<int>(layout.mutantTargets[t].target) << ", "
+         << static_cast<int>(layout.mutantTargets[t].tmpVar) << "}";
     }
     os << "};\n\n";
   }
@@ -543,7 +537,8 @@ std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
   os << "  unsigned char dirty[kNSweep == 0 ? 1 : kNSweep];\n";
   os << "  int anyDirty;\n";
   os << "  u64 cycle;\n";
-  os << "  int activeMutant;\n";
+  os << "  int activeTarget;  // kTgt index of the active mutant, -1 = none\n";
+  os << "  int activePhase;\n";
   os << "  int nbaCount;\n";
   os << "  Write nba[kNbaCap];\n";
   os << "};\n\n";
@@ -645,29 +640,18 @@ std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
   os2 << "  return 0;\n";
   os2 << "}\n\n";
 
-  os2 << "inline void applyMutants(State& st, int minPhase, int maxPhase, int deltaTick, "
-         "int inactiveOnly) {\n";
-  if (nMut > 0) {
-    os2 << "  for (int i = 0; i < kNMut; ++i) {\n";
-    os2 << "    const Mut& m = kMut[i];\n";
-    os2 << "    if (inactiveOnly) {\n";
-    os2 << "      if (st.activeMutant >= 0 && kMut[st.activeMutant].target == m.target) "
-           "continue;\n";
-    os2 << "      if (!m.first) continue;\n";
-    os2 << "    } else {\n";
-    os2 << "      if (i != st.activeMutant) continue;\n";
-    os2 << "      if (m.kind == 0) { if (!minPhase) continue; }\n";
-    os2 << "      else if (m.kind == 1) { if (!maxPhase) continue; }\n";
-    os2 << "      else { if (deltaTick != m.deltaTicks) continue; }\n";
-    os2 << "    }\n";
-    os2 << "    Write w; w.sym = m.target; w.hi = -1; w.lo = -1; w.idx = -1;\n";
-    os2 << "    w.v = st.vals[m.tmpVar];\n";
-    os2 << "    if (commitW(st, w)) markDirty(st, w.sym);\n";
-    os2 << "  }\n";
-  } else {
-    os2 << "  (void)st; (void)minPhase; (void)maxPhase; (void)deltaTick; "
-           "(void)inactiveOnly;\n";
-  }
+  os2 << "inline void commitTarget(State& st, int t) {\n";
+  os2 << "  const SV v = st.vals[kTgt[t].tmp];\n";
+  os2 << "  SV& cur = st.vals[kTgt[t].sym];\n";
+  os2 << "  if (cur.val != v.val || cur.unk != v.unk) { cur = v; markDirty(st, kTgt[t].sym); }\n";
+  os2 << "}\n\n";
+  os2 << "inline void commitInactiveTargets(State& st) {\n";
+  os2 << "  for (int t = 0; t < kNTgt; ++t) {\n";
+  os2 << "    if (t != st.activeTarget) commitTarget(st, t);\n";
+  os2 << "  }\n";
+  os2 << "}\n\n";
+  os2 << "inline void commitActiveAt(State& st, int phase) {\n";
+  os2 << "  if (st.activePhase == phase) commitTarget(st, st.activeTarget);\n";
   os2 << "}\n\n";
 
   // The scheduler: TlmIpModel::scheduler() phase for phase (Fig. 6b/8b).
@@ -680,18 +664,18 @@ std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
   }
   os2 << "  runList(st, kMainRise, " << layout.mainRise.size() << ");\n";
   os2 << "  commitNba(st);\n";
-  os2 << "  applyMutants(st, 0, 0, -1, 1);\n";
+  os2 << "  commitInactiveTargets(st);\n";
   os2 << "  if (sweepSt(st)) return -1;\n";
   if (!layout.mainPost.empty()) {
     os2 << "  runList(st, kMainPost, " << layout.mainPost.size() << ");\n";
     os2 << "  commitNba(st);\n";
     os2 << "  if (sweepSt(st)) return -1;\n";
   }
-  os2 << "  applyMutants(st, 1, 0, -1, 0);\n";
+  os2 << "  commitActiveAt(st, " << kMinDelayPhase << ");\n";
   os2 << "  if (sweepSt(st)) return -1;\n";
   if (layout.cfg.hfRatio > 0) {
     os2 << "  for (int j = 1; j <= kHfRatio; ++j) {\n";
-    os2 << "    applyMutants(st, 0, 0, j, 0);\n";
+    os2 << "    commitActiveAt(st, j);\n";
     os2 << "    if (sweepSt(st)) return -1;\n";
     if (d.hfClock != ir::kNoSymbol) {
       os2 << "    st.vals[kHfClk] = SV{1ull, 0ull};\n";
@@ -709,7 +693,7 @@ std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
     }
     os2 << "  }\n";
   }
-  os2 << "  applyMutants(st, 0, 1, -1, 0);\n";
+  os2 << "  commitActiveAt(st, kMaxDelayPhase);\n";
   os2 << "  if (sweepSt(st)) return -1;\n";
   if (d.mainClock != ir::kNoSymbol) {
     os2 << "  st.vals[kMainClk] = SV{0ull, 0ull};\n";
@@ -729,12 +713,18 @@ std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
   os2 << "  for (int i = 0; i < kTotArr; ++i) st->arr[i] = kArrInit[i];\n";
   os2 << "  for (int i = 0; i < kNSweep; ++i) st->dirty[i] = 1;\n";
   os2 << "  st->anyDirty = kNSweep > 0 ? 1 : 0;\n";
-  os2 << "  st->cycle = 0; st->activeMutant = -1; st->nbaCount = 0;\n";
+  os2 << "  st->cycle = 0; st->activeTarget = -1; st->activePhase = " << kNoPhase
+      << "; st->nbaCount = 0;\n";
   os2 << "  return st;\n";
   os2 << "}\n\n";
   os2 << "void xlvn_destroy(void* p) { delete static_cast<State*>(p); }\n\n";
-  os2 << "void xlvn_set_mutant(void* p, int id) { static_cast<State*>(p)->activeMutant = "
-         "id; }\n\n";
+  // An id outside the mutant set selects no mutant (it never indexes kMut).
+  os2 << "void xlvn_set_mutant(void* p, int id) {\n";
+  os2 << "  State& st = *static_cast<State*>(p);\n";
+  os2 << "  const int valid = id >= 0 && id < kNMut;\n";
+  os2 << "  st.activeTarget = valid ? kMut[id].target : -1;\n";
+  os2 << "  st.activePhase = valid ? kMut[id].phase : " << kNoPhase << ";\n";
+  os2 << "}\n\n";
   os2 << "void xlvn_set_input(void* p, int sym, u64 v) {\n";
   os2 << "  State& st = *static_cast<State*>(p);\n";
   os2 << "  const SV nv{v & kMask[sym], 0ull};\n";

@@ -7,11 +7,12 @@
 // compiled process body (abstraction/compiled.h op streams) into
 // straight-line C++ over two-plane scalars, bakes the layout's tables
 // (widths, init values, constant pool, array pools, sweep order,
-// sensitivity lists, mutant table, scheduler phase lists) into static
-// arrays, and wraps the whole thing in a small C ABI:
+// sensitivity lists, mutant phase tables, scheduler phase lists) into
+// static arrays, and wraps the whole thing in a small C ABI:
 //
 //   xlvn_create/destroy         — session lifetime
-//   xlvn_set_mutant             — activate one mutant (or -1)
+//   xlvn_set_mutant             — activate one mutant (-1 or any id outside
+//                                 the mutant set: none)
 //   xlvn_set_input              — TlmIpModel::setInputUint semantics
 //   xlvn_step                   — one scheduler() transaction (0 ok,
 //                                 -1 combinational iteration limit)

@@ -25,12 +25,18 @@
 // one session per task/thread; sessions never share mutable state.
 //
 // Mutant support (Section 6): the model owns the scheduler-phase application
-// points. Inactive mutants commit their target at the normal edge-commit
-// point (making the injected model cycle-equivalent to the original); the
-// active mutant commits at its class's phase:
+// points. Every mutated target whose mutants are all inactive commits at the
+// normal edge-commit point, so the injected model with no mutant active is
+// cycle-equivalent to the original and records the golden trajectory; the
+// active mutant's target commits at its class's phase point instead:
 //   MinDelay   -> first delta after the rising edge,
 //   DeltaDelay(n) -> at the n-th high-frequency period,
 //   MaxDelay   -> just before the falling edge.
+// buildTlmModelLayout resolves this once into phase tables (each distinct
+// target with its tmp variable; per mutant, its target and phase point), and
+// both engines — this interpreter and the emitted native step — commit from
+// them: one commit per distinct target except the active mutant's at the
+// edge, one comparison against the active phase at every phase point.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +70,33 @@ struct TlmModelConfig {
   bool allowCombLoops = false;
 };
 
+/// One mutated target and the tmp variable ADAM routes its update through.
+struct MutantTarget {
+  ir::SymbolId target = ir::kNoSymbol;
+  ir::SymbolId tmpVar = ir::kNoSymbol;
+};
+
+/// Scheduler phase points a mutated target can commit at, in transaction
+/// order: the first delta after the rising edge, HF periods 1..hfRatio, and
+/// just before the falling edge (maxDelayPhase). kNoPhase never lands.
+constexpr int kNoPhase = -1;
+constexpr int kMinDelayPhase = 0;
+constexpr int maxDelayPhase(int hfRatio) noexcept { return hfRatio + 1; }
+
+/// The phase point mutant `spec` commits at while active. A DeltaDelay tick
+/// outside 1..hfRatio names no HF period of the transaction and never lands.
+inline int mutantPhasePoint(const mutation::MutantSpec& spec, int hfRatio) noexcept {
+  switch (spec.kind) {
+    case mutation::MutantKind::MinDelay:
+      return kMinDelayPhase;
+    case mutation::MutantKind::MaxDelay:
+      return maxDelayPhase(hfRatio);
+    case mutation::MutantKind::DeltaDelay:
+      break;
+  }
+  return spec.deltaTicks >= 1 && spec.deltaTicks <= hfRatio ? spec.deltaTicks : kNoPhase;
+}
+
 /// The immutable, policy-independent part of an abstracted model: one
 /// elaboration + compilation + levelization, shared read-only by every
 /// session instantiated from it. Thread-safe to share once built.
@@ -72,6 +105,12 @@ struct TlmModelLayout {
   TlmModelConfig cfg;
   CompiledDesign code;  ///< compiled process bodies (the abstraction product)
   std::vector<mutation::InjectedMutant> mutants;
+  /// Mutant phase tables, derived from `mutants` once: the distinct mutated
+  /// targets in first-mutant order, and per mutant the index of its target
+  /// in that list and its phase point (mutantPhasePoint).
+  std::vector<MutantTarget> mutantTargets;
+  std::vector<int> mutantTargetOf;
+  std::vector<int> mutantPhase;
 
   std::vector<int> mainRise, mainPost, mainFall, hfRise, hfFall;
   std::vector<int> sweepOrder;  ///< async process indices in topological order
@@ -108,6 +147,14 @@ inline TlmModelLayoutPtr buildTlmModelLayout(
 
   if (cfg.hfRatio > 0 && d.hfClock == ir::kNoSymbol) {
     throw std::invalid_argument("TlmIpModel: hfRatio set but design has no HF clock");
+  }
+
+  for (const auto& m : layout->mutants) {
+    std::size_t t = 0;
+    while (t < layout->mutantTargets.size() && layout->mutantTargets[t].target != m.target) ++t;
+    if (t == layout->mutantTargets.size()) layout->mutantTargets.push_back({m.target, m.tmpVar});
+    layout->mutantTargetOf.push_back(static_cast<int>(t));
+    layout->mutantPhase.push_back(mutantPhasePoint(m.spec, cfg.hfRatio));
   }
 
   // Classify processes by clock and edge.
@@ -295,6 +342,12 @@ class TlmIpModel {
       throw std::out_of_range("TlmIpModel: mutant id out of range");
     }
     activeMutant_ = id;
+    activeTarget_ = -1;
+    activePhase_ = kNoPhase;
+    if (id >= 0) {
+      activeTarget_ = layout_->mutantTargetOf[static_cast<std::size_t>(id)];
+      activePhase_ = layout_->mutantPhase[static_cast<std::size_t>(id)];
+    }
   }
   int activeMutant() const noexcept { return activeMutant_; }
 
@@ -313,7 +366,9 @@ class TlmIpModel {
     runProcs(L.mainRise);
     // Edge commit: nonblocking writes plus every *inactive* mutated target.
     commitNba();
-    applyMutants(/*min=*/false, /*max=*/false, /*deltaTick=*/-1, /*inactiveOnly=*/true);
+    for (std::size_t t = 0; t < L.mutantTargets.size(); ++t) {
+      if (static_cast<int>(t) != activeTarget_) commitTarget(L.mutantTargets[t]);
+    }
     sweep();
 
     // Post-edge samplers (sensor main flip-flops).
@@ -324,13 +379,13 @@ class TlmIpModel {
     }
 
     // First delta cycle: minimum-delay mutants land here (Fig. 9b).
-    applyMutants(true, false, -1, false);
+    commitActiveAt(kMinDelayPhase);
     sweep();
 
     // High-frequency clock periods wrapped inside this transaction (Fig. 8b);
     // delta-delay mutants land at their period (Fig. 9d).
     for (int j = 1; j <= L.cfg.hfRatio; ++j) {
-      applyMutants(false, false, j, false);
+      commitActiveAt(j);
       sweep();
       setClock(L.design.hfClock, 1);
       runProcs(L.hfRise);
@@ -345,7 +400,7 @@ class TlmIpModel {
     }
 
     // Just before the falling edge: maximum-delay mutants (Fig. 9c).
-    applyMutants(false, true, -1, false);
+    commitActiveAt(maxDelayPhase(L.cfg.hfRatio));
     sweep();
 
     // Falling edge of clock.
@@ -411,8 +466,8 @@ class TlmIpModel {
     }
   }
 
-  /// Commit buffered nonblocking writes; skip mutated targets (they are
-  /// handled by applyMutants at their phase).
+  /// Commit buffered nonblocking writes. ADAM rewrote the mutated targets'
+  /// updates into tmp variables; commitTarget lands those.
   void commitNba() {
     for (auto& w : nba_) {
       if (machine_.commit(w)) {
@@ -423,52 +478,22 @@ class TlmIpModel {
     nba_.clear();
   }
 
-  /// Apply mutated-target updates whose phase matches.
-  void applyMutants(bool minPhase, bool maxPhase, int deltaTick, bool inactiveOnly) {
-    const auto& mutants = layout_->mutants;
-    for (std::size_t i = 0; i < mutants.size(); ++i) {
-      const auto& m = mutants[i];
-      const bool active = static_cast<int>(i) == activeMutant_;
-      if (inactiveOnly) {
-        // Edge-commit phase: targets whose mutants are all inactive update
-        // normally. A target shared by an active mutant must NOT commit here.
-        if (targetHasActiveMutant(m.target)) continue;
-        if (!firstMutantOfTarget(i)) continue;  // apply once per target
-      } else {
-        if (!active) continue;
-        switch (m.spec.kind) {
-          case mutation::MutantKind::MinDelay:
-            if (!minPhase) continue;
-            break;
-          case mutation::MutantKind::MaxDelay:
-            if (!maxPhase) continue;
-            break;
-          case mutation::MutantKind::DeltaDelay:
-            if (deltaTick != m.spec.deltaTicks) continue;
-            break;
-        }
-      }
-      ScalarWrite w;
-      w.sym = m.target;
-      w.value = machine_.get(m.tmpVar);
-      if (machine_.commit(w)) {
-        ++stats_.commits;
-        markDirty(w.sym);
-      }
+  /// target <= tmp, the mutated update ADAM deferred.
+  void commitTarget(const MutantTarget& t) {
+    ScalarWrite w;
+    w.sym = t.target;
+    w.value = machine_.get(t.tmpVar);
+    if (machine_.commit(w)) {
+      ++stats_.commits;
+      markDirty(w.sym);
     }
   }
 
-  bool targetHasActiveMutant(ir::SymbolId target) const {
-    if (activeMutant_ < 0) return false;
-    return layout_->mutants[static_cast<std::size_t>(activeMutant_)].target == target;
-  }
-
-  bool firstMutantOfTarget(std::size_t i) const {
-    const auto& mutants = layout_->mutants;
-    for (std::size_t k = 0; k < i; ++k) {
-      if (mutants[k].target == mutants[i].target) return false;
+  /// Phase point `phase`: the active mutant's target commits if it lands here.
+  void commitActiveAt(int phase) {
+    if (activePhase_ == phase) {
+      commitTarget(layout_->mutantTargets[static_cast<std::size_t>(activeTarget_)]);
     }
-    return true;
   }
 
   void setClock(ir::SymbolId clk, std::uint64_t v) {
@@ -486,6 +511,8 @@ class TlmIpModel {
   TlmModelLayoutPtr layout_;  ///< shared read-only; keeps design/code alive
   ScalarMachine<P> machine_;  ///< per-session native-word execution backend
   int activeMutant_ = -1;
+  int activeTarget_ = -1;       ///< its index in mutantTargets, -1 = none
+  int activePhase_ = kNoPhase;  ///< its phase point
 
   std::vector<char> dirty_;
   bool anyDirty_ = false;

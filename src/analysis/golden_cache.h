@@ -1,12 +1,14 @@
 // Process-wide golden-trace cache (ROADMAP: "Golden-trace sharing across
 // analyses").
 //
-// recordGoldenTrace simulates the clean augmented design for the full
-// testbench length — for corner sweeps that vary only the mutant set or the
-// STA binning of an identical critical set, that run is byte-identical
-// across sweep points. This cache shares it: analyses whose (design
-// identity, observed endpoints, testbench, cycles, hfRatio, stimulus)
-// agree reuse one immutable GoldenTrace.
+// The golden recording simulates the clean augmented design's trajectory
+// for the full testbench length (a campaign runs it on its injected layout
+// with no mutant active, which replays that trajectory exactly) — for
+// corner sweeps that vary only the mutant set or the STA binning of an
+// identical critical set, that run is byte-identical across sweep points.
+// This cache shares it: analyses whose (golden design identity, observed
+// endpoints, testbench, cycles, hfRatio, stimulus) agree reuse one
+// immutable GoldenTrace.
 //
 // Keying rules (see also campaign/README.md):
 //   * design identity — a structural fingerprint of the elaborated golden

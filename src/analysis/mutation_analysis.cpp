@@ -230,38 +230,34 @@ double AnalysisReport::correctedPct() const noexcept {
   return 100.0 * ok / static_cast<double>(checked);
 }
 
+namespace {
+
+/// The one golden recording loop. `layout` is the golden design's or the
+/// injected one's: with no mutant active every mutated target commits at the
+/// edge, so both replay the golden trajectory bit for bit (mutation/adam.h).
+/// Runs on `lib` when non-null, else on the interpreter.
 template <class P>
-GoldenTrace recordGoldenTrace(const ir::Design& golden,
-                              const std::vector<InsertedSensor>& sensors, const Testbench& tb,
-                              const AnalysisConfig& cfg,
-                              abstraction::NativeUseStats* nativeStats) {
-  // The recording runs on the campaign's resolved backend too — on the
-  // native path the golden replay would otherwise dominate the remaining
-  // interpreter time (Amdahl), and a fallback here is safe because the
-  // engines are bit-identical.
-  const auto layout =
-      abstraction::buildTlmModelLayout(golden, TlmModelConfig{cfg.hfRatio, false});
-  abstraction::NativeLibraryPtr lib;
-  if (resolveSimBackend(cfg.backend) == SimBackend::Native) {
-    lib = abstraction::getNativeLibrary(*layout, std::is_same_v<P, hdt::FourState>,
-                                        nativeStats);
-  }
+GoldenTrace recordGoldenOn(const abstraction::TlmModelLayoutPtr& layout,
+                           const abstraction::NativeLibraryPtr& lib,
+                           const std::vector<InsertedSensor>& sensors, const Testbench& tb,
+                           const AnalysisConfig& cfg) {
   Session<P> model(layout, lib);
+  const ir::Design& design = layout->design;
   const std::size_t n = sensors.size();
   std::vector<ir::SymbolId> endpointSyms, eSyms(n, ir::kNoSymbol), mvSyms(n, ir::kNoSymbol),
       okSyms(n, ir::kNoSymbol);
   endpointSyms.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const InsertedSensor& s = sensors[i];
-    endpointSyms.push_back(golden.findSymbol(s.endpointName));
-    if (!s.errorSignal.empty()) eSyms[i] = golden.findSymbol(s.errorSignal);
-    if (!s.measValSignal.empty()) mvSyms[i] = golden.findSymbol(s.measValSignal);
-    if (!s.outOkSignal.empty()) okSyms[i] = golden.findSymbol(s.outOkSignal);
+    endpointSyms.push_back(design.findSymbol(s.endpointName));
+    if (!s.errorSignal.empty()) eSyms[i] = design.findSymbol(s.errorSignal);
+    if (!s.measValSignal.empty()) mvSyms[i] = design.findSymbol(s.measValSignal);
+    if (!s.outOkSignal.empty()) okSyms[i] = design.findSymbol(s.outOkSignal);
   }
 
   GoldenTrace trace;
   trace.cycles = tb.cycles;
-  trace.outWidth = golden.outputs.size();
+  trace.outWidth = design.outputs.size();
   trace.epWidth = n;
   trace.outputs = util::MappedWords(trace.cycles * trace.outWidth);
   trace.endpoints = util::MappedWords(trace.cycles * trace.epWidth);
@@ -275,16 +271,16 @@ GoldenTrace recordGoldenTrace(const ir::Design& golden,
   std::vector<SV> prev(n);
   for (std::size_t i = 0; i < n; ++i) prev[i] = model.rawValue(endpointSyms[i]);
 
-  const ir::SymbolId recoverySym = golden.findSymbol(cfg.recoveryPort);
+  const ir::SymbolId recoverySym = design.findSymbol(cfg.recoveryPort);
   const DriveFn drive = tb.driverForTask(cfg.stimulusId);
-  DriveRecorder stimulus(model.design());
+  DriveRecorder stimulus(design);
   for (std::uint64_t c = 0; c < tb.cycles; ++c) {
     stimulus.capture(drive, c);
     stimulus.replayInto(model);
     if (recoverySym != ir::kNoSymbol) model.setInputUint(recoverySym, 1);
     model.scheduler();
     std::uint64_t* outs = trace.outputs.data() + c * trace.outWidth;
-    for (ir::SymbolId o : golden.outputs) *outs++ = model.valueUint(o);
+    for (ir::SymbolId o : design.outputs) *outs++ = model.valueUint(o);
     std::uint64_t* eps = trace.endpoints.data() + c * trace.epWidth;
     for (ir::SymbolId e : endpointSyms) *eps++ = model.valueUint(e);
     // First-activity tracking: the first value-plane change of the endpoint
@@ -307,14 +303,27 @@ GoldenTrace recordGoldenTrace(const ir::Design& golden,
   return trace;
 }
 
-namespace {
-
 template <class P>
 constexpr const char* policyTag() {
   return std::is_same_v<P, hdt::TwoState> ? "2s" : "4s";
 }
 
 }  // namespace
+
+template <class P>
+GoldenTrace recordGoldenTrace(const ir::Design& golden,
+                              const std::vector<InsertedSensor>& sensors, const Testbench& tb,
+                              const AnalysisConfig& cfg,
+                              abstraction::NativeUseStats* nativeStats) {
+  const auto layout =
+      abstraction::buildTlmModelLayout(golden, TlmModelConfig{cfg.hfRatio, false});
+  abstraction::NativeLibraryPtr lib;
+  if (resolveSimBackend(cfg.backend) == SimBackend::Native) {
+    lib = abstraction::getNativeLibrary(*layout, std::is_same_v<P, hdt::FourState>,
+                                        nativeStats);
+  }
+  return recordGoldenOn<P>(layout, lib, sensors, tb, cfg);
+}
 
 template <class P>
 MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
@@ -326,58 +335,53 @@ MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
   ctx.sensors = sensors;
   ctx.tb = tb;
   ctx.cfg = cfg;
-  if (cfg.useGoldenCache || cfg.useMutantCache) {
-    ctx.goldenKey = goldenTraceKey(golden, sensors, tb, cfg, policyTag<P>());
-  }
-  if (cfg.useGoldenCache) {
-    // Time the recording inside the build lambda: only the task that
-    // actually records is charged goldenSeconds. A waiter blocked on an
-    // in-flight recording reports ~0 — its wait shows up in wall time, not
-    // in the "golden work spent" ledger (which must not inflate with
-    // thread count). A disk load is likewise not a recording: it charges 0
-    // and counts as served-from-cache.
-    double recordSeconds = 0.0;
-    bool memHit = false;
-    abstraction::NativeUseStats goldNative;
-    ctx.gold = util::getOrBuildWithStore<GoldenTrace>(
-        goldenTraceCache(), util::processArtifactStore(), "golden", ctx.goldenKey,
-        [&] {
-          util::Timer t;
-          GoldenTrace trace = recordGoldenTrace<P>(golden, sensors, tb, cfg, &goldNative);
-          recordSeconds = t.seconds();
-          return trace;
-        },
-        encodeGoldenTrace, decodeGoldenTrace, &memHit, &ctx.goldenFromDisk);
-    ctx.goldenFromCache = memHit || ctx.goldenFromDisk;
-    ctx.goldenSeconds = recordSeconds;
-    ctx.nativeCompiles += goldNative.compiles;
-    ctx.nativeCacheHits += goldNative.cacheHits;
-  } else {
-    util::Timer t;
-    abstraction::NativeUseStats goldNative;
-    ctx.gold = std::make_shared<const GoldenTrace>(
-        recordGoldenTrace<P>(golden, sensors, tb, cfg, &goldNative));
-    ctx.goldenSeconds = t.seconds();
-    ctx.nativeCompiles += goldNative.compiles;
-    ctx.nativeCacheHits += goldNative.cacheHits;
-  }
-  // Compile + levelize the injected design once; every task clones a cheap
-  // private session from this shared layout.
+  // Compile + levelize the injected design once: every run of the campaign
+  // — the golden recording, the checkpoint recording and each mutant task —
+  // is a cheap private session over this one layout.
   ctx.layout = abstraction::buildTlmModelLayout(
       injected.design, TlmModelConfig{cfg.hfRatio, false}, injected.mutants);
   ctx.recoverySym = ctx.layout->design.findSymbol(cfg.recoveryPort);
   ctx.hasRecovery = ctx.recoverySym != ir::kNoSymbol;
   ctx.referenceSim = referenceSimMode();
   // Backend/batch resolution happens exactly once per campaign: every run
-  // (checkpoint recording included) shares one dlopen'd library, and a
-  // failed native build degrades the whole campaign to the interpreter.
+  // shares one dlopen'd library, and a failed native build degrades the
+  // whole campaign to the interpreter.
   if (resolveSimBackend(cfg.backend) == SimBackend::Native) {
-    abstraction::NativeUseStats injNative;
+    abstraction::NativeUseStats native;
     ctx.nativeLib = abstraction::getNativeLibrary(
-        *ctx.layout, std::is_same_v<P, hdt::FourState>, &injNative);
-    ctx.nativeCompiles += injNative.compiles;
-    ctx.nativeCacheHits += injNative.cacheHits;
+        *ctx.layout, std::is_same_v<P, hdt::FourState>, &native);
+    ctx.nativeCompiles = native.compiles;
+    ctx.nativeCacheHits = native.cacheHits;
   }
+  // The golden trace is recorded on that layout with no mutant active, and
+  // keyed by the golden design's identity: every mutant-set variant of one
+  // design records, and shares, the same trace.
+  //
+  // Only the run that actually records is charged goldenSeconds. A waiter
+  // blocked on another task's in-flight recording reports ~0 — its wait
+  // shows up in wall time, not in the "golden work spent" ledger (which
+  // must not inflate with thread count). A disk load is likewise not a
+  // recording: it charges 0 and counts as served-from-cache.
+  double recordSeconds = 0.0;
+  const auto record = [&] {
+    util::Timer t;
+    GoldenTrace trace = recordGoldenOn<P>(ctx.layout, ctx.nativeLib, sensors, tb, cfg);
+    recordSeconds = t.seconds();
+    return trace;
+  };
+  if (cfg.useGoldenCache || cfg.useMutantCache) {
+    ctx.goldenKey = goldenTraceKey(golden, sensors, tb, cfg, policyTag<P>());
+  }
+  if (cfg.useGoldenCache) {
+    bool memHit = false;
+    ctx.gold = util::getOrBuildWithStore<GoldenTrace>(
+        goldenTraceCache(), util::processArtifactStore(), "golden", ctx.goldenKey, record,
+        encodeGoldenTrace, decodeGoldenTrace, &memHit, &ctx.goldenFromDisk);
+    ctx.goldenFromCache = memHit || ctx.goldenFromDisk;
+  } else {
+    ctx.gold = std::make_shared<const GoldenTrace>(record());
+  }
+  ctx.goldenSeconds = recordSeconds;
   ctx.batch = resolveBatchSize(cfg.batch);
   // ~16 checkpoints across the run: fine enough that a fast-forward lands
   // close to the divergence cycle, coarse enough that the recording run's

@@ -21,11 +21,14 @@
 // non-equivalent by construction when the testbench toggles the monitored
 // registers).
 //
-// Execution model: the analysis is a mutation *campaign*. The golden trace
-// is recorded once and shared read-only; the injected design is compiled
-// and levelized once into a shared TlmModelLayout; then one independent
-// task per mutant instantiates a private TlmIpModel session from the shared
-// layout and simulates it against the trace. Tasks are scheduled by the
+// Execution model: the analysis is a mutation *campaign*. The injected
+// design is compiled and levelized once into a shared TlmModelLayout (and,
+// on the native backend, compiled once into one shared library); every run
+// of the campaign is a private session over it. The golden trace is
+// recorded once on that layout with no mutant active — inactive mutants
+// commit at the normal edge, so that run is the golden run — and shared
+// read-only; then one independent task per mutant instantiates a session
+// and simulates it against the trace. Tasks are scheduled by the
 // campaign executor (campaign/executor.h); results land in pre-assigned
 // slots (merge in task-id order), so the report is bit-identical to the
 // serial path — excluding the timing fields — at any thread count, and
@@ -264,10 +267,12 @@ struct GoldenTrace {
   }
 };
 
-/// Record the golden trajectory on the backend cfg.backend resolves to
-/// (native falls back to the interpreter when unavailable). `nativeStats`,
-/// when non-null, receives the native-library compile/cache ledger of this
-/// recording.
+/// Record the golden trajectory of `golden` on the backend cfg.backend
+/// resolves to (native falls back to the interpreter when unavailable):
+/// builds a no-mutant layout of `golden` and runs the same recording loop
+/// prepareMutationCampaign runs on its injected layout, so both produce the
+/// same trace. `nativeStats`, when non-null, receives the native-library
+/// compile/cache ledger of this recording.
 template <class P>
 GoldenTrace recordGoldenTrace(const ir::Design& golden,
                               const std::vector<insertion::InsertedSensor>& sensors,
@@ -283,8 +288,8 @@ GoldenTrace recordGoldenTrace(const ir::Design& golden,
 bool referenceSimMode();
 
 /// Campaign checkpoint store: periodic state snapshots of the injected
-/// layout simulated with NO active mutant (which, by mutant transparency,
-/// replays the golden trajectory), letting each mutant task restore the
+/// layout simulated with NO active mutant (the golden trajectory, the run
+/// the golden trace was recorded from), letting each mutant task restore the
 /// last checkpoint at or before its fast-forward limit instead of
 /// re-simulating from reset. Recorded lazily, exactly once per campaign, by
 /// the first task whose limit clears the checkpoint interval — a campaign
@@ -309,7 +314,9 @@ struct CampaignCheckpoints {
 /// The shared read-only context of one mutation campaign: everything a
 /// per-mutant task needs that is derived once, not per mutant.
 struct MutationCampaignContext {
-  abstraction::TlmModelLayoutPtr layout;  ///< injected design, compiled once
+  /// The injected design, compiled once: the only layout of the campaign
+  /// (golden recording, checkpoints and mutant tasks all run on it).
+  abstraction::TlmModelLayoutPtr layout;
   /// Immutable, possibly cache-shared across analyses (never null after
   /// prepareMutationCampaign).
   std::shared_ptr<const GoldenTrace> gold;
@@ -339,13 +346,15 @@ struct MutationCampaignContext {
   abstraction::NativeLibraryPtr nativeLib;
   /// Resolved batch size (>= 1; AnalysisConfig::batch after XLV_BATCH).
   int batch = 1;
-  /// Native-library acquisition ledger of prepare (golden recording +
-  /// injected layout), surfaced on the report.
+  /// Native-library acquisition ledger of prepare, surfaced on the report:
+  /// the one library of the injected layout, so at most one compile (or one
+  /// cache hit) per campaign.
   int nativeCompiles = 0;
   int nativeCacheHits = 0;
 };
 
-/// Build the shared context (golden trace + compiled injected layout).
+/// Build the shared context: the compiled injected layout (and its native
+/// library), then the golden trace recorded on it with no mutant active.
 template <class P>
 MutationCampaignContext prepareMutationCampaign(
     const ir::Design& golden, const mutation::InjectedDesign& injected,
@@ -406,9 +415,10 @@ extern template AnalysisReport analyzeMutations<hdt::TwoState>(
 std::vector<mutation::MutantSpec> razorMutantSet(
     const std::vector<insertion::InsertedSensor>& sensors);
 /// Counter versions: three DeltaDelay mutants per sensor, sized from the
-/// endpoint's STA arrival: tick = clamp(round(R * arrival/period * f), 1, R)
-/// for f in {0.5, 1.0, 1.5} — modeling nominal, derated and worst-case
-/// lateness of that path.
+/// endpoint's STA arrival relative to the 75th percentile p75 of the
+/// monitored arrivals: tick = clamp(round(R * min(1.25, arrival/p75) * f),
+/// 1, R) for f in {0.8, 1.2, 1.6} — modeling nominal, derated and
+/// worst-case lateness of that path. `clockPeriodPs` is not used.
 std::vector<mutation::MutantSpec> counterMutantSet(
     const std::vector<insertion::InsertedSensor>& sensors, double clockPeriodPs, int hfRatio);
 

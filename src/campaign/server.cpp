@@ -1,6 +1,7 @@
 #include "campaign/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
@@ -9,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -36,14 +38,16 @@ void ignoreSigpipe() { ::signal(SIGPIPE, SIG_IGN); }
 
 /// Self-pipe for graceful drain: the SIGTERM/SIGINT handler only writes one
 /// byte here, and the poll loop — the single place allowed to touch server
-/// state — reads it and starts the drain. Async-signal-safe by construction.
-int gDrainPipeWrite = -1;
+/// state — reads it and starts the drain. Async-signal-safe by construction:
+/// the server thread publishes the fd through a lock-free atomic.
+std::atomic<int> gDrainPipeWrite{-1};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 void onDrainSignal(int) {
   const int saved = errno;
-  if (gDrainPipeWrite >= 0) {
+  if (const int fd = gDrainPipeWrite.load(); fd >= 0) {
     const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(gDrainPipeWrite, &byte, 1);
+    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
   }
   errno = saved;
 }
@@ -71,7 +75,7 @@ int connectToServer(const std::string& socketPath, int tcpPort, std::string& err
       return -1;
     }
     std::strncpy(addr.sun_path, socketPath.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0 ||
         ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
       error = "cannot connect to " + socketPath + ": " + std::strerror(errno);
@@ -85,7 +89,7 @@ int connectToServer(const std::string& socketPath, int tcpPort, std::string& err
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(tcpPort));
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0 ||
         ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
       error = "cannot connect to 127.0.0.1:" + std::to_string(tcpPort) + ": " +
@@ -172,7 +176,7 @@ class Server {
     if (!boundPath_.empty()) ::unlink(boundPath_.c_str());
     for (Campaign* c : liveCampaigns()) removeSpecFile(*c);
     if (drainWriteFd_ >= 0) {
-      gDrainPipeWrite = -1;
+      gDrainPipeWrite.store(-1);
       ::close(drainWriteFd_);
     }
     if (drainReadFd_ >= 0) ::close(drainReadFd_);
@@ -262,7 +266,7 @@ void Server::listen() {
       throw std::invalid_argument("serve: socket path too long: " + opt_.socketPath);
     }
     std::strncpy(addr.sun_path, opt_.socketPath.c_str(), sizeof(addr.sun_path) - 1);
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {
       throw DispatchError(std::string("socket failed: ") + std::strerror(errno));
     }
@@ -270,7 +274,7 @@ void Server::listen() {
     // owns this path, and stealing it would strand that server (still
     // running, no longer reachable) while its clients silently land here.
     // Any connect failure — ENOENT, ECONNREFUSED — means the path is stale.
-    if (const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0); probe >= 0) {
+    if (const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0); probe >= 0) {
       const bool alive =
           ::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
       ::close(probe);
@@ -291,7 +295,7 @@ void Server::listen() {
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(opt_.tcpPort));
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback only, never 0.0.0.0
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {
       throw DispatchError(std::string("socket failed: ") + std::strerror(errno));
     }
@@ -1099,14 +1103,14 @@ ServeResult Server::run() {
 
   if (opt_.enableSignalDrain) {
     int p[2];
-    if (::pipe(p) != 0) {
+    if (::pipe2(p, O_CLOEXEC) != 0) {
       throw DispatchError(std::string("drain pipe failed: ") + std::strerror(errno));
     }
     drainReadFd_ = p[0];
     drainWriteFd_ = p[1];
     util::setNonBlocking(drainReadFd_);
     util::setNonBlocking(drainWriteFd_);
-    gDrainPipeWrite = drainWriteFd_;
+    gDrainPipeWrite.store(drainWriteFd_);
     struct sigaction sa{};
     sa.sa_handler = onDrainSignal;
     ::sigemptyset(&sa.sa_mask);

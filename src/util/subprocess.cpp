@@ -15,8 +15,11 @@ SubprocessResult runCommandCapture(const std::vector<std::string>& argv) {
   SubprocessResult res;
   if (argv.empty()) return res;
 
+  // Close-on-exec: a child another thread forks concurrently must not
+  // inherit this pipe's write end, or this read would wait for that
+  // unrelated child to exit before it sees EOF.
   int pipefd[2];
-  if (pipe(pipefd) != 0) return res;
+  if (pipe2(pipefd, O_CLOEXEC) != 0) return res;
 
   const pid_t pid = fork();
   if (pid < 0) {
@@ -117,9 +120,11 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   Subprocess p;
   if (argv.empty()) return p;
 
+  // Close-on-exec, so no other child (a later worker, a compiler) inherits
+  // this worker's pipe ends; dup2 onto stdin/stdout clears the flag.
   int inPipe[2], outPipe[2];  // parent -> child stdin, child stdout -> parent
-  if (pipe(inPipe) != 0) return p;
-  if (pipe(outPipe) != 0) {
+  if (pipe2(inPipe, O_CLOEXEC) != 0) return p;
+  if (pipe2(outPipe, O_CLOEXEC) != 0) {
     close(inPipe[0]);
     close(inPipe[1]);
     return p;

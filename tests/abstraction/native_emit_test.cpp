@@ -197,6 +197,40 @@ TYPED_TEST(NativeEmitTypedTest, CounterAugmentedDualClockDeltaMutantLockStep) {
   expectLockStep<TypeParam>(layout, 12, 0);
 }
 
+// xlvn_set_mutant with an id outside the mutant set selects no mutant: the
+// session runs exactly like one that never activated any.
+TEST(NativeEmit, OutOfRangeMutantIdSelectsNoMutant) {
+  XLV_REQUIRE_TOOLCHAIN();
+  AugmentedFixture fx(SensorKind::Razor);
+  auto injected = mutation::injectMutants(
+      fx.design, {{"r", MutantKind::MinDelay, 0}, {"r", MutantKind::MaxDelay, 0}});
+  const auto layout =
+      buildTlmModelLayout(injected.design, TlmModelConfig{0, false}, injected.mutants);
+  const NativeLibraryPtr lib = getNativeLibrary(*layout, true);
+  ASSERT_NE(nullptr, lib);
+
+  NativeSession clean(lib);
+  NativeSession high(lib);
+  NativeSession low(lib);
+  high.activateMutant(1 << 20);
+  low.activateMutant(-7);
+  const Design& d = layout->design;
+  std::vector<std::uint64_t> want, got;
+  for (std::uint64_t c = 0; c < 20; ++c) {
+    for (NativeSession* s : {&clean, &high, &low}) {
+      for (SymbolId in : d.inputs) s->setInputUint(in, stimulus(c, d.symbol(in).name));
+      s->scheduler();
+    }
+    want.clear();
+    clean.saveWords(want);
+    for (NativeSession* s : {&high, &low}) {
+      got.clear();
+      s->saveWords(got);
+      ASSERT_EQ(want, got) << "cycle " << c;
+    }
+  }
+}
+
 // An interpreter checkpoint loads into a native session (and the reverse)
 // and the continued runs stay bit-identical — the property the campaign's
 // shared checkpoint recordings rely on.

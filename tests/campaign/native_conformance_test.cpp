@@ -209,5 +209,24 @@ TEST(NativeConformance, BatchSizesReproduceUnbatchedResults) {
   }
 }
 
+TEST(NativeConformance, ColdNativeFlowCompilesOneLibrary) {
+  REQUIRE_NATIVE_TOOLCHAIN();
+  // One layout per flow: the golden trace records on the injected layout
+  // with no mutant active, so the golden recording, the checkpoints and
+  // every mutant share the one library compiled for it.
+  core::FlowOptions opts;
+  opts.sensorKind = insertion::SensorKind::Counter;
+  opts.testbenchCycles = 60;
+  opts.measureRtl = false;
+  opts.measureTlm = false;
+  opts.measureOptimized = false;
+  opts.backend = analysis::SimBackend::Native;
+  freshProcess();
+  const core::FlowReport cold = core::runFlow(ips::buildFilterCase(), opts);
+  freshProcess();
+  EXPECT_EQ(1, cold.analysis.nativeCompiles);
+  EXPECT_EQ(0, cold.analysis.nativeCacheHits);
+}
+
 }  // namespace
 }  // namespace xlv::campaign
