@@ -1,15 +1,17 @@
-// Campaign sharding: single-process reference versus N merged shards.
+// Campaign units: single-process reference versus the same campaign split
+// into dispatch units, each run as a separate worker process would, merged.
 //
 // Workload: the "smoke" builtin spec (2 IPs x 2 sensor kinds x 2 STA
-// corners) plus the "single" spec fragmented by mutant range. Each shard is
-// executed with the process-wide caches cleared and its artifacts pushed
-// through the wire codecs, i.e. exactly what a separate worker process sees;
-// the merged result must be bit-identical (CampaignResult::sameResults) to
-// the single-process run.
+// corners), whole items and mutant-range fragments, plus the "single" spec
+// fragmented by mutant range. Each unit is executed by the conformance
+// suites' helper (tests/campaign/unit_runner.h): process-wide caches
+// cleared and artifacts pushed through the wire codecs, i.e. exactly what a
+// worker process of the xlv_campaignd pool sees; the merged result must be
+// bit-identical (CampaignResult::sameResults) to the single-process run.
 //
 // Self-check (CI runs the true multi-process variant through
-// tools/xlv_campaign; this binary is the in-process equivalent): any
-// divergence, for any shard count, exits nonzero — and so does the
+// `xlv_campaignd run`; this binary is the in-process equivalent): any
+// divergence, for any unit split, exits nonzero — and so does the
 // artifact-store warm leg when its ledgers report zero disk hits (a
 // silently disabled cache must not pass on a vacuously identical diff).
 #include <stdlib.h>
@@ -26,6 +28,7 @@
 #include "campaign/serialize.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
+#include "tests/campaign/unit_runner.h"
 #include "util/artifact_store.h"
 #include "util/table.h"
 
@@ -35,54 +38,31 @@ using namespace xlv;
 
 void clearCaches() { core::clearProcessCaches(); }
 
-/// Run every shard of a plan as a worker process would: cold caches, spec
-/// and plan decoded from their wire form, output round-tripped through the
-/// codec.
-campaign::CampaignResult runSharded(const campaign::CampaignSpec& spec,
-                                    const campaign::ShardPlan& plan) {
-  const std::string specWire = campaign::encodeCampaignSpec(spec);
-  const std::string planWire = campaign::encodeShardPlan(plan);
-  std::vector<campaign::ShardOutput> outputs;
-  for (int s = 0; s < plan.shardCount(); ++s) {
-    clearCaches();
-    const campaign::CampaignSpec workerSpec = campaign::decodeCampaignSpec(specWire);
-    const campaign::ShardPlan workerPlan = campaign::decodeShardPlan(planWire);
-    outputs.push_back(campaign::decodeShardOutput(
-        campaign::encodeShardOutput(campaign::runShard(workerSpec, workerPlan, s))));
-  }
-  clearCaches();
-  return campaign::mergeShards(spec, outputs);
-}
-
 }  // namespace
 
 int main() {
-  bench::banner("Campaign sharding — N processes vs one, bit-identical merge",
+  bench::banner("Campaign units — one process per unit vs one, bit-identical merge",
                 "the process-level scaling of paper Section 7's campaigns");
 
   bool ok = true;
-  util::Table t({"Spec", "Shards", "Units", "Wall max (s)", "Sim sum (s)", "Identical"});
+  util::Table t({"Spec", "Max fragment", "Units", "Wall max (s)", "Sim sum (s)", "Identical"});
 
-  // --- whole-item sharding of the smoke sweep --------------------------------
+  // --- the smoke sweep: whole items, then two fragment sizes -----------------
   campaign::CampaignSpec smoke = campaign::builtinCampaignSpec("smoke");
   for (auto& item : smoke.items) item.options.testbenchCycles = bench::scaled(80);
   clearCaches();
   const campaign::CampaignResult single = campaign::runCampaign(smoke);
   ok = ok && single.ok();
-  t.addRow({"smoke", "1", std::to_string(single.items.size()),
-            util::Table::fixed(single.wallSeconds, 3), util::Table::fixed(single.simSeconds, 3),
-            "ref"});
+  t.addRow({"smoke", "-", "1 process", util::Table::fixed(single.wallSeconds, 3),
+            util::Table::fixed(single.simSeconds, 3), "ref"});
 
-  for (int shards : {2, 3, 5}) {
-    const campaign::ShardPlan plan =
-        campaign::planShards(smoke, campaign::ShardPlanOptions{shards, 0, {}});
-    const campaign::CampaignResult merged = runSharded(smoke, plan);
+  for (std::size_t maxFragment : {0, 40, 16}) {
+    const auto outputs = campaign::runDispatchUnits(smoke, maxFragment);
+    const campaign::CampaignResult merged = campaign::mergeShards(smoke, outputs);
     const bool identical = single.sameResults(merged);
     ok = ok && merged.ok() && identical;
-    std::size_t units = 0;
-    for (const auto& s : plan.shards) units += s.size();
-    t.addRow({"smoke", std::to_string(shards), std::to_string(units),
-              util::Table::fixed(merged.wallSeconds, 3),
+    t.addRow({"smoke", maxFragment == 0 ? "whole" : std::to_string(maxFragment),
+              std::to_string(outputs.size()), util::Table::fixed(merged.wallSeconds, 3),
               util::Table::fixed(merged.simSeconds, 3), identical ? "yes" : "NO — BUG"});
   }
 
@@ -94,53 +74,48 @@ int main() {
   ok = ok && oneSingle.ok();
   const std::size_t mutants =
       oneSingle.items.empty() ? 0 : oneSingle.items[0].report.analysis.results.size();
-  t.addRow({"single", "1", "1", util::Table::fixed(oneSingle.wallSeconds, 3),
+  t.addRow({"single", "-", "1 process", util::Table::fixed(oneSingle.wallSeconds, 3),
             util::Table::fixed(oneSingle.simSeconds, 3), "ref"});
 
   {
-    campaign::ShardPlanOptions opt;
-    opt.shards = 3;
-    opt.maxFragmentMutants = mutants > 3 ? (mutants + 2) / 3 : 1;
-    const campaign::ShardPlan plan = campaign::planShards(one, opt);
-    const campaign::CampaignResult merged = runSharded(one, plan);
+    const std::size_t maxFragment = mutants > 3 ? (mutants + 2) / 3 : 1;
+    const auto outputs = campaign::runDispatchUnits(one, maxFragment);
+    const campaign::CampaignResult merged = campaign::mergeShards(one, outputs);
     const bool identical = oneSingle.sameResults(merged);
     ok = ok && merged.ok() && identical;
-    std::size_t units = 0;
-    for (const auto& s : plan.shards) units += s.size();
-    t.addRow({"single", "3", std::to_string(units), util::Table::fixed(merged.wallSeconds, 3),
+    t.addRow({"single", std::to_string(maxFragment), std::to_string(outputs.size()),
+              util::Table::fixed(merged.wallSeconds, 3),
               util::Table::fixed(merged.simSeconds, 3), identical ? "yes" : "NO — BUG"});
   }
 
-  // --- persistent artifact store: cold populate, warm sharded reload ---------
-  // The cross-process reuse path of `xlv_campaign run-shard --cache-dir`:
-  // a cold sharded pass writes golden traces / prefixes / mutant results to
-  // a shared store; a second sharded pass (memory caches cleared per shard,
-  // like fresh worker processes) must reload instead of recompute — with a
-  // nonzero disk-hit ledger — and stay bit-identical.
+  // --- persistent artifact store: cold populate, warm unit-split reload -----
+  // The cross-process reuse path of `xlv_campaignd run --cache-dir`: a cold
+  // unit-split pass writes golden traces / prefixes / mutant results to a
+  // shared store; a second pass (memory caches cleared per unit, like fresh
+  // worker processes) must reload instead of recompute — with a nonzero
+  // disk-hit ledger — and stay bit-identical.
   const std::filesystem::path cacheDir =
       std::filesystem::temp_directory_path() /
       ("xlv-bench-shard-cache-" + std::to_string(static_cast<long>(::getpid())));
   std::filesystem::remove_all(cacheDir);
   util::configureProcessArtifactStore(util::ArtifactStoreConfig{cacheDir.string(), 0});
   {
-    const campaign::ShardPlan plan =
-        campaign::planShards(smoke, campaign::ShardPlanOptions{3, 0, {}});
-    const campaign::CampaignResult coldStore = runSharded(smoke, plan);
-    const campaign::CampaignResult warmStore = runSharded(smoke, plan);
+    const campaign::CampaignResult coldStore = campaign::runAndMergeUnits(smoke, 0);
+    const campaign::CampaignResult warmStore = campaign::runAndMergeUnits(smoke, 0);
     const bool identical =
         single.sameResults(coldStore) && single.sameResults(warmStore);
     const bool warmHits = warmStore.diskHits > 0 && warmStore.mutantCacheHits > 0;
     if (!warmHits) {
       std::fprintf(stderr,
-                   "FAIL: warm sharded leg reports no cache reuse (disk hits %d, "
+                   "FAIL: warm unit-split leg reports no cache reuse (disk hits %d, "
                    "mutant hits %d, stores %d) — store silently disabled?\n",
                    warmStore.diskHits, warmStore.mutantCacheHits, warmStore.diskStores);
     }
     ok = ok && coldStore.ok() && warmStore.ok() && identical && warmHits;
-    t.addRow({"smoke+store", "3 cold", std::to_string(coldStore.diskStores) + " stored",
+    t.addRow({"smoke+store", "whole, cold", std::to_string(coldStore.diskStores) + " stored",
               util::Table::fixed(coldStore.wallSeconds, 3),
               util::Table::fixed(coldStore.simSeconds, 3), identical ? "yes" : "NO — BUG"});
-    t.addRow({"smoke+store", "3 warm", std::to_string(warmStore.diskHits) + " loaded",
+    t.addRow({"smoke+store", "whole, warm", std::to_string(warmStore.diskHits) + " loaded",
               util::Table::fixed(warmStore.wallSeconds, 3),
               util::Table::fixed(warmStore.simSeconds, 3), identical ? "yes" : "NO — BUG"});
   }
@@ -197,7 +172,7 @@ int main() {
 
   std::fputs(t.render().c_str(), stdout);
   std::printf(
-      "\nExpected shape: every merged row reports \"yes\" — the shard planner\n"
+      "\nExpected shape: every merged row reports \"yes\" — the unit planner\n"
       "assigns stable global task ids (and global mutant ids within fragmented\n"
       "items), so the task-id-ordered merge reproduces the single-process\n"
       "result bit-for-bit while sim work distributes across processes. The\n"
@@ -220,7 +195,7 @@ int main() {
        {"self_check_ok", ok ? 1.0 : 0.0}});
 
   if (!ok) {
-    std::fprintf(stderr, "\nFAIL: sharded campaign diverged from the single-process run "
+    std::fprintf(stderr, "\nFAIL: unit-split campaign diverged from the single-process run "
                          "or a warm cache served nothing\n");
     return 1;
   }

@@ -35,26 +35,27 @@ const CampaignItemResult* CampaignResult::find(const std::string& label) const n
   return nullptr;
 }
 
+bool sameItemResults(const CampaignItemResult& x, const CampaignItemResult& y) noexcept {
+  const auto& rx = x.report;
+  const auto& ry = y.report;
+  if (x.label != y.label || x.error != y.error) return false;
+  if (rx.ipName != ry.ipName || rx.sensorKind != ry.sensorKind || rx.hfRatio != ry.hfRatio ||
+      rx.sensors.size() != ry.sensors.size() ||
+      rx.skippedEndpoints != ry.skippedEndpoints ||
+      rx.sensorAreaGates != ry.sensorAreaGates ||
+      rx.sta.criticalCount != ry.sta.criticalCount ||
+      rx.sta.thresholdPs != ry.sta.thresholdPs || rx.loc.rtlClean != ry.loc.rtlClean ||
+      rx.loc.rtlAugmented != ry.loc.rtlAugmented || rx.loc.tlm != ry.loc.tlm ||
+      rx.loc.tlmInjected != ry.loc.tlmInjected || rx.mutantSpecs != ry.mutantSpecs) {
+    return false;
+  }
+  return rx.analysis.sameResults(ry.analysis);
+}
+
 bool CampaignResult::sameResults(const CampaignResult& other) const noexcept {
   if (items.size() != other.items.size()) return false;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& x = items[i];
-    const auto& y = other.items[i];
-    const auto& rx = x.report;
-    const auto& ry = y.report;
-    if (x.label != y.label || x.error != y.error) return false;
-    if (rx.ipName != ry.ipName || rx.sensorKind != ry.sensorKind ||
-        rx.hfRatio != ry.hfRatio || rx.sensors.size() != ry.sensors.size() ||
-        rx.skippedEndpoints != ry.skippedEndpoints ||
-        rx.sensorAreaGates != ry.sensorAreaGates ||
-        rx.sta.criticalCount != ry.sta.criticalCount ||
-        rx.sta.thresholdPs != ry.sta.thresholdPs ||
-        rx.loc.rtlClean != ry.loc.rtlClean || rx.loc.rtlAugmented != ry.loc.rtlAugmented ||
-        rx.loc.tlm != ry.loc.tlm || rx.loc.tlmInjected != ry.loc.tlmInjected ||
-        rx.mutantSpecs != ry.mutantSpecs) {
-      return false;
-    }
-    if (!rx.analysis.sameResults(ry.analysis)) return false;
+    if (!sameItemResults(items[i], other.items[i])) return false;
   }
   return true;
 }

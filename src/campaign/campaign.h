@@ -105,13 +105,18 @@ struct CampaignResult {
   /// single-process run would.
   const CampaignItemResult* firstError() const noexcept;
 
-  /// Deterministic-content equality: labels, errors and every
-  /// non-timing/non-cache report field (sensors, STA binning, mutant specs,
-  /// per-mutant analysis results). The single comparator behind the
-  /// "bit-identical across thread counts / cache modes" checks of the
+  /// Deterministic-content equality: the same item count and
+  /// sameItemResults for every item in order. The single comparator behind
+  /// the "bit-identical across thread counts / cache modes" checks of the
   /// sweep tests and the bench/CI self-check.
   bool sameResults(const CampaignResult& other) const noexcept;
 };
+
+/// Per-item deterministic-content equality: label, error and every
+/// non-timing/non-cache report field (sensors, STA binning, mutant specs,
+/// per-mutant analysis results). sameResults applies it item by item;
+/// mergeShards uses it to check the copies of a retried unit agree.
+bool sameItemResults(const CampaignItemResult& x, const CampaignItemResult& y) noexcept;
 
 /// Run every item of the spec; blocks until the campaign completes.
 CampaignResult runCampaign(const CampaignSpec& spec);

@@ -1,21 +1,19 @@
 // Campaign worker pool: work-stealing units with crash recovery.
 //
-// Static sharding (campaign/shard.h) splits a campaign into N
-// weight-balanced slices up front — good enough when every fragment costs
-// what the planner guessed, and useless when a worker dies. The pool is the
-// dynamic counterpart. One event loop (campaign/server.cpp) owns it for
-// both `xlv_campaignd serve` and `run`, which is one in-process campaign on
-// that loop (runDispatcher below). The loop
+// The pool is how a campaign runs across processes. One event loop
+// (campaign/server.cpp) owns it for both `xlv_campaignd serve` and `run`,
+// which is one in-process campaign on that loop (runDispatcher below). The
+// loop
 //
-//   * splits each spec into STEALABLE UNITS (planDispatchUnits — the flat
-//     unit/weight list underneath planShards, mutant-range fragments and
-//     all) and queues them heaviest-first (TaskQueue),
+//   * splits each spec into STEALABLE UNITS (planDispatchUnits in
+//     campaign/shard.h: whole items and mutant-range fragments, weighted by
+//     mutant count) and queues them heaviest-first (TaskQueue),
 //   * spawns a pool of worker subprocesses (util/subprocess.h) that each
 //     loop { recv unit, run it via runShardUnits, stream the ShardOutput
 //     back } (runDispatchWorker),
 //   * schedules by WORK-STEALING: a worker that finishes early just claims
 //     the next queued unit, so one mispredicted 100x fragment delays one
-//     worker, not the whole static plan, and
+//     worker, not the whole campaign, and
 //   * RE-QUEUES the in-flight unit of any worker that dies (exit, signal)
 //     or goes silent past the heartbeat timeout (SIGKILLed first). Retries
 //     are safe because unit results are bit-identical by construction —
@@ -212,8 +210,9 @@ class DispatchError : public std::runtime_error {
 struct PoolOptions {
   /// Worker pool size; 0 = resolveWorkerCount(0) (XLV_WORKERS or hardware).
   int workers = 0;
-  /// Stealable-unit granularity, as ShardPlanOptions::maxFragmentMutants
-  /// (a served submission may override it per campaign).
+  /// Stealable-unit granularity: planDispatchUnits splits items into
+  /// fragments of at most this many mutants, 0 = whole items (a served
+  /// submission may override it per campaign).
   std::size_t maxFragmentMutants = 0;
   /// Command prefix that execs ONE WORKER speaking the frame protocol on
   /// stdin/stdout; the pool appends "--index <i> --generation <g>

@@ -1,9 +1,9 @@
 // Cross-process serialization of the campaign domain types.
 //
-// Process-level sharding (campaign/shard.h) ships a CampaignSpec to worker
-// processes and ships their CampaignResults back; the codecs here are the
-// wire layer for both, built on util/codec.h (versioned header,
-// length-prefixed fields, strict field-order checking).
+// The campaign worker pool (campaign/dispatch.h) ships a CampaignSpec to
+// worker processes and ships their unit results back (campaign/shard.h);
+// the codecs here are the wire layer for both, built on util/codec.h
+// (versioned header, length-prefixed fields, strict field-order checking).
 //
 // Two deliberate asymmetries versus the in-memory structs:
 //
@@ -176,8 +176,8 @@ ResultFrame decodeResultFrame(std::string_view data);
 struct ClientSubmitFrame {
   std::string clientName;  ///< free-form label for the server's ledger
   std::string spec;        ///< encodeCampaignSpec document, by value
-  /// Stealable-unit granularity for this campaign (ShardPlanOptions::
-  /// maxFragmentMutants); 0 = the server's default.
+  /// Stealable-unit granularity for this campaign (the maxFragmentMutants
+  /// of planDispatchUnits); 0 = the server's default.
   std::uint64_t maxFragmentMutants = 0;
   /// Server-enforced wall-clock budget for the whole campaign, in
   /// milliseconds since admission; 0 = no deadline. An overdue campaign

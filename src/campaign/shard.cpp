@@ -17,7 +17,6 @@ using util::Encoder;
 
 namespace {
 
-constexpr const char* kPlanTag = "shard-plan";
 constexpr const char* kOutputTag = "shard-output";
 
 void putUnit(Encoder& e, const ShardUnit& u) {
@@ -54,16 +53,9 @@ std::size_t countFlowMutants(const ips::CaseStudy& cs, const core::FlowOptions& 
   return core::sliceMutantSet(specs, opts.mutantSet).size();
 }
 
-DispatchUnitPlan planDispatchUnits(const CampaignSpec& spec, std::size_t maxFragmentMutants,
-                                   const std::vector<std::size_t>& mutantCounts) {
-  if (!mutantCounts.empty() && mutantCounts.size() != spec.items.size()) {
-    throw std::invalid_argument(
-        "planDispatchUnits: mutantCounts size " + std::to_string(mutantCounts.size()) +
-        " does not match the spec's " + std::to_string(spec.items.size()) + " items");
-  }
-
-  std::vector<std::size_t> counts = mutantCounts;
-  if (counts.empty() && maxFragmentMutants > 0) {
+DispatchUnitPlan planDispatchUnits(const CampaignSpec& spec, std::size_t maxFragmentMutants) {
+  std::vector<std::size_t> counts;
+  if (maxFragmentMutants > 0) {
     counts.reserve(spec.items.size());
     for (const auto& item : spec.items) {
       counts.push_back(countFlowMutants(item.caseStudy, item.options));
@@ -86,41 +78,6 @@ DispatchUnitPlan planDispatchUnits(const CampaignSpec& spec, std::size_t maxFrag
     } else {
       plan.units.push_back(ShardUnit{i, 0, 0});
       plan.weights.push_back(std::max<std::uint64_t>(count, 1));
-    }
-  }
-  return plan;
-}
-
-ShardPlan planShards(const CampaignSpec& spec, const ShardPlanOptions& opt) {
-  if (opt.shards < 1) {
-    throw std::invalid_argument("planShards: shard count must be >= 1, got " +
-                                std::to_string(opt.shards));
-  }
-  const DispatchUnitPlan flat =
-      planDispatchUnits(spec, opt.maxFragmentMutants, opt.mutantCounts);
-  const std::vector<ShardUnit>& units = flat.units;
-  const std::vector<std::uint64_t>& weights = flat.weights;
-  std::uint64_t totalWeight = 0;
-  for (std::uint64_t w : weights) totalWeight += w;
-
-  ShardPlan plan;
-  plan.specFnv = flat.specFnv;
-  plan.specItems = spec.items.size();
-  plan.shards.assign(static_cast<std::size_t>(opt.shards), {});
-  // Contiguous weighted partition: advance to the next shard once the
-  // accumulated weight crosses its proportional boundary. Deterministic,
-  // integer-only, and keeps each shard a contiguous task-id range so
-  // prefix/golden-cache sharing within a shard mirrors the nested-loop
-  // sweep order.
-  const std::uint64_t n = static_cast<std::uint64_t>(opt.shards);
-  std::uint64_t acc = 0;
-  std::size_t shard = 0;
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    plan.shards[shard].push_back(units[u]);
-    acc += weights[u];
-    while (shard + 1 < static_cast<std::size_t>(opt.shards) &&
-           acc * n >= totalWeight * (static_cast<std::uint64_t>(shard) + 1)) {
-      ++shard;
     }
   }
   return plan;
@@ -152,19 +109,6 @@ ShardOutput runShardUnits(const CampaignSpec& spec, const std::vector<ShardUnit>
     out.result.items[i].taskId = units[i].taskId;
   }
   return out;
-}
-
-ShardOutput runShard(const CampaignSpec& spec, const ShardPlan& plan, int shardIndex) {
-  const std::uint64_t fnv = campaignSpecFnv(spec);
-  if (plan.specFnv != fnv || plan.specItems != spec.items.size()) {
-    throw std::invalid_argument("runShard: plan was built for a different spec");
-  }
-  if (shardIndex < 0 || shardIndex >= plan.shardCount()) {
-    throw std::invalid_argument("runShard: shard index " + std::to_string(shardIndex) +
-                                " outside [0, " + std::to_string(plan.shardCount()) + ")");
-  }
-  return runShardUnits(spec, plan.shards[static_cast<std::size_t>(shardIndex)], shardIndex,
-                       plan.shardCount());
 }
 
 namespace {
@@ -272,28 +216,6 @@ CampaignItemResult stitchFragments(std::size_t taskId, bool analysisRan,
   return merged;
 }
 
-/// Agreement check for a double-submitted fragment: everything
-/// CampaignResult::sameResults compares, at single-item granularity.
-/// Retried fragments are bit-identical by construction, so two copies of one
-/// fragment id that disagree mean spec/schema skew — a merge error, never a
-/// silent pick.
-bool samePartResults(const CampaignItemResult& x, const CampaignItemResult& y) {
-  const auto& rx = x.report;
-  const auto& ry = y.report;
-  if (x.label != y.label || x.error != y.error) return false;
-  if (rx.ipName != ry.ipName || rx.sensorKind != ry.sensorKind || rx.hfRatio != ry.hfRatio ||
-      rx.sensors.size() != ry.sensors.size() ||
-      rx.skippedEndpoints != ry.skippedEndpoints ||
-      rx.sensorAreaGates != ry.sensorAreaGates ||
-      rx.sta.criticalCount != ry.sta.criticalCount ||
-      rx.sta.thresholdPs != ry.sta.thresholdPs || rx.loc.rtlClean != ry.loc.rtlClean ||
-      rx.loc.rtlAugmented != ry.loc.rtlAugmented || rx.loc.tlm != ry.loc.tlm ||
-      rx.loc.tlmInjected != ry.loc.tlmInjected || rx.mutantSpecs != ry.mutantSpecs) {
-    return false;
-  }
-  return rx.analysis.sameResults(ry.analysis);
-}
-
 }  // namespace
 
 CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutput>& outputs) {
@@ -362,7 +284,7 @@ CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutp
       bool duplicate = false;
       for (Part& have : byTask[unit.taskId]) {
         if (*have.unit != unit) continue;
-        if (!samePartResults(*have.item, *part.item)) {
+        if (!sameItemResults(*have.item, *part.item)) {
           throw std::invalid_argument(
               "merge: duplicate copies of item " + std::to_string(unit.taskId) +
               " fragment [" + std::to_string(unit.mutantBegin) + ", " +
@@ -432,32 +354,6 @@ CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutp
 }
 
 // --- wire format -------------------------------------------------------------
-
-std::string encodeShardPlan(const ShardPlan& plan) {
-  Encoder e(kPlanTag, kCampaignCodecVersion);
-  e.u64("specFnv", plan.specFnv);
-  e.u64("specItems", plan.specItems);
-  e.beginList("shards", plan.shards.size());
-  for (const auto& shard : plan.shards) {
-    e.beginList("units", shard.size());
-    for (const auto& u : shard) putUnit(e, u);
-  }
-  return e.take();
-}
-
-ShardPlan decodeShardPlan(std::string_view data) {
-  Decoder d(data, kPlanTag, kCampaignCodecVersion);
-  ShardPlan plan;
-  plan.specFnv = d.u64("specFnv");
-  plan.specItems = static_cast<std::size_t>(d.u64("specItems"));
-  plan.shards.resize(d.beginList("shards"));
-  for (auto& shard : plan.shards) {
-    shard.resize(d.beginList("units"));
-    for (auto& u : shard) u = getUnit(d);
-  }
-  d.finish();
-  return plan;
-}
 
 std::string encodeShardOutput(const ShardOutput& output) {
   Encoder e(kOutputTag, kCampaignCodecVersion);

@@ -1,10 +1,10 @@
 // ArtifactStore: a disk-backed, size-capped LRU artifact cache shared
 // across processes (ROADMAP: "cache eviction + cross-process persistence").
 //
-// The in-memory OnceCaches de-duplicate work within one process; sharded
-// campaigns (campaign/shard.h, `xlv_campaign run-shard --cache-dir DIR`)
-// run in separate processes that today share nothing. This store is the
-// layer underneath: immutable artifacts — golden traces, flow prefixes,
+// The in-memory OnceCaches de-duplicate work within one process; the
+// worker processes of a campaign pool (campaign/dispatch.h,
+// `xlv_campaignd run --cache-dir DIR`) and consecutive runs share nothing
+// in memory. This store is the layer underneath: immutable artifacts — golden traces, flow prefixes,
 // per-mutant results — keyed by the same strings as the memory caches,
 // serialized with the byte-stable util/codec.h codecs and persisted under a
 // shared directory so a warm process (or a later run) loads instead of

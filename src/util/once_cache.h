@@ -8,11 +8,15 @@
 // exactly once, with the losers blocking on the winner rather than
 // duplicating work.
 //
-// Concurrency model: a mutex guards only the key -> entry map; each entry
-// carries its own std::once_flag, so builds for *different* keys proceed in
-// parallel while builds for the *same* key serialize through call_once. A
-// build that throws leaves the once_flag unset (std::call_once semantics),
-// so the next caller retries instead of caching the failure.
+// Concurrency model: one mutex guards the key -> entry map and every
+// entry's state — empty, building or built. The first caller to find an
+// entry empty marks it building and runs the build OUTSIDE the lock, so
+// builds for *different* keys proceed in parallel; callers for the *same*
+// key wait on the entry's condition variable until that build finishes. A
+// build that throws resets the entry to empty and wakes the waiters, so one
+// of them retries instead of caching the failure. (The retry is plain
+// mutex/condvar code on purpose: std::call_once cannot re-run a callable
+// that threw under ThreadSanitizer's pthread_once interceptor.)
 //
 // Capacity: setCapacity(n) bounds the entry count with LRU eviction (a
 // long-lived service sweeping an unbounded key set must not grow without
@@ -24,7 +28,7 @@
 // disk loads shared across processes.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -56,49 +60,52 @@ class OnceCache {
   std::shared_ptr<const V> getOrBuild(const std::string& key,
                                       const std::function<V()>& build,
                                       bool* wasHit = nullptr) {
-    std::shared_ptr<Entry> entry;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = entries_.find(key);
-      if (it == entries_.end()) {
-        it = entries_.emplace(key, std::make_shared<Entry>()).first;
-      }
-      entry = it->second;
-      entry->lastUse = ++tick_;
-      // Entries with callers inside call_once are never eviction victims;
-      // the count also covers a build that THROWS (decremented in the
-      // catch below), so a failed entry with no remaining callers becomes
-      // evictable instead of pinning the map above its capacity forever.
-      ++entry->activeCallers;
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      it = entries_.emplace(key, std::make_shared<Entry>()).first;
     }
-    bool builtHere = false;
-    try {
-      std::call_once(entry->once, [&] {
-        builtHere = true;
-        auto value = std::make_shared<const V>(build());
-        std::lock_guard<std::mutex> lock(mutex_);
-        entry->value = std::move(value);
-      });
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
+    const std::shared_ptr<Entry> entry = it->second;
+    entry->lastUse = ++tick_;
+    // Entries with callers inside getOrBuild (the builder and its waiters)
+    // are never eviction victims; the count is dropped on every exit path,
+    // so a failed entry with no remaining callers becomes evictable instead
+    // of pinning the map above its capacity forever.
+    ++entry->activeCallers;
+    entry->done.wait(lock, [&] { return !entry->building; });
+    if (entry->value != nullptr) {
       --entry->activeCallers;
+      ++hits_;
+      entry->lastUse = ++tick_;
+      if (wasHit != nullptr) *wasHit = true;
+      return entry->value;
+    }
+
+    entry->building = true;
+    lock.unlock();
+    std::shared_ptr<const V> value;
+    try {
+      value = std::make_shared<const V>(build());
+    } catch (...) {
+      lock.lock();
+      entry->building = false;
+      --entry->activeCallers;
+      entry->done.notify_all();
       // A failed build still inserted an entry: enforce the cap here too,
       // or a stream of distinct always-throwing keys would grow the map
       // unboundedly until some unrelated build succeeds.
       evictOverCapacityLocked(nullptr);
       throw;
     }
-    if (wasHit != nullptr) *wasHit = !builtHere;
-    // call_once synchronizes-with the winning build, so value is visible.
-    std::lock_guard<std::mutex> lock(mutex_);
+    lock.lock();
+    entry->value = std::move(value);
+    entry->building = false;
     --entry->activeCallers;
-    if (builtHere) {
-      ++misses_;
-    } else {
-      ++hits_;
-    }
+    ++misses_;
     entry->lastUse = ++tick_;
-    if (builtHere) evictOverCapacityLocked(entry);
+    entry->done.notify_all();
+    evictOverCapacityLocked(entry);
+    if (wasHit != nullptr) *wasHit = false;
     return entry->value;
   }
 
@@ -139,9 +146,11 @@ class OnceCache {
   }
 
  private:
+  /// Empty (no value, not building), building, or built (value set).
   struct Entry {
-    std::once_flag once;
     std::shared_ptr<const V> value;
+    bool building = false;
+    std::condition_variable done;  ///< signalled when a build ends
     std::uint64_t lastUse = 0;
     int activeCallers = 0;  ///< callers currently inside getOrBuild
   };

@@ -2,8 +2,8 @@
 // persistent cache PR, stated as tests.
 //
 //   * A campaign with a cache dir is sameResults-bit-identical cold vs warm
-//     vs sharded-warm (each warm pass runs with cleared in-memory caches,
-//     i.e. what a fresh worker process sees).
+//     vs warm split into dispatch units (each warm pass runs with cleared
+//     in-memory caches, i.e. what a fresh worker process sees).
 //   * The mutant-set-variant axis performs ZERO mutant re-simulations when
 //     the `full` variant's results are cached (ledger-asserted).
 //   * Eviction under an artificially small byte cap — and outright entry
@@ -23,6 +23,7 @@
 #include "campaign/sweep.h"
 #include "core/flow.h"
 #include "util/artifact_store.h"
+#include "unit_runner.h"
 
 namespace xlv::campaign {
 namespace {
@@ -98,21 +99,10 @@ TEST_F(StoreFixture, ColdWarmAndShardedWarmAreBitIdentical) {
   EXPECT_EQ(static_cast<int>(totalMutants(warm)), warm.mutantCacheHits);
   EXPECT_GT(warm.mutantCacheHits, 0);
 
-  // Sharded warm: three "processes" over the shared store, merged back.
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{3, 0, {}});
-  const std::string specWire = encodeCampaignSpec(spec);
-  const std::string planWire = encodeShardPlan(plan);
-  std::vector<ShardOutput> outputs;
-  for (int s = 0; s < plan.shardCount(); ++s) {
-    freshProcess();
-    const CampaignSpec workerSpec = decodeCampaignSpec(specWire);
-    const ShardPlan workerPlan = decodeShardPlan(planWire);
-    outputs.push_back(
-        decodeShardOutput(encodeShardOutput(runShard(workerSpec, workerPlan, s))));
-  }
-  freshProcess();
-  const CampaignResult mergedWarm = mergeShards(spec, outputs);
-  EXPECT_TRUE(reference.sameResults(mergedWarm)) << "sharded-warm must be bit-identical";
+  // Warm dispatch units: one fresh "process" per item over the shared
+  // store, merged back.
+  const CampaignResult mergedWarm = runAndMergeUnits(spec, 0);
+  EXPECT_TRUE(reference.sameResults(mergedWarm)) << "unit-split warm must be bit-identical";
   EXPECT_GT(mergedWarm.diskHits, 0);
   EXPECT_EQ(static_cast<int>(totalMutants(mergedWarm)), mergedWarm.mutantCacheHits);
 }

@@ -262,17 +262,41 @@ std::size_t threadCount() {
   return n;
 }
 
+/// threadCount() once it has held still for 20 ms. pthread_join returns
+/// once the kernel clears the exiting thread's tid, which can happen before
+/// that thread leaves /proc/self/task, so a count taken right after a join
+/// may still include the joined thread.
+std::size_t settledThreadCount() {
+  std::size_t n = threadCount();
+  for (int stable = 0; stable < 20;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::size_t m = threadCount();
+    stable = m == n ? stable + 1 : 0;
+    n = m;
+  }
+  return n;
+}
+
 TEST(Executor, NoThreadOutlivesTheOutermostRun) {
   // A first pooled run lets a runtime that starts a thread of its own on
   // the first thread creation (ThreadSanitizer does) do so uncounted.
   Executor(ExecutorConfig{2, 0}).run(2, [](std::size_t) {});
-  const std::size_t before = threadCount();
+  const std::size_t before = settledThreadCount();
   std::atomic<int> done{0};
   Executor(ExecutorConfig{4, 0}).run(3, [&](std::size_t) {
     Executor(ExecutorConfig{4, 0}).run(8, [&](std::size_t) { done.fetch_add(1); });
   });
   EXPECT_EQ(24, done.load());
-  EXPECT_EQ(before, threadCount());
+  // The run's joined threads can linger in the listing too (see
+  // settledThreadCount); poll until it catches up, and fail only if it
+  // never does.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t after = threadCount();
+  while (after != before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = threadCount();
+  }
+  EXPECT_EQ(before, after);
 }
 
 TEST(Executor, NestedTasksWaitingOnAOnceCacheBuildComplete) {

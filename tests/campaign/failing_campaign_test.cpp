@@ -1,10 +1,10 @@
 // Regression suite for CampaignResult::firstError and the CLI exit-code-3
 // contract: the builtin "failing" spec (deliberately broken mid-campaign
 // items whose breakage lives in the OPTIONS, so it survives the wire
-// codecs) is pushed through the same library paths the xlv_campaign
-// run / run-shard / merge / diff commands wrap, asserting the
-// lowest-task-id error survives serialization, sharding and merging — and
-// that campaignExitCode maps it to 3, never a vacuous 0.
+// codecs) is pushed through the same library paths `xlv_campaign run` /
+// `diff` and the xlv_campaignd worker pool wrap, asserting the
+// lowest-task-id error survives serialization, unit splitting and merging
+// — and that campaignExitCode maps it to 3, never a vacuous 0.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,6 +16,7 @@
 #include "campaign/serialize.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
+#include "unit_runner.h"
 
 namespace xlv::campaign {
 namespace {
@@ -75,18 +76,14 @@ TEST(FailingCampaign, ShardingAndMergePreserveTheFirstErrorAndExitCode) {
   clearProcessCaches();
   const CampaignResult single = runCampaign(spec);
 
-  // run-shard / merge, through the wire codecs like separate processes.
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{2, 0, {}});
-  std::vector<ShardOutput> outputs;
-  for (int s = 0; s < plan.shardCount(); ++s) {
-    clearProcessCaches();
-    const ShardOutput out = runShard(spec, plan, s);
-    // A shard that ran a broken item reports exit 3 itself (the worker
+  // One dispatch unit per item, through the wire codecs like separate
+  // worker processes.
+  const std::vector<ShardOutput> outputs = runDispatchUnits(spec, 0);
+  for (const ShardOutput& out : outputs) {
+    // A unit that ran a broken item reports exit 3 itself (the worker
     // process must fail loudly, not hand a quiet file to the merger).
     if (!out.result.ok()) EXPECT_EQ(3, campaignExitCode(out.result));
-    outputs.push_back(decodeShardOutput(encodeShardOutput(out)));
   }
-  clearProcessCaches();
   const CampaignResult merged = mergeShards(spec, outputs);
 
   EXPECT_FALSE(merged.ok());

@@ -1,8 +1,9 @@
 // Native-codegen backend conformance: simulating through the compiled
 // engine (abstraction/native_backend.h, FlowOptions::backend = Native) must
 // be sameResults-bit-identical to the interpreter — across thread counts,
-// across process-level shards, with a warm artifact store, for stateful
-// (makeDriver) testbenches, and under XLV_REFERENCE_SIM=1 full replay.
+// across dispatch units run as separate worker processes, with a warm
+// artifact store, for stateful (makeDriver) testbenches, and under
+// XLV_REFERENCE_SIM=1 full replay.
 // Mutant batching (FlowOptions::batch = K) is the second axis: any K must
 // reproduce the K=1 results exactly, on either engine.
 //
@@ -23,6 +24,7 @@
 #include "core/flow.h"
 #include "ips/case_study.h"
 #include "util/artifact_store.h"
+#include "unit_runner.h"
 
 namespace xlv::campaign {
 namespace {
@@ -98,21 +100,11 @@ TEST(NativeConformance, ThreeWayShardedNativeMatchesInterpreter) {
   const CampaignResult interp = runCold(smokeSpec(analysis::SimBackend::Interpreter));
   ASSERT_TRUE(interp.ok());
 
-  // Each shard runs like a separate worker process: cold in-memory caches
-  // (so each re-compiles or re-loads its own native library), wire codecs
-  // in between — the backend/batch options must survive the v4 codec.
+  // Each dispatch unit runs like a separate worker process: cold in-memory
+  // caches (so each re-compiles or re-loads its own native library), wire
+  // codecs in between — the backend/batch options must survive the codec.
   const CampaignSpec spec = smokeSpec(analysis::SimBackend::Native);
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{3, 0, {}});
-  const std::string specWire = encodeCampaignSpec(spec);
-  const std::string planWire = encodeShardPlan(plan);
-  std::vector<ShardOutput> outputs;
-  for (int s = 0; s < plan.shardCount(); ++s) {
-    freshProcess();
-    outputs.push_back(decodeShardOutput(encodeShardOutput(
-        runShard(decodeCampaignSpec(specWire), decodeShardPlan(planWire), s))));
-  }
-  freshProcess();
-  const CampaignResult merged = mergeShards(spec, outputs);
+  const CampaignResult merged = runAndMergeUnits(spec, 0);
   ASSERT_TRUE(merged.ok());
   expectNativeWork(merged);
   EXPECT_TRUE(interp.sameResults(merged));

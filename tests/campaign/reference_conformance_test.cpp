@@ -2,9 +2,9 @@
 // (checkpoint fast-forward + verdict-saturation early exit,
 // analysis/mutation_analysis.h) must be sameResults-bit-identical to the
 // XLV_REFERENCE_SIM=1 full-replay path — across thread counts, across
-// process-level shards, with warm artifact/mutant caches, and for stateful
-// (makeDriver) testbenches whose drivers are replayed through the skipped
-// prefix. Only the cycle ledgers may differ: the reference path skips
+// dispatch units run as separate worker processes, with warm
+// artifact/mutant caches, and for stateful (makeDriver) testbenches whose
+// drivers are replayed through the skipped prefix. Only the cycle ledgers may differ: the reference path skips
 // nothing, the fast path must skip something on these workloads.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,6 +19,7 @@
 #include "core/flow.h"
 #include "ips/case_study.h"
 #include "util/artifact_store.h"
+#include "unit_runner.h"
 
 namespace xlv::campaign {
 namespace {
@@ -129,22 +130,13 @@ TEST(ReferenceConformance, ThreeWayShardedFastPathMatchesReference) {
   const CampaignResult reference = runReference(spec);
   ASSERT_TRUE(reference.ok());
 
-  // Each shard runs like a separate worker process: cold in-memory caches,
-  // spec/plan/output pushed through the wire codecs.
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{3, 0, {}});
-  const std::string specWire = encodeCampaignSpec(spec);
-  const std::string planWire = encodeShardPlan(plan);
-  std::vector<ShardOutput> outputs;
+  // Each dispatch unit runs like a separate worker process: cold in-memory
+  // caches, spec and output pushed through the wire codecs.
+  CampaignResult merged;
   {
     ReferenceModeGuard guard(false);
-    for (int s = 0; s < plan.shardCount(); ++s) {
-      freshProcess();
-      outputs.push_back(decodeShardOutput(encodeShardOutput(
-          runShard(decodeCampaignSpec(specWire), decodeShardPlan(planWire), s))));
-    }
+    merged = runAndMergeUnits(spec, 0);
   }
-  freshProcess();
-  const CampaignResult merged = mergeShards(spec, outputs);
   ASSERT_TRUE(merged.ok());
   EXPECT_TRUE(reference.sameResults(merged));
   EXPECT_GT(merged.cyclesSkipped, 0u);

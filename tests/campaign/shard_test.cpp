@@ -1,8 +1,8 @@
-// Process-level sharding: the cross-shard bit-identity conformance suite.
+// Campaign units: the cross-process bit-identity conformance suite.
 //
-// The single-process campaign is the truth; a sharded run — any shard
-// count, whole items or mutant-range fragments, each shard executed with
-// cold process caches exactly like a separate worker process — must merge
+// The single-process campaign is the truth; a run split into dispatch units
+// — whole items or mutant-range fragments, each unit executed with cold
+// process caches exactly like a worker process of the pool — must merge
 // back into a CampaignResult that CampaignResult::sameResults cannot tell
 // apart from that truth.
 #include <gtest/gtest.h>
@@ -12,35 +12,50 @@
 #include <string>
 #include <vector>
 
-#include "analysis/golden_cache.h"
-#include "analysis/mutant_cache.h"
 #include "campaign/serialize.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
+#include "unit_runner.h"
 
 namespace xlv::campaign {
 namespace {
 
 void clearProcessCaches() { core::clearProcessCaches(); }
 
-/// Run every shard of the plan as a separate worker process would see it:
-/// cold caches per shard, spec/plan/output pushed through the wire codecs.
-std::vector<ShardOutput> runAllShards(const CampaignSpec& spec, const ShardPlan& plan) {
-  const std::string specWire = encodeCampaignSpec(spec);
-  const std::string planWire = encodeShardPlan(plan);
-  std::vector<ShardOutput> outputs;
-  for (int s = 0; s < plan.shardCount(); ++s) {
-    clearProcessCaches();
-    const CampaignSpec workerSpec = decodeCampaignSpec(specWire);
-    const ShardPlan workerPlan = decodeShardPlan(planWire);
-    outputs.push_back(
-        decodeShardOutput(encodeShardOutput(runShard(workerSpec, workerPlan, s))));
+/// Every task id of the spec is covered exactly once, in order: by one
+/// whole-item unit, or by fragments that tile [0, count) of its mutant set
+/// with at most maxFragmentMutants each. Every weight is >= 1.
+void expectUnitsTileTheSpec(const CampaignSpec& spec, std::size_t maxFragmentMutants,
+                            const DispatchUnitPlan& plan) {
+  ASSERT_EQ(plan.units.size(), plan.weights.size());
+  EXPECT_EQ(campaignSpecFnv(spec), plan.specFnv);
+  for (const std::uint64_t w : plan.weights) EXPECT_GE(w, 1u);
+  std::size_t u = 0;
+  for (std::size_t task = 0; task < spec.items.size(); ++task) {
+    ASSERT_LT(u, plan.units.size()) << "task " << task << " is not covered";
+    if (plan.units[u].wholeItem()) {
+      EXPECT_EQ(task, plan.units[u].taskId);
+      ++u;
+      continue;
+    }
+    const std::size_t count =
+        countFlowMutants(spec.items[task].caseStudy, spec.items[task].options);
+    std::size_t expectBegin = 0;
+    while (u < plan.units.size() && plan.units[u].taskId == task) {
+      const ShardUnit& unit = plan.units[u];
+      EXPECT_FALSE(unit.wholeItem());
+      EXPECT_EQ(expectBegin, unit.mutantBegin) << "task " << task;
+      EXPECT_LE(unit.mutantEnd - unit.mutantBegin, maxFragmentMutants);
+      EXPECT_EQ(unit.mutantEnd - unit.mutantBegin, plan.weights[u]);
+      expectBegin = unit.mutantEnd;
+      ++u;
+    }
+    EXPECT_EQ(count, expectBegin) << "fragments of task " << task << " leave a gap";
   }
-  clearProcessCaches();
-  return outputs;
+  EXPECT_EQ(plan.units.size(), u) << "units past the last task";
 }
 
-// --- the acceptance workload: PR 2 sweep, N in {2, 3, 5} ---------------------
+// --- the acceptance workload: the smoke sweep, whole items and fragments ---
 
 TEST(Shard, MergedSweepIsBitIdenticalToSingleProcessForAnyShardCount) {
   const CampaignSpec spec = builtinCampaignSpec("smoke");
@@ -50,16 +65,16 @@ TEST(Shard, MergedSweepIsBitIdenticalToSingleProcessForAnyShardCount) {
   const CampaignResult single = runCampaign(spec);
   EXPECT_TRUE(single.ok());
 
+  // Whole items (8 units), then two fragment sizes: 40 splits only the
+  // larger items, 16 splits every one.
   std::vector<CampaignResult> merged;
-  for (const int shards : {2, 3, 5}) {
-    const ShardPlan plan = planShards(spec, ShardPlanOptions{shards, 0, {}});
-    ASSERT_EQ(shards, plan.shardCount());
-    merged.push_back(mergeShards(spec, runAllShards(spec, plan)));
-    EXPECT_TRUE(merged.back().ok()) << shards << " shards";
-    EXPECT_TRUE(single.sameResults(merged.back())) << shards << " shards vs single";
+  for (const std::size_t maxFragment : {0, 40, 16}) {
+    merged.push_back(runAndMergeUnits(spec, maxFragment));
+    EXPECT_TRUE(merged.back().ok()) << "max fragment " << maxFragment;
+    EXPECT_TRUE(single.sameResults(merged.back())) << "max fragment " << maxFragment;
     EXPECT_EQ(single.items.size(), merged.back().items.size());
   }
-  // Every pairing of shard counts agrees too (sameResults is the single
+  // Every pairing of unit splits agrees too (sameResults is the single
   // comparator, so this is transitivity made explicit).
   for (std::size_t i = 0; i < merged.size(); ++i) {
     for (std::size_t j = i + 1; j < merged.size(); ++j) {
@@ -82,27 +97,21 @@ TEST(Shard, OversizedItemSplitsByMutantRangeAndStitchesBack) {
   ASSERT_TRUE(single.ok());
   ASSERT_EQ(mutants, single.items[0].report.analysis.results.size());
 
-  ShardPlanOptions opt;
-  opt.shards = 3;
-  opt.maxFragmentMutants = 2;
-  const ShardPlan plan = planShards(spec, opt);
+  const DispatchUnitPlan plan = planDispatchUnits(spec, 2);
   // The one item must actually fragment: every unit is a range, ranges tile
   // [0, mutants) in order.
-  std::size_t units = 0, expectBegin = 0;
-  for (const auto& shard : plan.shards) {
-    for (const auto& u : shard) {
-      ++units;
-      EXPECT_FALSE(u.wholeItem());
-      EXPECT_EQ(0u, u.taskId);
-      EXPECT_EQ(expectBegin, u.mutantBegin);
-      EXPECT_LE(u.mutantEnd - u.mutantBegin, opt.maxFragmentMutants);
-      expectBegin = u.mutantEnd;
-    }
+  std::size_t expectBegin = 0;
+  for (const auto& u : plan.units) {
+    EXPECT_FALSE(u.wholeItem());
+    EXPECT_EQ(0u, u.taskId);
+    EXPECT_EQ(expectBegin, u.mutantBegin);
+    EXPECT_LE(u.mutantEnd - u.mutantBegin, 2u);
+    expectBegin = u.mutantEnd;
   }
   EXPECT_EQ(mutants, expectBegin);
-  EXPECT_EQ((mutants + 1) / 2, units);
+  EXPECT_EQ((mutants + 1) / 2, plan.units.size());
 
-  const CampaignResult merged = mergeShards(spec, runAllShards(spec, plan));
+  const CampaignResult merged = runAndMergeUnits(spec, 2);
   EXPECT_TRUE(merged.ok());
   EXPECT_TRUE(single.sameResults(merged));
   // The stitched analysis is the full set with global ids in order.
@@ -115,37 +124,27 @@ TEST(Shard, OversizedItemSplitsByMutantRangeAndStitchesBack) {
 
 TEST(Shard, PlannerIsDeterministicContiguousAndComplete) {
   const CampaignSpec spec = builtinCampaignSpec("smoke");
-  const ShardPlan a = planShards(spec, ShardPlanOptions{3, 0, {}});
-  const ShardPlan b = planShards(spec, ShardPlanOptions{3, 0, {}});
-  EXPECT_EQ(a.shards, b.shards);
-  EXPECT_EQ(encodeShardPlan(a), encodeShardPlan(b));
-
-  // Whole-item planning covers every task id exactly once, in order, with
-  // contiguous slices per shard.
-  std::size_t expect = 0;
-  for (const auto& shard : a.shards) {
-    for (const auto& u : shard) {
-      EXPECT_TRUE(u.wholeItem());
-      EXPECT_EQ(expect++, u.taskId);
-    }
+  for (const std::size_t maxFragment : {0, 40, 16}) {
+    const DispatchUnitPlan a = planDispatchUnits(spec, maxFragment);
+    const DispatchUnitPlan b = planDispatchUnits(spec, maxFragment);
+    EXPECT_EQ(a.units, b.units) << "max fragment " << maxFragment;
+    EXPECT_EQ(a.weights, b.weights) << "max fragment " << maxFragment;
+    expectUnitsTileTheSpec(spec, maxFragment, a);
   }
-  EXPECT_EQ(spec.items.size(), expect);
-
-  // More shards than units: trailing shards are empty, never invalid.
-  const ShardPlan wide = planShards(spec, ShardPlanOptions{64, 0, {}});
-  std::size_t covered = 0;
-  for (const auto& shard : wide.shards) covered += shard.size();
-  EXPECT_EQ(spec.items.size(), covered);
-
-  EXPECT_THROW(planShards(spec, ShardPlanOptions{0, 0, {}}), std::invalid_argument);
-  EXPECT_THROW(planShards(spec, ShardPlanOptions{2, 0, {1, 2, 3}}), std::invalid_argument);
+  // Whole-item planning: one unit per item, in task-id order, weight 1.
+  const DispatchUnitPlan whole = planDispatchUnits(spec, 0);
+  ASSERT_EQ(spec.items.size(), whole.units.size());
+  for (std::size_t i = 0; i < whole.units.size(); ++i) {
+    EXPECT_EQ(ShardUnit{i}, whole.units[i]);
+    EXPECT_EQ(1u, whole.weights[i]);
+  }
 }
 
-// --- failure propagation across the shard boundary ---------------------------
+// --- failure propagation across the unit boundary ----------------------------
 
 TEST(Shard, MergeSurfacesTheLowestTaskIdError) {
   // Items 1 and 3 carry a broken case study (no module): each fails inside
-  // its shard, the campaign captures the error per item, and the merged
+  // its unit, the campaign captures the error per item, and the merged
   // result reports the LOWEST task id first — the same failure the
   // single-process run surfaces.
   CampaignSpec spec;
@@ -168,15 +167,9 @@ TEST(Shard, MergeSurfacesTheLowestTaskIdError) {
   ASSERT_NE(nullptr, single.firstError());
   EXPECT_EQ(1u, single.firstError()->taskId);
 
-  // Shards run on the in-memory spec (not the wire round trip — the codec
+  // Units run on the in-memory spec (not the wire round trip — the codec
   // rebuilds case studies by name, which would heal the broken module).
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{3, 0, {}});
-  std::vector<ShardOutput> outputs;
-  for (int s = 0; s < plan.shardCount(); ++s) {
-    clearProcessCaches();
-    outputs.push_back(runShard(spec, plan, s));
-  }
-  const CampaignResult merged = mergeShards(spec, outputs);
+  const CampaignResult merged = runAndMergeUnits(spec, 0, SpecTransport::InMemory);
   EXPECT_FALSE(merged.ok());
   ASSERT_NE(nullptr, merged.firstError());
   EXPECT_EQ(1u, merged.firstError()->taskId);
@@ -188,19 +181,17 @@ TEST(Shard, MergeSurfacesTheLowestTaskIdError) {
 
 TEST(Shard, MergeRejectsIncompleteMismatchedOrDuplicateOutputs) {
   const CampaignSpec spec = builtinCampaignSpec("single");
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{2, 0, {}});
-  clearProcessCaches();
-  std::vector<ShardOutput> outputs = runAllShards(spec, plan);
-  ASSERT_EQ(2u, outputs.size());
+  const std::vector<ShardOutput> outputs = runDispatchUnits(spec, 16);
+  ASSERT_EQ(3u, outputs.size()) << "45 mutants in fragments of 16";
 
   // Complete set merges.
   EXPECT_NO_THROW(mergeShards(spec, outputs));
 
-  // A missing shard is incomplete.
-  EXPECT_THROW(mergeShards(spec, {outputs[0]}), std::invalid_argument);
+  // A missing output is incomplete.
+  EXPECT_THROW(mergeShards(spec, {outputs[0], outputs[1]}), std::invalid_argument);
 
-  // The same shard twice still leaves shard 1 uncovered: incomplete. (The
-  // duplicate itself is tolerated now — see
+  // The same output twice still leaves the others uncovered: incomplete.
+  // (The duplicate itself is tolerated — see
   // MergeDeduplicatesDoubleSubmittedShardsByFragmentId.)
   EXPECT_THROW(mergeShards(spec, {outputs[0], outputs[0]}), std::invalid_argument);
 
@@ -208,35 +199,29 @@ TEST(Shard, MergeRejectsIncompleteMismatchedOrDuplicateOutputs) {
   CampaignSpec other = spec;
   other.name = "renamed";
   EXPECT_THROW(mergeShards(other, outputs), std::invalid_argument);
-
-  // A stale plan (fingerprint mismatch) cannot even start a shard run.
-  const ShardPlan stalePlan = planShards(other, ShardPlanOptions{2, 0, {}});
-  EXPECT_THROW(runShard(spec, stalePlan, 0), std::invalid_argument);
-  EXPECT_THROW(runShard(spec, plan, 7), std::invalid_argument);
 }
 
 TEST(Shard, MergeDeduplicatesDoubleSubmittedShardsByFragmentId) {
   const CampaignSpec spec = builtinCampaignSpec("single");
-  // Fragmented plan so both shards carry real mutant ranges.
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{2, 2, {}});
-  clearProcessCaches();
-  std::vector<ShardOutput> outputs = runAllShards(spec, plan);
-  ASSERT_EQ(2u, outputs.size());
-  ASSERT_FALSE(outputs[0].units.empty());
-  ASSERT_FALSE(outputs[1].units.empty());
+  // Fragmented units so every output carries a real mutant range.
+  const std::vector<ShardOutput> outputs = runDispatchUnits(spec, 16);
+  ASSERT_EQ(3u, outputs.size());
+  for (const ShardOutput& o : outputs) ASSERT_FALSE(o.units.front().wholeItem());
 
   const CampaignResult once = mergeShards(spec, outputs);
 
   // A crashed worker's retry can race its dead predecessor's
-  // already-delivered result, so the dispatcher may hand the merge the same
-  // shard twice. The merge dedups by fragment id and stays bit-identical...
-  const CampaignResult twice = mergeShards(spec, {outputs[0], outputs[1], outputs[0]});
+  // already-delivered result, so the pool may hand the merge the same unit
+  // twice. The merge dedups by fragment id and stays bit-identical...
+  const CampaignResult twice =
+      mergeShards(spec, {outputs[0], outputs[1], outputs[2], outputs[0]});
   EXPECT_TRUE(once.sameResults(twice));
   EXPECT_EQ(once.items.size(), twice.items.size());
 
   // ...independent of delivery order (results stream back in completion
   // order, which work stealing does not fix)...
-  const CampaignResult shuffled = mergeShards(spec, {outputs[1], outputs[0], outputs[0]});
+  const CampaignResult shuffled =
+      mergeShards(spec, {outputs[2], outputs[0], outputs[1], outputs[0]});
   EXPECT_TRUE(once.sameResults(shuffled));
 
   // ...while the duplicated work still lands in the ledgers: that
@@ -247,43 +232,23 @@ TEST(Shard, MergeDeduplicatesDoubleSubmittedShardsByFragmentId) {
   ShardOutput tampered = outputs[0];
   ASSERT_FALSE(tampered.result.items.empty());
   tampered.result.items[0].label += "-skew";
-  EXPECT_THROW(mergeShards(spec, {outputs[0], outputs[1], tampered}),
+  EXPECT_THROW(mergeShards(spec, {outputs[0], outputs[1], outputs[2], tampered}),
                std::invalid_argument);
 }
 
-TEST(Shard, RunShardUnitsMatchesRunShardOnThePlannedUnits) {
-  const CampaignSpec spec = builtinCampaignSpec("single");
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{2, 2, {}});
-  clearProcessCaches();
-  const ShardOutput viaPlan = runShard(spec, plan, 0);
-  clearProcessCaches();
-  // The dispatcher path: same units, no plan validation wrapper.
-  const ShardOutput direct = runShardUnits(spec, plan.shards[0], 0, 2);
-  clearProcessCaches();
-  EXPECT_EQ(viaPlan.units, direct.units);
-  EXPECT_EQ(viaPlan.shardIndex, direct.shardIndex);
-  EXPECT_EQ(viaPlan.shardCount, direct.shardCount);
-  EXPECT_TRUE(viaPlan.result.sameResults(direct.result));
-}
-
 TEST(Shard, PlanDispatchUnitsUnderpinsPlanShards) {
+  // The units the pool schedules for a fragmented one-item spec: ranges of
+  // at most 2 mutants that tile the item, weighted by their mutant count.
   const CampaignSpec spec = builtinCampaignSpec("single");
   const DispatchUnitPlan units = planDispatchUnits(spec, 2);
-  ASSERT_EQ(units.units.size(), units.weights.size());
   ASSERT_GT(units.units.size(), 1u) << "fragmentation requested but not applied";
-  EXPECT_EQ(units.specFnv, campaignSpecFnv(spec));
-  for (const std::uint64_t w : units.weights) EXPECT_GE(w, 1u);
-  // planShards is exactly a contiguous partition of this unit list.
-  const ShardPlan plan = planShards(spec, ShardPlanOptions{3, 2, {}});
-  std::vector<ShardUnit> flattened;
-  for (const auto& shard : plan.shards) {
-    flattened.insert(flattened.end(), shard.begin(), shard.end());
-  }
-  EXPECT_EQ(flattened, units.units);
-  // Explicit per-item counts skip the probe; a size mismatch is rejected.
-  const DispatchUnitPlan counted = planDispatchUnits(spec, 2, {4});
-  EXPECT_EQ(counted.units.size(), 2u);
-  EXPECT_THROW(planDispatchUnits(spec, 2, {4, 4}), std::invalid_argument);
+  expectUnitsTileTheSpec(spec, 2, units);
+  EXPECT_EQ(units.units, planDispatchUnits(spec, 2).units);
+  // Without fragmentation the item is one whole unit of weight 1.
+  const DispatchUnitPlan whole = planDispatchUnits(spec, 0);
+  ASSERT_EQ(1u, whole.units.size());
+  EXPECT_TRUE(whole.units[0].wholeItem());
+  EXPECT_EQ(1u, whole.weights[0]);
 }
 
 }  // namespace

@@ -216,21 +216,6 @@ campaign::CampaignSpec randomCampaignSpec(Prng& rng) {
   return spec;
 }
 
-campaign::ShardPlan randomShardPlan(Prng& rng) {
-  campaign::ShardPlan plan;
-  plan.specFnv = rng.next();
-  plan.specItems = rng.below(64);
-  const std::size_t shards = 1 + rng.below(4);
-  plan.shards.resize(shards);
-  for (auto& shard : plan.shards) {
-    const std::size_t units = rng.below(4);
-    for (std::size_t u = 0; u < units; ++u) {
-      shard.push_back(campaign::ShardUnit{rng.below(64), rng.below(8), rng.below(32)});
-    }
-  }
-  return plan;
-}
-
 campaign::ShardUnit randomShardUnit(Prng& rng) {
   return campaign::ShardUnit{rng.below(64), rng.below(8), rng.below(32)};
 }
@@ -400,11 +385,6 @@ std::vector<Codec> codecs() {
        [](std::string_view b) {
          return campaign::encodeCampaignSpec(campaign::decodeCampaignSpec(b));
        }},
-      {"shard-plan",
-       [](Prng& rng) { return campaign::encodeShardPlan(randomShardPlan(rng)); },
-       [](std::string_view b) {
-         return campaign::encodeShardPlan(campaign::decodeShardPlan(b));
-       }},
       {"shard-output",
        [](Prng& rng) { return campaign::encodeShardOutput(randomShardOutput(rng)); },
        [](std::string_view b) {
@@ -570,10 +550,10 @@ TEST(CodecFuzz, DispatchFramesRejectMixedSchemaVersions) {
 }
 
 TEST(CodecFuzz, PeekDocumentTagRejectsMalformedHeaders) {
-  EXPECT_EQ(util::peekDocumentTag("xlv shard-plan v5\nrest"), "shard-plan");
+  EXPECT_EQ(util::peekDocumentTag("xlv shard-output v5\nrest"), "shard-output");
   EXPECT_THROW(util::peekDocumentTag(""), DecodeError);
-  EXPECT_THROW(util::peekDocumentTag("xlv shard-plan v5"), DecodeError);  // no newline
-  EXPECT_THROW(util::peekDocumentTag("XLV shard-plan v5\n"), DecodeError);
+  EXPECT_THROW(util::peekDocumentTag("xlv shard-output v5"), DecodeError);  // no newline
+  EXPECT_THROW(util::peekDocumentTag("XLV shard-output v5\n"), DecodeError);
   EXPECT_THROW(util::peekDocumentTag("xlv \n"), DecodeError);
   EXPECT_THROW(util::peekDocumentTag("xlv v5\n"), DecodeError);
 }

@@ -1,28 +1,27 @@
-// xlv_campaign — process-level campaign sharding CLI (campaign/shard.h).
-//
-// Splits a campaign spec into N deterministic shards, runs each shard in a
-// separate OS process, and merges the shard outputs back into one result
-// that is bit-identical (CampaignResult::sameResults) to the single-process
-// run. Typical multi-process session (shards may run on different hosts —
-// every artifact is a self-contained versioned file):
+// xlv_campaign — campaign CLI: build a spec, run it in this process, submit
+// it to a campaign daemon, and compare or inspect the results. Every
+// artifact is a self-contained versioned file (campaign/serialize.h):
 //
 //   xlv_campaign spec --preset smoke -o spec.xlv
 //   xlv_campaign run --spec spec.xlv -o single.xlv          # reference
-//   xlv_campaign plan --spec spec.xlv --shards 3 -o plan.xlv
-//   xlv_campaign run-shard --spec spec.xlv --plan plan.xlv --index 0 -o s0.xlv &
-//   xlv_campaign run-shard --spec spec.xlv --plan plan.xlv --index 1 -o s1.xlv &
-//   xlv_campaign run-shard --spec spec.xlv --plan plan.xlv --index 2 -o s2.xlv &
-//   wait
-//   xlv_campaign merge --spec spec.xlv -o merged.xlv s0.xlv s1.xlv s2.xlv
-//   xlv_campaign diff single.xlv merged.xlv                 # exit 0 iff identical
+//   xlv_campaign show single.xlv
+//
+// A campaign runs across processes on the xlv_campaignd worker pool
+// (tools/xlv_campaignd.cpp): the daemon splits the spec into units
+// (campaign/shard.h), runs them on worker subprocesses and merges them back
+// into a result that is bit-identical (CampaignResult::sameResults) to the
+// single-process run:
+//
+//   xlv_campaignd run --spec spec.xlv --workers 3 -o pooled.xlv
+//   xlv_campaign diff single.xlv pooled.xlv                 # exit 0 iff identical
 //
 // Cross-run / cross-process artifact reuse: pass --cache-dir DIR to run and
-// run-shard and the expensive immutable artifacts (golden traces, flow
-// prefixes, per-mutant results) persist under DIR — a warm re-run, or a
-// worker sharing DIR with its siblings, loads instead of recomputing while
-// staying bit-identical. --cache-max-bytes caps the store with LRU
-// eviction; --require-disk-hits makes a supposedly-warm run fail (exit 4)
-// when the store served nothing, so CI catches a silently disabled cache.
+// the expensive immutable artifacts (golden traces, flow prefixes,
+// per-mutant results) persist under DIR — a warm re-run, or a daemon worker
+// sharing DIR, loads instead of recomputing while staying bit-identical.
+// --cache-max-bytes caps the store with LRU eviction; --require-disk-hits
+// makes a supposedly-warm run fail (exit 4) when the store served nothing,
+// so CI catches a silently disabled cache.
 //
 // Native simulation backend: --backend native compiles the injected model
 // into a shared library (see src/campaign/README.md); when no system C++
@@ -42,8 +41,8 @@
 //
 // Exit codes: 0 success (diff: identical), 1 usage or runtime error,
 // 2 diff divergence, 3 campaign completed but one or more items errored
-// (the output file is still written so the failure can be inspected and
-// merged, but CI pipelines fail instead of passing vacuously), 4 a
+// (the output file is still written so the failure can be inspected, but
+// CI pipelines fail instead of passing vacuously), 4 a
 // --require-disk-hits run reported zero artifact-store hits, 5 a
 // --require-native run performed no native-backend work (interpreter
 // fallback, e.g. no system compiler), 7 the server rejected the submission
@@ -57,6 +56,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/serialize.h"
@@ -75,11 +75,7 @@ using namespace xlv;
   std::fputs(
       "usage:\n"
       "  xlv_campaign spec --preset <name> [--threads N] [-o FILE]\n"
-      "  xlv_campaign plan --spec FILE --shards N [--max-fragment M] [-o FILE]\n"
       "  xlv_campaign run --spec FILE [run flags] [cache flags] [-o FILE]\n"
-      "  xlv_campaign run-shard --spec FILE --plan FILE --index I [run flags]\n"
-      "                         [cache flags] [-o FILE]\n"
-      "  xlv_campaign merge --spec FILE -o FILE SHARD_FILE...\n"
       "  xlv_campaign submit --spec FILE (--socket PATH | --tcp-port P)\n"
       "                      [--max-fragment M] [--client-name NAME]\n"
       "                      [--max-retries N] [--deadline-ms N]\n"
@@ -141,8 +137,8 @@ void writeOutput(const std::string& path, const std::string& data) {
 /// Minimal flag cursor: named flags in any order, positional operands kept.
 struct Args {
   std::vector<std::string> positional;
-  std::string spec, plan, out, preset, cacheDir, backend, socket, clientName;
-  long shards = 0, index = -1, maxFragment = 0, threads = 0, cacheMaxBytes = 0;
+  std::string spec, out, preset, cacheDir, backend, socket, clientName;
+  long maxFragment = 0, threads = 0, cacheMaxBytes = 0;
   long maxAgeSeconds = 0, batch = 0, tcpPort = 0, disconnectAfterItems = -1;
   long maxRetries = 0, deadlineMs = 0;
   bool requireDiskHits = false;
@@ -170,16 +166,10 @@ Args parseArgs(int argc, char** argv, int first) {
     };
     if (arg == "--spec") {
       a.spec = next("--spec");
-    } else if (arg == "--plan") {
-      a.plan = next("--plan");
     } else if (arg == "-o" || arg == "--out") {
       a.out = next("-o");
     } else if (arg == "--preset") {
       a.preset = next("--preset");
-    } else if (arg == "--shards") {
-      a.shards = Args::parseLong(arg, next("--shards"));
-    } else if (arg == "--index") {
-      a.index = Args::parseLong(arg, next("--index"));
     } else if (arg == "--max-fragment") {
       a.maxFragment = Args::parseLong(arg, next("--max-fragment"));
     } else if (arg == "--threads") {
@@ -246,7 +236,7 @@ void rejectRunFlags(const Args& a, const char* cmd) {
   if (!a.backend.empty() || a.batch != 0 || a.requireNative) {
     usage((std::string(cmd) +
            " does not take run flags (--backend/--batch/--require-native "
-           "apply to run and run-shard)")
+           "apply to run)")
               .c_str());
   }
 }
@@ -271,8 +261,7 @@ void rejectCacheFlags(const Args& a, const char* cmd) {
       a.requireDiskHits) {
     usage((std::string(cmd) +
            " does not take cache flags (--cache-dir/--cache-max-bytes/"
-           "--max-age-seconds/--require-disk-hits apply to run, run-shard, "
-           "merge and cache-gc)")
+           "--max-age-seconds/--require-disk-hits apply to run and cache-gc)")
               .c_str());
   }
 }
@@ -363,27 +352,6 @@ int cmdSpec(const Args& a) {
   return 0;
 }
 
-int cmdPlan(const Args& a) {
-  rejectServiceFlags(a, "plan");
-  rejectCacheFlags(a, "plan");
-  rejectRunFlags(a, "plan");
-  if (a.shards < 1) usage("--shards N (>= 1) is required");
-  if (a.maxFragment < 0) usage("--max-fragment must be >= 0");
-  const campaign::CampaignSpec spec = loadSpec(a);
-  campaign::ShardPlanOptions opt;
-  opt.shards = static_cast<int>(a.shards);
-  opt.maxFragmentMutants = static_cast<std::size_t>(a.maxFragment);
-  const campaign::ShardPlan plan = campaign::planShards(spec, opt);
-  writeOutput(a.out, campaign::encodeShardPlan(plan));
-  for (std::size_t s = 0; s < plan.shards.size(); ++s) {
-    std::size_t whole = 0, fragments = 0;
-    for (const auto& u : plan.shards[s]) (u.wholeItem() ? whole : fragments)++;
-    std::fprintf(stderr, "shard %zu: %zu whole items, %zu fragments\n", s, whole,
-                 fragments);
-  }
-  return 0;
-}
-
 int cmdRun(const Args& a) {
   rejectServiceFlags(a, "run");
   campaign::CampaignSpec spec = loadSpec(a);
@@ -392,41 +360,6 @@ int cmdRun(const Args& a) {
   const campaign::CampaignResult result = campaign::runCampaign(spec);
   writeOutput(a.out, campaign::encodeCampaignResult(result));
   return reportItemErrors("campaign", a, result);
-}
-
-int cmdRunShard(const Args& a) {
-  rejectServiceFlags(a, "run-shard");
-  if (a.plan.empty()) usage("--plan FILE is required");
-  if (a.index < 0) usage("--index I (>= 0) is required");
-  campaign::CampaignSpec spec = loadSpec(a);
-  applyBackendOverrides(a, spec);
-  configureCache(a);
-  const campaign::ShardPlan plan = campaign::decodeShardPlan(readFile(a.plan));
-  const campaign::ShardOutput out =
-      campaign::runShard(spec, plan, static_cast<int>(a.index));
-  writeOutput(a.out, campaign::encodeShardOutput(out));
-  return reportItemErrors("shard", a, out.result);
-}
-
-int cmdMerge(const Args& a) {
-  rejectServiceFlags(a, "merge");
-  // merge aggregates the shards' ledgers, so --require-disk-hits can gate
-  // it; the store itself plays no part here.
-  if (!a.cacheDir.empty() || a.cacheMaxBytes != 0) {
-    usage("merge takes --require-disk-hits only (no store is opened)");
-  }
-  rejectRunFlags(a, "merge");
-  if (a.positional.empty()) usage("merge needs at least one shard output file");
-  if (a.out.empty()) usage("merge requires -o FILE (the merged result)");
-  const campaign::CampaignSpec spec = loadSpec(a);
-  std::vector<campaign::ShardOutput> outputs;
-  outputs.reserve(a.positional.size());
-  for (const auto& path : a.positional) {
-    outputs.push_back(campaign::decodeShardOutput(readFile(path)));
-  }
-  const campaign::CampaignResult merged = campaign::mergeShards(spec, outputs);
-  writeOutput(a.out, campaign::encodeCampaignResult(merged));
-  return reportItemErrors("merged campaign", a, merged);
 }
 
 /// Submit the spec to a running `xlv_campaignd serve` daemon and merge the
@@ -504,12 +437,8 @@ int cmdDiff(const Args& a) {
     return 2;
   }
   for (std::size_t i = 0; i < x.items.size(); ++i) {
-    // Narrow the divergence per item with the same comparator, by
-    // comparing single-item results.
-    campaign::CampaignResult a1, b1;
-    a1.items.push_back(x.items[i]);
-    b1.items.push_back(y.items[i]);
-    if (!a1.sameResults(b1)) {
+    // Narrow the divergence per item with the comparator sameResults uses.
+    if (!campaign::sameItemResults(x.items[i], y.items[i])) {
       std::printf("DIVERGED at task %zu: '%s' vs '%s'\n", i, x.items[i].label.c_str(),
                   y.items[i].label.c_str());
     }
@@ -551,21 +480,20 @@ int cmdCacheGc(const Args& a) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
+  using Command = int (*)(const Args&);
+  const std::pair<const char*, Command> commands[] = {
+      {"spec", cmdSpec}, {"run", cmdRun},   {"submit", cmdSubmit},
+      {"diff", cmdDiff}, {"show", cmdShow}, {"cache-gc", cmdCacheGc}};
+  Command command = nullptr;
+  for (const auto& [name, fn] : commands) {
+    if (cmd == name) command = fn;
+  }
+  if (command == nullptr) usage(("unknown command '" + cmd + "'").c_str());
   try {
     // Strict XLV_FAULTS parse up front: a typo aborts with a message here
     // instead of throwing from a noexcept write path mid-run.
     xlv::util::initFaultPointsFromEnv();
-    const Args a = parseArgs(argc, argv, 2);
-    if (cmd == "spec") return cmdSpec(a);
-    if (cmd == "plan") return cmdPlan(a);
-    if (cmd == "run") return cmdRun(a);
-    if (cmd == "run-shard") return cmdRunShard(a);
-    if (cmd == "merge") return cmdMerge(a);
-    if (cmd == "submit") return cmdSubmit(a);
-    if (cmd == "diff") return cmdDiff(a);
-    if (cmd == "show") return cmdShow(a);
-    if (cmd == "cache-gc") return cmdCacheGc(a);
-    usage(("unknown command '" + cmd + "'").c_str());
+    return command(parseArgs(argc, argv, 2));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xlv_campaign %s: %s\n", cmd.c_str(), e.what());
     return 1;

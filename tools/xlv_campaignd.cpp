@@ -1,18 +1,17 @@
 // xlv_campaignd — campaign worker pool (campaign/dispatch.h) behind one
 // event loop (campaign/server.h), in two modes.
 //
-// Where xlv_campaign shards a campaign STATICALLY (plan once, run each slice
-// in its own process, merge by hand), the daemon owns the whole loop: it
-// splits each spec into stealable units (whole items and mutant-range
-// fragments), spawns a pool of worker subprocesses of ITSELF (the internal
-// `worker` subcommand), schedules by work-stealing — an idle worker claims
-// the heaviest queued unit — and merges the unit results into one
-// CampaignResult that is bit-identical (sameResults) to the single-process
-// run. A worker that crashes, exits or goes silent past the heartbeat
-// timeout is SIGKILLed/reaped and its unit re-queued; the retry is safe
-// because unit results are bit-identical by construction. A unit that
-// exhausts its attempt budget is bisected down to the poison mutant, which
-// is quarantined with a structured per-item error.
+// The daemon is how a campaign runs across processes, and it owns the whole
+// loop: it splits each spec into stealable units (whole items and
+// mutant-range fragments, campaign/shard.h), spawns a pool of worker
+// subprocesses of ITSELF (the internal `worker` subcommand), schedules by
+// work-stealing — an idle worker claims the heaviest queued unit — and
+// merges the unit results into one CampaignResult that is bit-identical
+// (sameResults) to the single-process run. A worker that crashes, exits or
+// goes silent past the heartbeat timeout is SIGKILLed/reaped and its unit
+// re-queued; the retry is safe because unit results are bit-identical by
+// construction. A unit that exhausts its attempt budget is bisected down to
+// the poison mutant, which is quarantined with a structured per-item error.
 //
 // `run` is one in-process campaign on that loop, with no socket:
 //
