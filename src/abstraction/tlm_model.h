@@ -37,6 +37,17 @@
 // both engines — this interpreter and the emitted native step — commit from
 // them: one commit per distinct target except the active mutant's at the
 // edge, one comparison against the active phase at every phase point.
+//
+// Mutant classes (fault collapsing): two mutants on one target whose phase
+// points have nothing but a combinational sweep between them land the same
+// tmp value on the same settled state, so they behave bit-identically. That
+// holds for equal phase points and for phase points 0 and 1 (phase 1 is
+// MaxDelay when hfRatio is 0, else DeltaDelay(1); the scheduler runs only a
+// sweep between commitActiveAt(0) and commitActiveAt(1)), and for mutants
+// that never land (kNoPhase). Every later pair has the HF processes between
+// them. mutantClassSpec names a mutant's class by its canonical spec; the
+// mutation analysis simulates one representative per class and copies its
+// result to the other members.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +106,21 @@ inline int mutantPhasePoint(const mutation::MutantSpec& spec, int hfRatio) noexc
       break;
   }
   return spec.deltaTicks >= 1 && spec.deltaTicks <= hfRatio ? spec.deltaTicks : kNoPhase;
+}
+
+/// The canonical spec of `spec`'s mutant class: its target at the class's
+/// lowest phase point, written as the shipped generators write it — phase 0
+/// (and so 1, which only a sweep separates from it) as {MinDelay, 0}, phase
+/// p in 2..hfRatio as {DeltaDelay, p}, the max phase (hfRatio >= 1) as
+/// {MaxDelay, 0}, and kNoPhase as {DeltaDelay, 0}. Two mutants of one
+/// layout are one class exactly when their class specs are equal.
+inline mutation::MutantSpec mutantClassSpec(const mutation::MutantSpec& spec, int hfRatio) {
+  using mutation::MutantKind;
+  const int phase = mutantPhasePoint(spec, hfRatio);
+  if (phase == kMinDelayPhase || phase == 1) return {spec.targetSignal, MutantKind::MinDelay, 0};
+  if (phase == kNoPhase) return {spec.targetSignal, MutantKind::DeltaDelay, 0};
+  if (phase == maxDelayPhase(hfRatio)) return {spec.targetSignal, MutantKind::MaxDelay, 0};
+  return {spec.targetSignal, MutantKind::DeltaDelay, phase};
 }
 
 /// The immutable, policy-independent part of an abstracted model: one

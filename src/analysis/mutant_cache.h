@@ -10,18 +10,28 @@
 // along). A MutantResult is therefore fully determined by
 //
 //   (augmented-design identity, observed endpoints, testbench identity,
-//    scheduler/recording config)  x  (mutant spec),
+//    scheduler/recording config)  x  (mutant class),
 //
 // where the first factor is exactly the golden-trace key
 // (analysis/golden_cache.h) — the golden trace is derived from the same
-// inputs — and the second is the (targetSignal, kind, deltaTicks) triple.
+// inputs — and the second is the mutant's class, written as its canonical
+// spec (abstraction::mutantClassSpec, abstraction/tlm_model.h): its target
+// at the class's lowest phase point, in the form the shipped generators
+// write. Razor's MinDelay and MaxDelay mutants of one endpoint (hfRatio 0)
+// therefore share one entry, so a sweep's `max` variant reuses the results
+// its `min` variant stored.
 //
-// The only field that is NOT part of that identity is MutantResult::id: the
-// index of the mutant in the *current* injected set, which differs between
-// variants (mutant 7 of `full` may be mutant 2 of `min`). Cached values are
-// id-normalized (id = -1); consumers fix the id up from their own injected
-// set on every reuse (mutation_analysis.cpp), which is what keeps variant
-// and fragment reports bit-identical to their from-scratch runs.
+// Stored values are normalised to that spec: id = -1 (the id is the index
+// in the *current* injected set, which differs between variants), and the
+// canonical spec's kind and deltaTicks. A reader fixes up id, kind and
+// deltaTicks from its own injected mutant on every reuse
+// (mutation_analysis.cpp), which keeps variant and fragment reports
+// bit-identical to uncached runs; a reader that fixes up only the
+// id and looks up its own spec's key still reads a correct value, because
+// a key only ever holds the result of the spec it names.
+//
+// Under XLV_REFERENCE_SIM=1 every mutant is its own class and is keyed on
+// its own spec, so the reference path still simulates every member.
 //
 // Enabled by AnalysisConfig/FlowOptions::useMutantCache (sweeps turn it on
 // by default); layered over util::processArtifactStore() (domain "mutant")
@@ -40,11 +50,13 @@ namespace xlv::analysis {
 
 /// Cache key of one mutant's result: the golden-trace key of its analysis
 /// (design fingerprint, endpoints, testbench, config, value policy) plus
-/// the mutant spec. Length-prefixed like every other cache key.
+/// the mutant spec (the analysis passes its class's mutantClassSpec).
+/// Length-prefixed like every other cache key.
 std::string mutantResultKey(const std::string& goldenKey, const mutation::MutantSpec& spec);
 
-/// The process-wide cache. Values are id-normalized (id = -1); copy and fix
-/// the id up before putting one into a report.
+/// The process-wide cache. Values are normalised to their key's spec
+/// (id = -1, the spec's kind and deltaTicks); copy and fix id, kind and
+/// deltaTicks up before putting one into a report.
 util::OnceCache<MutantResult>& mutantResultCache();
 
 /// Field-level codec of a MutantResult's CONTENT — every field except the

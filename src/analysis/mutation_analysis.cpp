@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
@@ -177,6 +178,15 @@ std::pair<std::size_t, std::size_t> clampMutantRange(const AnalysisConfig& cfg,
   const std::size_t end =
       std::max(begin, cfg.mutantEnd == 0 ? total : std::min(cfg.mutantEnd, total));
   return {begin, end};
+}
+
+/// `r` as the result of `mutant`: its id, kind and deltaTicks — the fix-up
+/// every copied result (a cache hit or a class member) gets.
+MutantResult withIdentity(MutantResult r, const mutation::InjectedMutant& mutant) {
+  r.id = mutant.id;
+  r.kind = mutant.spec.kind;
+  r.deltaTicks = mutant.spec.deltaTicks;
+  return r;
 }
 
 /// Stimulus sink for driver replay: a stateful testbench driver
@@ -388,6 +398,7 @@ MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
   // snapshot cost stays a fraction of one mutant simulation.
   ctx.checkpointInterval = std::max<std::uint64_t>(1, tb.cycles / 16);
   ctx.checkpoints = std::make_shared<CampaignCheckpoints>();
+  ctx.classResults = std::make_shared<MutantClassResults>();
   return ctx;
 }
 
@@ -712,12 +723,28 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
 template <class P>
 MutantResult simulateMutant(const MutationCampaignContext& ctx, int mutantIndex,
                             MutantSimStats* stats) {
+  const auto& mutant = ctx.layout->mutants.at(static_cast<std::size_t>(mutantIndex));
+  const mutation::MutantSpec cls =
+      abstraction::mutantClassSpec(mutant.spec, ctx.layout->cfg.hfRatio);
+  MutantClassResults& done = *ctx.classResults;
+  if (!ctx.referenceSim) {
+    std::lock_guard<std::mutex> lock(done.mu);
+    const auto it = done.byClass.find(cls);
+    if (it != done.byClass.end()) {
+      if (stats != nullptr) stats->cyclesSkipped += ctx.tb.cycles;
+      return withIdentity(it->second, mutant);
+    }
+  }
   std::vector<MutantResult> results;
   std::vector<MutantSimStats> groupStats;
   simulateMutantGroup<P>(ctx, {mutantIndex}, results, groupStats);
   if (stats != nullptr) {
     stats->cyclesSimulated += groupStats[0].cyclesSimulated;
     stats->cyclesSkipped += groupStats[0].cyclesSkipped;
+  }
+  if (!ctx.referenceSim) {
+    std::lock_guard<std::mutex> lock(done.mu);
+    done.byClass.emplace(cls, results[0]);
   }
   return results[0];
 }
@@ -747,12 +774,38 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
   std::vector<MutantSimStats> simStats(n);
   std::vector<char> servedFromCache(n, 0);
 
-  // One parallel task per batch of ctx.batch consecutive mutants; each task
-  // co-simulates its members lock-step against one shared stimulus replay
-  // (simulateMutantGroup). batch == 1 degenerates to the classic
-  // one-task-per-mutant schedule.
+  // Fault collapsing: the mutants of one class (one
+  // abstraction::mutantClassSpec) behave bit-identically, so only the first
+  // member of each class within this range — its representative — is
+  // simulated, and the mutant cache keys it on the class spec; a fragment
+  // never depends on a mutant outside its own range. Under
+  // XLV_REFERENCE_SIM=1 every mutant is its own representative, keyed on
+  // its own spec, keeping the reference path the oracle that simulates
+  // every member.
+  std::vector<mutation::MutantSpec> keySpecs(n);
+  std::vector<std::size_t> repOf(n);
+  std::vector<std::size_t> reps;
+  {
+    std::map<mutation::MutantSpec, std::size_t> firstInRange;
+    for (std::size_t i = 0; i < n; ++i) {
+      const mutation::MutantSpec& spec = ctx.layout->mutants[begin + i].spec;
+      repOf[i] = i;
+      if (ctx.referenceSim) {
+        keySpecs[i] = spec;
+      } else {
+        keySpecs[i] = abstraction::mutantClassSpec(spec, ctx.layout->cfg.hfRatio);
+        repOf[i] = firstInRange.emplace(keySpecs[i], i).first->second;
+      }
+      if (repOf[i] == i) reps.push_back(i);
+    }
+  }
+
+  // One parallel task per batch of ctx.batch consecutive representatives;
+  // each task co-simulates its members lock-step against one shared
+  // stimulus replay (simulateMutantGroup). batch == 1 degenerates to the
+  // classic one-task-per-mutant schedule.
   const std::size_t batch = static_cast<std::size_t>(ctx.batch);
-  const std::size_t numTasks = n == 0 ? 0 : (n + batch - 1) / batch;
+  const std::size_t numTasks = reps.empty() ? 0 : (reps.size() + batch - 1) / batch;
   std::vector<double> taskSeconds(numTasks, 0.0);
   std::vector<int> batchedPerTask(numTasks, 0);
 
@@ -761,14 +814,14 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
   executor.run(numTasks, [&](std::size_t t) {
     util::Timer timer;
     const std::size_t lo = t * batch;
-    const std::size_t hi = std::min(n, lo + batch);
+    const std::size_t hi = std::min(reps.size(), lo + batch);
     if (cfg.useMutantCache) {
       // A mutant's result is independent of which other (inactive) mutants
       // ride along in the injected design (mutation/adam.h), so it is keyed
-      // by (golden key, spec) alone and shared across mutant-set variants,
-      // re-runs and — through the artifact store — processes. Only the id
-      // is variant-local: the cached value is id-normalized and fixed up
-      // here against this run's injected set.
+      // by (golden key, class spec) alone and shared across mutant-set
+      // variants, re-runs and — through the artifact store — processes.
+      // The cached value is normalised to the class spec and fixed up here
+      // against this run's injected set (analysis/mutant_cache.h).
       //
       // Cache x batch: the first member whose build lambda actually runs
       // batch-simulates every group member not yet produced locally into
@@ -778,19 +831,21 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
       // dropped, keeping the ledger identical to the solo schedule.
       std::unordered_map<int, MutantResult> freshResults;
       std::unordered_map<int, MutantSimStats> freshStats;
-      for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t r = lo; r < hi; ++r) {
+        const std::size_t i = reps[r];
         const int mutantIndex = static_cast<int>(begin + i);
         const auto& mutant = ctx.layout->mutants.at(static_cast<std::size_t>(mutantIndex));
+        const mutation::MutantSpec& keySpec = keySpecs[i];
         bool memHit = false, diskHit = false;
         const std::shared_ptr<const MutantResult> cached =
             util::getOrBuildWithStore<MutantResult>(
                 mutantResultCache(), util::processArtifactStore(), "mutant",
-                mutantResultKey(ctx.goldenKey, mutant.spec),
+                mutantResultKey(ctx.goldenKey, keySpec),
                 [&] {
                   if (freshResults.find(mutantIndex) == freshResults.end()) {
                     std::vector<int> pending;
-                    for (std::size_t j = i; j < hi; ++j) {
-                      const int idx = static_cast<int>(begin + j);
+                    for (std::size_t j = r; j < hi; ++j) {
+                      const int idx = static_cast<int>(begin + reps[j]);
                       if (freshResults.find(idx) == freshResults.end()) {
                         pending.push_back(idx);
                       }
@@ -805,29 +860,40 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
                   }
                   MutantResult fresh = freshResults[mutantIndex];
                   fresh.id = -1;
+                  fresh.kind = keySpec.kind;
+                  fresh.deltaTicks = keySpec.deltaTicks;
                   return fresh;
                 },
                 encodeMutantResultArtifact, decodeMutantResultArtifact, &memHit, &diskHit);
-        MutantResult res = *cached;
-        res.id = mutant.id;
-        report.results[i] = res;
+        report.results[i] = withIdentity(*cached, mutant);
         servedFromCache[i] = (memHit || diskHit) ? 1 : 0;
         if (!(memHit || diskHit)) simStats[i] = freshStats[mutantIndex];
       }
     } else {
       std::vector<int> indices;
       indices.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) indices.push_back(static_cast<int>(begin + i));
+      for (std::size_t r = lo; r < hi; ++r) indices.push_back(static_cast<int>(begin + reps[r]));
       std::vector<MutantResult> rs;
       std::vector<MutantSimStats> ss;
       batchedPerTask[t] = simulateMutantGroup<P>(ctx, indices, rs, ss);
-      for (std::size_t i = lo; i < hi; ++i) {
-        report.results[i] = rs[i - lo];
-        simStats[i] = ss[i - lo];
+      for (std::size_t r = lo; r < hi; ++r) {
+        report.results[reps[r]] = rs[r - lo];
+        simStats[reps[r]] = ss[r - lo];
       }
     }
     taskSeconds[t] = timer.seconds();
   });
+  // Every other member copies its representative's result. A member of a
+  // freshly simulated class charges its whole run as skipped (simulated +
+  // skipped stays the testbench length per mutant); a member of a class
+  // served from the cache is a cache hit and charges nothing.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = repOf[i];
+    if (r == i) continue;
+    report.results[i] = withIdentity(report.results[r], ctx.layout->mutants[begin + i]);
+    servedFromCache[i] = servedFromCache[r];
+    if (!servedFromCache[r]) simStats[i].cyclesSkipped = tb.cycles;
+  }
   for (char hit : servedFromCache) report.mutantCacheHits += hit ? 1 : 0;
   for (int b : batchedPerTask) report.batchedMutants += b;
   // Cycle ledger: per-mutant executed/skipped sums (deterministic — slots

@@ -33,10 +33,22 @@
 // slots (merge in task-id order), so the report is bit-identical to the
 // serial path — excluding the timing fields — at any thread count, and
 // threads = 1 is byte-for-byte today's serial flow.
+//
+// Fault collapsing: mutants of one class (same target, phase points with
+// only a combinational sweep between them — abstraction::mutantClassSpec)
+// behave bit-identically. Only the first member of each class within the
+// analysed range, its representative, is simulated (tasks batch
+// representatives); every other member copies the representative's result
+// with its own id, kind and deltaTicks. simulateMutant, the one-mutant
+// entry point, collapses the same way per context: a mutant whose class
+// the context already simulated copies that result. Under
+// XLV_REFERENCE_SIM=1 every mutant is its own representative, so the
+// reference path simulates every member and pins class == member.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -117,10 +129,13 @@ struct AnalysisReport {
   /// by the per-mutant co-simulations (including the once-per-campaign
   /// checkpoint recording run, charged here because it exists only to serve
   /// the mutant loop) versus transactions the divergence-driven fast path
-  /// skipped. Under XLV_REFERENCE_SIM=1, cyclesSkipped is 0 and
-  /// cyclesSimulated == results * cyclesPerRun. Mutants served from the
-  /// result cache contribute to neither (like simSeconds). Not part of
-  /// sameResults — a ledger, not a verdict.
+  /// skipped. A class member that copied a freshly simulated
+  /// representative charges its whole run as skipped, so simulated +
+  /// skipped stays the testbench length per mutant. Under
+  /// XLV_REFERENCE_SIM=1, cyclesSkipped is 0 and cyclesSimulated ==
+  /// results * cyclesPerRun. Mutants served from the result cache (members
+  /// of a cache-served class included) contribute to neither (like
+  /// simSeconds). Not part of sameResults — a ledger, not a verdict.
   std::uint64_t cyclesSimulated = 0;
   std::uint64_t cyclesSkipped = 0;
   /// Simulation work: sum of per-run wall times (golden + every injected
@@ -144,8 +159,10 @@ struct AnalysisReport {
   bool goldenFromDisk = false;
   /// Mutant results served from the per-mutant result cache
   /// (analysis/mutant_cache.h, AnalysisConfig::useMutantCache) instead of a
-  /// fresh co-simulation. Equal to results.size() on a fully warm run —
-  /// the "zero re-simulations" ledger the variant-sweep tests assert.
+  /// fresh co-simulation; every member of a class whose representative hit
+  /// counts. Equal to results.size() on a fully warm run — the "zero
+  /// re-simulations" ledger the variant-sweep tests assert. Members of a
+  /// freshly simulated class are neither hits nor co-simulations.
   int mutantCacheHits = 0;
   /// Workers the per-mutant tasks could run on: the enclosing campaign
   /// pool's size when the analysis runs inside a campaign item, else
@@ -160,8 +177,8 @@ struct AnalysisReport {
   int nativeCacheHits = 0;
   /// Mutants whose fresh co-simulation ran lock-step in a batch of two or
   /// more live members against one shared stimulus replay
-  /// (AnalysisConfig::batch). Cache-served and fully-skipped mutants do not
-  /// count; 0 when batching is off.
+  /// (AnalysisConfig::batch). Cache-served, fully-skipped and class-member
+  /// mutants do not count; 0 when batching is off.
   int batchedMutants = 0;
 
   /// Deterministic-content equality: per-mutant results and cycle budget,
@@ -206,11 +223,14 @@ struct AnalysisConfig {
   /// the cache on or off; only goldenSeconds/simSeconds shrink on a hit.
   bool useGoldenCache = false;
   /// Reuse per-mutant results through the process-wide cache
-  /// (analysis/mutant_cache.h): mutants whose (design identity, spec,
-  /// testbench identity) agree — e.g. the same mutant under another
-  /// mutant-set variant, or a re-run of an identical analysis — skip the
-  /// co-simulation. Ids are fixed up per injected set, so the report stays
-  /// bit-identical with the cache on or off.
+  /// (analysis/mutant_cache.h): mutants whose (design identity, mutant
+  /// class, testbench identity) agree — e.g. the same mutant under another
+  /// mutant-set variant, Razor's MaxDelay mutant after its endpoint's
+  /// MinDelay mutant, or a re-run of an identical analysis — skip the
+  /// co-simulation. Each class representative is looked up under its
+  /// class's canonical spec; id, kind and deltaTicks are fixed up per
+  /// injected set, so the report stays bit-identical with the cache on or
+  /// off.
   bool useMutantCache = false;
   /// Simulate only injected-mutant indices [mutantBegin, mutantEnd), clamped
   /// to the injected set; mutantEnd == 0 means "to the end". The report's
@@ -311,6 +331,14 @@ struct CampaignCheckpoints {
   std::atomic<bool> recorded{false};
 };
 
+/// The results simulateMutant produced on one context, one per mutant
+/// class (keyed by abstraction::mutantClassSpec), so a later member of the
+/// class copies its result instead of simulating again.
+struct MutantClassResults {
+  std::mutex mu;
+  std::map<mutation::MutantSpec, MutantResult> byClass;
+};
+
 /// The shared read-only context of one mutation campaign: everything a
 /// per-mutant task needs that is derived once, not per mutant.
 struct MutationCampaignContext {
@@ -341,6 +369,9 @@ struct MutationCampaignContext {
   /// Lazily recorded checkpoint store (never null after prepare; shared so
   /// the context stays movable).
   std::shared_ptr<CampaignCheckpoints> checkpoints;
+  /// simulateMutant's per-class results (never null after prepare; shared
+  /// so the context stays movable; unused under XLV_REFERENCE_SIM=1).
+  std::shared_ptr<MutantClassResults> classResults;
   /// Resolved simulation engine: the dlopen'd library every campaign run
   /// shares (null = interpreter, either by choice or by fallback).
   abstraction::NativeLibraryPtr nativeLib;
@@ -374,12 +405,19 @@ MutationCampaignContext prepareMutationCampaign(
 /// XLV_REFERENCE_SIM=1 the full testbench replays from reset. Both paths
 /// return bit-identical results; `stats`, when non-null, receives the
 /// executed-vs-skipped cycle ledger.
+///
+/// The fast path also collapses classes: once the context has simulated a
+/// mutant of this one's class, the result is a copy with this mutant's id,
+/// kind and deltaTicks, charged as a whole run skipped — the ledger
+/// analyzeMutations gives a class member. (Two members simulated at the
+/// same time may both run; their results are identical.)
 template <class P>
 MutantResult simulateMutant(const MutationCampaignContext& ctx, int mutantIndex,
                             MutantSimStats* stats = nullptr);
 
-/// Run the full analysis: one golden run plus one injected run per mutant,
-/// scheduled on cfg.threads workers (see AnalysisConfig::threads).
+/// Run the full analysis: one golden run plus one injected run per mutant
+/// class representative (see "Fault collapsing" above), scheduled on
+/// cfg.threads workers (see AnalysisConfig::threads).
 template <class P>
 AnalysisReport analyzeMutations(const ir::Design& golden,
                                 const mutation::InjectedDesign& injected,

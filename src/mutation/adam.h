@@ -18,6 +18,7 @@
 // original (verified by tests).
 #pragma once
 
+#include <compare>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,6 +42,7 @@ struct MutantSpec {
   int deltaTicks = 1;        ///< DeltaDelay: HF periods of delay (1-based)
 
   bool operator==(const MutantSpec&) const = default;
+  auto operator<=>(const MutantSpec&) const = default;
 };
 
 struct InjectedMutant {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/prng.h"
@@ -28,7 +29,6 @@ struct Clause {
 struct Registry {
   std::mutex mu;
   std::vector<Clause> clauses;
-  bool parsed = false;
 };
 
 Registry& registry() {
@@ -36,9 +36,12 @@ Registry& registry() {
   return r;
 }
 
-// Armed flag outside the mutex so an unarmed faultPoint() is one atomic load.
-std::atomic<bool> gArmed{false};
-std::once_flag gInitOnce;
+// Registry state: written only under the registry mutex, read without it,
+// so an unarmed faultPoint() never locks. It leaves kUnparsed only on a
+// successful parse: after a malformed XLV_FAULTS every call parses again
+// and throws again.
+enum RegistryState : int { kUnparsed, kDisarmed, kArmed };
+std::atomic<int> gState{kUnparsed};
 
 const char* const kKnownPoints[] = {"store.write", "frame.write", "worker.spawn",
                                     "server.accept"};
@@ -151,45 +154,53 @@ Clause parseClause(std::string_view text) {
   return c;
 }
 
-void parseIntoRegistry() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
+/// Parse XLV_FAULTS into `r`; the caller holds r.mu. A throw leaves the
+/// registry empty and kUnparsed.
+void parseIntoRegistry(Registry& r) {
   r.clauses.clear();
-  r.parsed = true;
-  gArmed.store(false, std::memory_order_relaxed);
+  gState.store(kUnparsed, std::memory_order_relaxed);
   const char* env = std::getenv("XLV_FAULTS");
-  if (env == nullptr || *env == '\0') return;
-  for (const std::string_view text : split(env, ',')) {
-    if (text.empty()) {
-      throw FaultConfigError("XLV_FAULTS: empty clause in spec");
+  if (env != nullptr && *env != '\0') {
+    std::vector<Clause> clauses;
+    for (const std::string_view text : split(env, ',')) {
+      if (text.empty()) {
+        throw FaultConfigError("XLV_FAULTS: empty clause in spec");
+      }
+      clauses.push_back(parseClause(text));
     }
-    r.clauses.push_back(parseClause(text));
+    r.clauses = std::move(clauses);
   }
-  gArmed.store(!r.clauses.empty(), std::memory_order_relaxed);
+  gState.store(r.clauses.empty() ? kDisarmed : kArmed, std::memory_order_relaxed);
 }
 
 void ensureParsed() {
-  std::call_once(gInitOnce, [] { parseIntoRegistry(); });
+  if (gState.load(std::memory_order_relaxed) != kUnparsed) return;
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  if (gState.load(std::memory_order_relaxed) == kUnparsed) parseIntoRegistry(r);
 }
+
+bool armed() { return gState.load(std::memory_order_relaxed) == kArmed; }
 
 }  // namespace
 
 void initFaultPointsFromEnv() { ensureParsed(); }
 
 void reloadFaultPointsFromEnv() {
-  ensureParsed();  // make sure the once-flag is consumed
-  parseIntoRegistry();
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  parseIntoRegistry(r);
 }
 
 bool faultPointsArmed() {
   ensureParsed();
-  return gArmed.load(std::memory_order_relaxed);
+  return armed();
 }
 
 FaultAction faultPoint(std::string_view point) {
-  if (!gArmed.load(std::memory_order_relaxed)) {
+  if (!armed()) {
     ensureParsed();
-    if (!gArmed.load(std::memory_order_relaxed)) return FaultAction::None;
+    if (!armed()) return FaultAction::None;
   }
   std::uint64_t sleepMs = 0;
   FaultAction result = FaultAction::None;

@@ -163,6 +163,55 @@ TEST_F(StoreFixture, VariantAxisIsAnalysisFreeOnceFullRan) {
   }
 }
 
+TEST_F(StoreFixture, RazorMaxVariantIsAnalysisFreeOnceMinRan) {
+  // Razor layouts have hfRatio 0: an endpoint's MinDelay and MaxDelay
+  // mutants are one class, cached under one key. So once `min` stored its
+  // results, a `max` sweep in a later process simulates nothing.
+  auto variantSweep = [](core::MutantSetVariant variant) {
+    SweepSpec sweep;
+    sweep.name = "razor-variant-sweep";
+    sweep.cases = {ips::buildFilterCase()};
+    sweep.base.testbenchCycles = 60;
+    sweep.base.measureRtl = false;
+    sweep.base.measureOptimized = false;
+    sweep.axes.sensorKinds = {insertion::SensorKind::Razor};
+    sweep.axes.mutantSets = {variant};
+    return sweep;
+  };
+
+  util::configureProcessArtifactStore(std::nullopt);
+  freshProcess();
+  SweepSpec coldSpec = variantSweep(core::MutantSetVariant::MaxDelay);
+  coldSpec.sharePrefixes = false;
+  coldSpec.shareGoldenTraces = false;
+  coldSpec.shareMutantResults = false;
+  const CampaignResult coldMax = runSweep(coldSpec);
+  ASSERT_TRUE(coldMax.ok());
+  EXPECT_EQ(0, coldMax.mutantCacheHits);
+  EXPECT_GT(coldMax.cyclesSimulated, 0u);
+
+  configureStore();
+  freshProcess();
+  const CampaignResult min = runSweep(variantSweep(core::MutantSetVariant::MinDelay));
+  ASSERT_TRUE(min.ok());
+  ASSERT_GT(totalMutants(min), 0u);
+
+  freshProcess();
+  const CampaignResult max = runSweep(variantSweep(core::MutantSetVariant::MaxDelay));
+  ASSERT_TRUE(max.ok());
+  EXPECT_TRUE(coldMax.sameResults(max));
+  EXPECT_EQ(static_cast<int>(totalMutants(max)), max.mutantCacheHits)
+      << "every max mutant must reuse its endpoint's min result";
+  EXPECT_EQ(0u, max.cyclesSimulated);
+  EXPECT_EQ(0u, max.cyclesSkipped);
+  EXPECT_GT(max.diskHits, 0);
+  for (const auto& it : max.items) {
+    for (const auto& r : it.report.analysis.results) {
+      EXPECT_EQ(mutation::MutantKind::MaxDelay, r.kind) << it.label;
+    }
+  }
+}
+
 TEST_F(StoreFixture, TinyByteCapEvictsButNeverChangesResults) {
   const CampaignSpec spec = quickSmokeSpec();
 

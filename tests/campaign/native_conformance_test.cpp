@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "campaign/shard.h"
 #include "core/flow.h"
 #include "ips/case_study.h"
+#include "tests/reference_mode_guard.h"
 #include "util/artifact_store.h"
 #include "unit_runner.h"
 
@@ -80,10 +80,12 @@ TEST(NativeConformance, MatchesReferenceFullReplay) {
   REQUIRE_NATIVE_TOOLCHAIN();
   // Under XLV_REFERENCE_SIM=1 neither engine skips anything, so even the
   // cycle ledgers must agree — the strictest cross-engine comparison.
-  ::setenv("XLV_REFERENCE_SIM", "1", 1);
-  const CampaignResult interp = runCold(smokeSpec(analysis::SimBackend::Interpreter));
-  const CampaignResult native = runCold(smokeSpec(analysis::SimBackend::Native));
-  ::unsetenv("XLV_REFERENCE_SIM");
+  CampaignResult interp, native;
+  {
+    ReferenceModeGuard reference(true);
+    interp = runCold(smokeSpec(analysis::SimBackend::Interpreter));
+    native = runCold(smokeSpec(analysis::SimBackend::Native));
+  }
   freshProcess();
 
   ASSERT_TRUE(interp.ok());

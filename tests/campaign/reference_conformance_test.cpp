@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "campaign/shard.h"
 #include "core/flow.h"
 #include "ips/case_study.h"
+#include "tests/reference_mode_guard.h"
 #include "util/artifact_store.h"
 #include "unit_runner.h"
 
@@ -27,33 +27,6 @@ namespace {
 namespace fs = std::filesystem;
 
 void freshProcess() { core::clearProcessCaches(); }
-
-/// Scoped XLV_REFERENCE_SIM override; restores the previous value so a
-/// failing test cannot leak reference mode into the rest of the suite.
-class ReferenceModeGuard {
- public:
-  explicit ReferenceModeGuard(bool enable) {
-    const char* prev = std::getenv("XLV_REFERENCE_SIM");
-    had_ = prev != nullptr;
-    if (had_) prev_ = prev;
-    if (enable) {
-      ::setenv("XLV_REFERENCE_SIM", "1", 1);
-    } else {
-      ::unsetenv("XLV_REFERENCE_SIM");
-    }
-  }
-  ~ReferenceModeGuard() {
-    if (had_) {
-      ::setenv("XLV_REFERENCE_SIM", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("XLV_REFERENCE_SIM");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string prev_;
-};
 
 CampaignSpec quickSmokeSpec(int threads = 1) {
   CampaignSpec spec = builtinCampaignSpec("smoke");

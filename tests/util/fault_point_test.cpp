@@ -104,5 +104,25 @@ TEST(FaultPoint, MalformedSpecsThrowInsteadOfRunningClean) {
   EXPECT_FALSE(faultPointsArmed());
 }
 
+TEST(FaultPoint, MalformedSpecThrowsOnEveryCallAndValidSpecParsesOnce) {
+  ::setenv("XLV_FAULTS", "store.write:explode", 1);
+  EXPECT_THROW(reloadFaultPointsFromEnv(), FaultConfigError);
+  // A failed parse leaves the registry unparsed: every lazy call site
+  // parses again and reports the same error.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW(faultPoint("store.write"), FaultConfigError) << i;
+    EXPECT_THROW(faultPointsArmed(), FaultConfigError) << i;
+  }
+  // A valid spec parses once: only a reload re-reads the variable.
+  ::setenv("XLV_FAULTS", "store.write:fail", 1);
+  EXPECT_EQ(faultPoint("store.write"), FaultAction::Fail);
+  ::setenv("XLV_FAULTS", "store.write:explode", 1);
+  EXPECT_EQ(faultPoint("store.write"), FaultAction::Fail);
+  EXPECT_TRUE(faultPointsArmed());
+  ::unsetenv("XLV_FAULTS");
+  reloadFaultPointsFromEnv();
+  EXPECT_FALSE(faultPointsArmed());
+}
+
 }  // namespace
 }  // namespace xlv::util
