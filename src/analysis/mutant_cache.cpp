@@ -26,57 +26,21 @@ namespace {
 constexpr const char* kMutantArtifactTag = "mutant-artifact";
 constexpr int kMutantArtifactVersion = 1;
 
-std::string fieldName(std::string_view prefix, const char* name) {
-  std::string s(prefix);
-  s += name;
-  return s;
-}
+// The id is not on the wire: decoding leaves MutantResult's default, -1.
+constexpr auto kArtifactFields = [](auto& ar, MutantResult& r) {
+  mutantResultFields(ar, "", r);
+};
 
 }  // namespace
 
-void putMutantResultFields(util::Encoder& e, std::string_view prefix,
-                           const MutantResult& result) {
-  // id deliberately not encoded: it is variant-local (see header comment).
-  e.str(fieldName(prefix, "endpoint"), result.endpoint);
-  e.str(fieldName(prefix, "kind"), mutation::mutantKindName(result.kind));
-  e.i64(fieldName(prefix, "deltaTicks"), result.deltaTicks);
-  e.boolean(fieldName(prefix, "killed"), result.killed);
-  e.boolean(fieldName(prefix, "detected"), result.detected);
-  e.boolean(fieldName(prefix, "errorRisen"), result.errorRisen);
-  e.boolean(fieldName(prefix, "corrected"), result.corrected);
-  e.boolean(fieldName(prefix, "correctionChecked"), result.correctionChecked);
-  e.u64(fieldName(prefix, "measuredDelay"), result.measuredDelay);
-}
-
-MutantResult getMutantResultFields(util::Decoder& d, std::string_view prefix) {
-  MutantResult r;
-  r.id = -1;
-  r.endpoint = d.str(fieldName(prefix, "endpoint"));
-  const std::string kind = d.str(fieldName(prefix, "kind"));
-  const auto parsed = mutation::mutantKindFromName(kind);
-  if (!parsed) throw util::DecodeError("unknown mutant kind '" + kind + "'");
-  r.kind = *parsed;
-  r.deltaTicks = static_cast<int>(d.i64(fieldName(prefix, "deltaTicks")));
-  r.killed = d.boolean(fieldName(prefix, "killed"));
-  r.detected = d.boolean(fieldName(prefix, "detected"));
-  r.errorRisen = d.boolean(fieldName(prefix, "errorRisen"));
-  r.corrected = d.boolean(fieldName(prefix, "corrected"));
-  r.correctionChecked = d.boolean(fieldName(prefix, "correctionChecked"));
-  r.measuredDelay = d.u64(fieldName(prefix, "measuredDelay"));
-  return r;
-}
-
 std::string encodeMutantResultArtifact(const MutantResult& result) {
-  util::Encoder e(kMutantArtifactTag, kMutantArtifactVersion);
-  putMutantResultFields(e, "", result);
-  return e.take();
+  return util::writeDocument(kMutantArtifactTag, kMutantArtifactVersion, result,
+                             kArtifactFields);
 }
 
 MutantResult decodeMutantResultArtifact(std::string_view data) {
-  util::Decoder d(data, kMutantArtifactTag, kMutantArtifactVersion);
-  MutantResult r = getMutantResultFields(d, "");
-  d.finish();
-  return r;
+  return util::readDocument<MutantResult>(data, kMutantArtifactTag, kMutantArtifactVersion,
+                                          kArtifactFields);
 }
 
 }  // namespace xlv::analysis

@@ -36,6 +36,8 @@
 // Enabled by AnalysisConfig/FlowOptions::useMutantCache (sweeps turn it on
 // by default); layered over util::processArtifactStore() (domain "mutant")
 // when one is configured, so warm processes skip the simulations entirely.
+// The stored form is mutantResultFields below, the one field list the
+// campaign wire codec shares.
 #pragma once
 
 #include <string>
@@ -59,21 +61,30 @@ std::string mutantResultKey(const std::string& goldenKey, const mutation::Mutant
 /// deltaTicks up before putting one into a report.
 util::OnceCache<MutantResult>& mutantResultCache();
 
-/// Field-level codec of a MutantResult's CONTENT — every field except the
-/// id (which is variant-local and handled by each caller). The ONE field
+/// The field list (util/codec.h) of a MutantResult's CONTENT — every field
+/// except the id, which is variant-local and handled by each caller. The ONE
 /// list shared by the campaign wire codec (campaign/serialize.cpp, prefix
 /// "mut.") and the artifact codec below (no prefix): a new MutantResult
 /// field added here reaches both formats, so warm-vs-cold bit-identity
-/// cannot silently drift. getMutantResultFields returns id = -1 and throws
-/// util::DecodeError on an unknown mutant kind.
-void putMutantResultFields(util::Encoder& e, std::string_view prefix,
-                           const MutantResult& result);
-MutantResult getMutantResultFields(util::Decoder& d, std::string_view prefix);
+/// cannot silently drift.
+template <class Ar>
+void mutantResultFields(Ar& ar, std::string_view prefix, MutantResult& r) {
+  const auto name = [prefix](const char* field) { return std::string(prefix) + field; };
+  ar.str(name("endpoint"), r.endpoint);
+  ar.enumeration(name("kind"), r.kind, mutation::mutantKindName, mutation::kMutantKinds);
+  ar.i64(name("deltaTicks"), r.deltaTicks);
+  ar.boolean(name("killed"), r.killed);
+  ar.boolean(name("detected"), r.detected);
+  ar.boolean(name("errorRisen"), r.errorRisen);
+  ar.boolean(name("corrected"), r.corrected);
+  ar.boolean(name("correctionChecked"), r.correctionChecked);
+  ar.u64(name("measuredDelay"), r.measuredDelay);
+}
 
 /// Byte-stable artifact codec (util/codec.h) for the disk spill. The id
 /// travels as the normalized -1 so one entry serves every variant; decode
-/// throws util::DecodeError on truncation, version skew or an unknown
-/// mutant kind.
+/// throws util::DecodeError on truncation, version skew, an unknown mutant
+/// kind or an integer outside its field's type.
 std::string encodeMutantResultArtifact(const MutantResult& result);
 MutantResult decodeMutantResultArtifact(std::string_view data);
 

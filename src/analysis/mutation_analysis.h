@@ -83,6 +83,9 @@ enum class SimBackend {
 /// Canonical names ("auto" / "interpreter" / "native") — the CLI flag and
 /// serialization vocabulary.
 const char* simBackendName(SimBackend b) noexcept;
+/// Every backend, for readers that find a backend by its name.
+inline constexpr SimBackend kSimBackends[] = {SimBackend::Auto, SimBackend::Interpreter,
+                                              SimBackend::Native};
 /// Inverse of simBackendName; throws std::invalid_argument on anything else.
 SimBackend simBackendFromName(std::string_view name);
 /// Resolve Auto against the XLV_BACKEND environment variable (one env read

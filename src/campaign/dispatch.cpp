@@ -204,22 +204,17 @@ bool writeFd(int fd, std::string_view data) noexcept {
     case util::FaultAction::Fail:
       return false;
     case util::FaultAction::Short:
-      if (!data.empty()) {
-        const std::string_view half = data.substr(0, data.size() / 2);
-        std::size_t off = 0;
-        while (off < half.size()) {
-          const ssize_t n = ::write(fd, half.data() + off, half.size() - off);
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            break;
-          }
-          off += static_cast<std::size_t>(n);
-        }
-      }
+      writeAll(fd, data.substr(0, data.size() / 2));
       return false;
     case util::FaultAction::None:
       break;
   }
+  return writeAll(fd, data);
+}
+
+}  // namespace
+
+bool writeAll(int fd, std::string_view data) noexcept {
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
@@ -232,13 +227,7 @@ bool writeFd(int fd, std::string_view data) noexcept {
   return true;
 }
 
-void ignoreSigpipe() {
-  // A dead peer must surface as EPIPE from write(), not kill the process;
-  // idempotent, so every worker calls it on entry.
-  ::signal(SIGPIPE, SIG_IGN);
-}
-
-}  // namespace
+void ignoreSigpipe() { ::signal(SIGPIPE, SIG_IGN); }
 
 FrameRead readFrameBlocking(int fd, FrameReader& reader, std::string& doc,
                             int* errnoOut) {

@@ -7,7 +7,7 @@
 //
 //   * splits each spec into STEALABLE UNITS (planDispatchUnits in
 //     campaign/shard.h: whole items and mutant-range fragments, weighted by
-//     mutant count) and queues them heaviest-first (TaskQueue),
+//     mutant-class count) and queues them heaviest-first (TaskQueue),
 //   * spawns a pool of worker subprocesses (util/subprocess.h) that each
 //     loop { recv unit, run it via runShardUnits, stream the ShardOutput
 //     back } (runDispatchWorker),
@@ -89,6 +89,15 @@ class FrameReader {
   std::size_t maxFrameBytes_ = std::size_t{1} << 30;
 };
 
+/// Write all of `data` to a blocking fd, retrying EINTR and short writes;
+/// false on any other write error (EPIPE: the peer is gone).
+bool writeAll(int fd, std::string_view data) noexcept;
+
+/// Make a dead peer surface as EPIPE from write(2) instead of killing the
+/// process with SIGPIPE. Idempotent; every process that writes frames calls
+/// it on entry.
+void ignoreSigpipe();
+
 /// Outcome of readFrameBlocking. Eof (peer closed the stream cleanly) and
 /// Error (read(2) failed; see the errnoOut parameter) are DISTINCT: treating
 /// an I/O failure as "peer finished" silently drops in-flight work.
@@ -131,7 +140,7 @@ class OutboundBuffer {
 struct DispatchTask {
   std::size_t index = 0;  ///< position in the dispatch unit list (== merge shardIndex)
   ShardUnit unit;
-  std::uint64_t weight = 1;    ///< planner weight (mutant count)
+  std::uint64_t weight = 1;    ///< planner weight (mutant-class count)
   std::uint64_t attempts = 0;  ///< submissions so far (1 = first run underway/done)
 };
 

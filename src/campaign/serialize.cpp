@@ -5,9 +5,17 @@
 
 namespace xlv::campaign {
 
-using util::Decoder;
 using util::DecodeError;
-using util::Encoder;
+
+const char* const kSubmitFrameTag = "dispatch-submit";
+const char* const kStatusFrameTag = "dispatch-status";
+const char* const kHeartbeatFrameTag = "dispatch-heartbeat";
+const char* const kResultFrameTag = "dispatch-result";
+const char* const kClientSubmitFrameTag = "client-submit";
+const char* const kAcceptFrameTag = "dispatch-accept";
+const char* const kRejectFrameTag = "dispatch-reject";
+const char* const kItemResultFrameTag = "dispatch-item-result";
+const char* const kCampaignDoneFrameTag = "dispatch-done";
 
 namespace {
 
@@ -16,268 +24,313 @@ constexpr const char* kResultTag = "campaign-result";
 constexpr const char* kAnalysisTag = "analysis-report";
 constexpr const char* kMutantTag = "mutant-result";
 constexpr const char* kPrefixTag = "flow-prefix";
+constexpr const char* kOutputTag = "shard-output";
 
-// --- enum <-> canonical wire names ------------------------------------------
-// Enums travel as names, not raw integers: the decoder rejects values a
-// different build would interpret differently, and shard files stay
-// human-readable. Forward mappings are the shared canonical ones
-// (insertion::sensorKindName, core::mutantSetVariantName,
-// mutation::mutantKindName); only the reverse lookups live here.
+// --- field lists (util/codec.h) ----------------------------------------------
+// One visitor per record, its fields in wire order, drives both encode and
+// decode. Enums travel as their canonical names (insertion::sensorKindName,
+// core::mutantSetVariantName, mutation::mutantKindName,
+// analysis::simBackendName), not raw integers: the reader rejects a name a
+// different build would interpret differently, and documents stay
+// human-readable.
 
-using insertion::sensorKindName;
-
-insertion::SensorKind sensorKindByName(const std::string& s) {
-  if (s == "razor") return insertion::SensorKind::Razor;
-  if (s == "counter") return insertion::SensorKind::Counter;
-  throw DecodeError("unknown sensor kind '" + s + "'");
+template <class Ar>
+void fields(Ar& ar, sta::Corner& c) {
+  ar.str("corner.name", c.name);
+  ar.f64("corner.process", c.processFactor);
+  ar.f64("corner.voltage", c.voltageFactor);
+  ar.f64("corner.temperature", c.temperatureFactor);
 }
 
-core::MutantSetVariant mutantSetByName(const std::string& s) {
-  if (s == "full") return core::MutantSetVariant::Full;
-  if (s == "min") return core::MutantSetVariant::MinDelay;
-  if (s == "max") return core::MutantSetVariant::MaxDelay;
-  throw DecodeError("unknown mutant-set variant '" + s + "'");
+template <class Ar>
+void fields(Ar& ar, core::FlowOptions& o) {
+  ar.enumeration("opt.sensorKind", o.sensorKind, insertion::sensorKindName,
+                 insertion::kSensorKinds);
+  ar.u64("opt.testbenchCycles", o.testbenchCycles);
+  if (ar.has("opt.hasCorner", o.staCorner)) fields(ar, *o.staCorner);
+  if (ar.has("opt.hasThreshold", o.staThresholdFraction)) {
+    ar.f64("opt.threshold", *o.staThresholdFraction);
+  }
+  if (ar.has("opt.hasSpread", o.staSpreadFraction)) ar.f64("opt.spread", *o.staSpreadFraction);
+  if (ar.has("opt.hasHfRatio", o.hfRatio)) ar.i64("opt.hfRatio", *o.hfRatio);
+  ar.enumeration("opt.mutantSet", o.mutantSet, core::mutantSetVariantName,
+                 core::kMutantSetVariants);
+  ar.u64("opt.mutantBegin", o.mutantBegin);
+  ar.u64("opt.mutantEnd", o.mutantEnd);
+  ar.boolean("opt.useGoldenCache", o.useGoldenCache);
+  ar.boolean("opt.useMutantCache", o.useMutantCache);
+  ar.i64("opt.timingRepetitions", o.timingRepetitions);
+  ar.boolean("opt.measureRtl", o.measureRtl);
+  ar.boolean("opt.measureOptimized", o.measureOptimized);
+  ar.boolean("opt.runMutationAnalysis", o.runMutationAnalysis);
+  ar.i64("opt.analysisThreads", o.analysisThreads);
+  ar.enumeration("opt.backend", o.backend, analysis::simBackendName, analysis::kSimBackends);
+  ar.i64("opt.batch", o.batch);
+  ar.boolean("opt.measureTlm", o.measureTlm);
 }
 
-mutation::MutantKind mutantKindByName(const std::string& s) {
-  const auto kind = mutation::mutantKindFromName(s);
-  if (!kind) throw DecodeError("unknown mutant kind '" + s + "'");
-  return *kind;
-}
-
-analysis::SimBackend simBackendByName(const std::string& s) {
-  if (s == "auto") return analysis::SimBackend::Auto;
-  if (s == "interpreter") return analysis::SimBackend::Interpreter;
-  if (s == "native") return analysis::SimBackend::Native;
-  throw DecodeError("unknown simulation backend '" + s + "'");
-}
-
-// --- field-group helpers -----------------------------------------------------
-
-void putCorner(Encoder& e, const sta::Corner& c) {
-  e.str("corner.name", c.name);
-  e.f64("corner.process", c.processFactor);
-  e.f64("corner.voltage", c.voltageFactor);
-  e.f64("corner.temperature", c.temperatureFactor);
-}
-
-sta::Corner getCorner(Decoder& d) {
-  sta::Corner c;
-  c.name = d.str("corner.name");
-  c.processFactor = d.f64("corner.process");
-  c.voltageFactor = d.f64("corner.voltage");
-  c.temperatureFactor = d.f64("corner.temperature");
-  return c;
-}
-
-void putOptions(Encoder& e, const core::FlowOptions& o) {
-  e.str("opt.sensorKind", sensorKindName(o.sensorKind));
-  e.u64("opt.testbenchCycles", o.testbenchCycles);
-  e.boolean("opt.hasCorner", o.staCorner.has_value());
-  if (o.staCorner) putCorner(e, *o.staCorner);
-  e.boolean("opt.hasThreshold", o.staThresholdFraction.has_value());
-  if (o.staThresholdFraction) e.f64("opt.threshold", *o.staThresholdFraction);
-  e.boolean("opt.hasSpread", o.staSpreadFraction.has_value());
-  if (o.staSpreadFraction) e.f64("opt.spread", *o.staSpreadFraction);
-  e.boolean("opt.hasHfRatio", o.hfRatio.has_value());
-  if (o.hfRatio) e.i64("opt.hfRatio", *o.hfRatio);
-  e.str("opt.mutantSet", core::mutantSetVariantName(o.mutantSet));
-  e.u64("opt.mutantBegin", o.mutantBegin);
-  e.u64("opt.mutantEnd", o.mutantEnd);
-  e.boolean("opt.useGoldenCache", o.useGoldenCache);
-  e.boolean("opt.useMutantCache", o.useMutantCache);
-  e.i64("opt.timingRepetitions", o.timingRepetitions);
-  e.boolean("opt.measureRtl", o.measureRtl);
-  e.boolean("opt.measureOptimized", o.measureOptimized);
-  e.boolean("opt.runMutationAnalysis", o.runMutationAnalysis);
-  e.i64("opt.analysisThreads", o.analysisThreads);
-  e.str("opt.backend", analysis::simBackendName(o.backend));
-  e.i64("opt.batch", o.batch);
-  e.boolean("opt.measureTlm", o.measureTlm);
-}
-
-core::FlowOptions getOptions(Decoder& d) {
-  core::FlowOptions o;
-  o.sensorKind = sensorKindByName(d.str("opt.sensorKind"));
-  o.testbenchCycles = d.u64("opt.testbenchCycles");
-  if (d.boolean("opt.hasCorner")) o.staCorner = getCorner(d);
-  if (d.boolean("opt.hasThreshold")) o.staThresholdFraction = d.f64("opt.threshold");
-  if (d.boolean("opt.hasSpread")) o.staSpreadFraction = d.f64("opt.spread");
-  if (d.boolean("opt.hasHfRatio")) o.hfRatio = static_cast<int>(d.i64("opt.hfRatio"));
-  o.mutantSet = mutantSetByName(d.str("opt.mutantSet"));
-  o.mutantBegin = static_cast<std::size_t>(d.u64("opt.mutantBegin"));
-  o.mutantEnd = static_cast<std::size_t>(d.u64("opt.mutantEnd"));
-  o.useGoldenCache = d.boolean("opt.useGoldenCache");
-  o.useMutantCache = d.boolean("opt.useMutantCache");
-  o.timingRepetitions = static_cast<int>(d.i64("opt.timingRepetitions"));
-  o.measureRtl = d.boolean("opt.measureRtl");
-  o.measureOptimized = d.boolean("opt.measureOptimized");
-  o.runMutationAnalysis = d.boolean("opt.runMutationAnalysis");
-  o.analysisThreads = static_cast<int>(d.i64("opt.analysisThreads"));
-  o.backend = simBackendByName(d.str("opt.backend"));
-  o.batch = static_cast<int>(d.i64("opt.batch"));
-  o.measureTlm = d.boolean("opt.measureTlm");
-  return o;
-}
-
-void putMutantSpec(Encoder& e, const mutation::MutantSpec& m) {
-  e.str("spec.target", m.targetSignal);
-  e.str("spec.kind", mutation::mutantKindName(m.kind));
-  e.i64("spec.deltaTicks", m.deltaTicks);
-}
-
-mutation::MutantSpec getMutantSpec(Decoder& d) {
-  mutation::MutantSpec m;
-  m.targetSignal = d.str("spec.target");
-  m.kind = mutantKindByName(d.str("spec.kind"));
-  m.deltaTicks = static_cast<int>(d.i64("spec.deltaTicks"));
-  return m;
+template <class Ar>
+void fields(Ar& ar, mutation::MutantSpec& m) {
+  ar.str("spec.target", m.targetSignal);
+  ar.enumeration("spec.kind", m.kind, mutation::mutantKindName, mutation::kMutantKinds);
+  ar.i64("spec.deltaTicks", m.deltaTicks);
 }
 
 // The content fields come from the ONE shared field list
-// (analysis::putMutantResultFields), so this wire codec and the disk
-// artifact codec cannot drift apart; only the id — variant-local, excluded
-// from artifacts — is added here.
-void putMutantResult(Encoder& e, const analysis::MutantResult& r) {
-  e.i64("mut.id", r.id);
-  analysis::putMutantResultFields(e, "mut.", r);
+// (analysis::mutantResultFields), so this wire codec and the disk artifact
+// codec cannot drift apart; only the id — variant-local, excluded from
+// artifacts — is added here.
+template <class Ar>
+void fields(Ar& ar, analysis::MutantResult& r) {
+  ar.i64("mut.id", r.id);
+  analysis::mutantResultFields(ar, "mut.", r);
 }
 
-analysis::MutantResult getMutantResult(Decoder& d) {
-  const int id = static_cast<int>(d.i64("mut.id"));
-  analysis::MutantResult r = analysis::getMutantResultFields(d, "mut.");
-  r.id = id;
-  return r;
+template <class Ar>
+void fields(Ar& ar, analysis::AnalysisReport& a) {
+  ar.u64("an.cyclesPerRun", a.cyclesPerRun);
+  ar.u64("an.cyclesSimulated", a.cyclesSimulated);
+  ar.u64("an.cyclesSkipped", a.cyclesSkipped);
+  ar.f64("an.simSeconds", a.simSeconds);
+  ar.f64("an.wallSeconds", a.wallSeconds);
+  ar.f64("an.goldenSeconds", a.goldenSeconds);
+  ar.boolean("an.goldenFromCache", a.goldenFromCache);
+  ar.boolean("an.goldenFromDisk", a.goldenFromDisk);
+  ar.i64("an.mutantCacheHits", a.mutantCacheHits);
+  ar.i64("an.threadsUsed", a.threadsUsed);
+  ar.i64("an.nativeCompiles", a.nativeCompiles);
+  ar.i64("an.nativeCacheHits", a.nativeCacheHits);
+  ar.i64("an.batchedMutants", a.batchedMutants);
+  ar.list("an.results", a.results, [&](auto& r) { fields(ar, r); });
 }
 
-void putAnalysis(Encoder& e, const analysis::AnalysisReport& a) {
-  e.u64("an.cyclesPerRun", a.cyclesPerRun);
-  e.u64("an.cyclesSimulated", a.cyclesSimulated);
-  e.u64("an.cyclesSkipped", a.cyclesSkipped);
-  e.f64("an.simSeconds", a.simSeconds);
-  e.f64("an.wallSeconds", a.wallSeconds);
-  e.f64("an.goldenSeconds", a.goldenSeconds);
-  e.boolean("an.goldenFromCache", a.goldenFromCache);
-  e.boolean("an.goldenFromDisk", a.goldenFromDisk);
-  e.i64("an.mutantCacheHits", a.mutantCacheHits);
-  e.i64("an.threadsUsed", a.threadsUsed);
-  e.i64("an.nativeCompiles", a.nativeCompiles);
-  e.i64("an.nativeCacheHits", a.nativeCacheHits);
-  e.i64("an.batchedMutants", a.batchedMutants);
-  e.beginList("an.results", a.results.size());
-  for (const auto& r : a.results) putMutantResult(e, r);
-}
-
-analysis::AnalysisReport getAnalysis(Decoder& d) {
-  analysis::AnalysisReport a;
-  a.cyclesPerRun = d.u64("an.cyclesPerRun");
-  a.cyclesSimulated = d.u64("an.cyclesSimulated");
-  a.cyclesSkipped = d.u64("an.cyclesSkipped");
-  a.simSeconds = d.f64("an.simSeconds");
-  a.wallSeconds = d.f64("an.wallSeconds");
-  a.goldenSeconds = d.f64("an.goldenSeconds");
-  a.goldenFromCache = d.boolean("an.goldenFromCache");
-  a.goldenFromDisk = d.boolean("an.goldenFromDisk");
-  a.mutantCacheHits = static_cast<int>(d.i64("an.mutantCacheHits"));
-  a.threadsUsed = static_cast<int>(d.i64("an.threadsUsed"));
-  a.nativeCompiles = static_cast<int>(d.i64("an.nativeCompiles"));
-  a.nativeCacheHits = static_cast<int>(d.i64("an.nativeCacheHits"));
-  a.batchedMutants = static_cast<int>(d.i64("an.batchedMutants"));
-  a.results.resize(d.beginList("an.results"));
-  for (auto& r : a.results) r = getMutantResult(d);
-  return a;
-}
-
-void putSensor(Encoder& e, const insertion::InsertedSensor& s) {
-  e.str("sensor.endpoint", s.endpointName);
-  e.str("sensor.instance", s.instanceName);
-  e.str("sensor.error", s.errorSignal);
-  e.str("sensor.q", s.qSignal);
-  e.str("sensor.measVal", s.measValSignal);
-  e.str("sensor.outOk", s.outOkSignal);
-  e.f64("sensor.arrivalPs", s.endpointArrivalPs);
-}
-
-insertion::InsertedSensor getSensor(Decoder& d) {
-  insertion::InsertedSensor s;
-  s.endpointName = d.str("sensor.endpoint");
-  s.instanceName = d.str("sensor.instance");
-  s.errorSignal = d.str("sensor.error");
-  s.qSignal = d.str("sensor.q");
-  s.measValSignal = d.str("sensor.measVal");
-  s.outOkSignal = d.str("sensor.outOk");
-  s.endpointArrivalPs = d.f64("sensor.arrivalPs");
-  return s;
+template <class Ar>
+void fields(Ar& ar, insertion::InsertedSensor& s) {
+  ar.str("sensor.endpoint", s.endpointName);
+  ar.str("sensor.instance", s.instanceName);
+  ar.str("sensor.error", s.errorSignal);
+  ar.str("sensor.q", s.qSignal);
+  ar.str("sensor.measVal", s.measValSignal);
+  ar.str("sensor.outOk", s.outOkSignal);
+  ar.f64("sensor.arrivalPs", s.endpointArrivalPs);
 }
 
 // The portable FlowReport subset: every field sameResults compares plus the
 // timing ledger — never the elaborated designs (see serialize.h).
-void putReport(Encoder& e, const core::FlowReport& r) {
-  e.str("rep.ipName", r.ipName);
-  e.str("rep.sensorKind", sensorKindName(r.sensorKind));
-  e.i64("rep.hfRatio", r.hfRatio);
-  e.i64("rep.skippedEndpoints", r.skippedEndpoints);
-  e.f64("rep.sensorAreaGates", r.sensorAreaGates);
-  e.i64("rep.staCriticalCount", r.sta.criticalCount);
-  e.f64("rep.staThresholdPs", r.sta.thresholdPs);
-  e.f64("rep.staClockPeriodPs", r.sta.clockPeriodPs);
-  e.f64("rep.staMinSlackPs", r.sta.minSlackPs);
-  e.i64("rep.locRtlClean", r.loc.rtlClean);
-  e.i64("rep.locRtlAugmented", r.loc.rtlAugmented);
-  e.i64("rep.locTlm", r.loc.tlm);
-  e.i64("rep.locTlmInjected", r.loc.tlmInjected);
-  e.beginList("rep.sensors", r.sensors.size());
-  for (const auto& s : r.sensors) putSensor(e, s);
-  e.beginList("rep.mutantSpecs", r.mutantSpecs.size());
-  for (const auto& m : r.mutantSpecs) putMutantSpec(e, m);
-  putAnalysis(e, r.analysis);
+template <class Ar>
+void fields(Ar& ar, core::FlowReport& r) {
+  ar.str("rep.ipName", r.ipName);
+  ar.enumeration("rep.sensorKind", r.sensorKind, insertion::sensorKindName,
+                 insertion::kSensorKinds);
+  ar.i64("rep.hfRatio", r.hfRatio);
+  ar.i64("rep.skippedEndpoints", r.skippedEndpoints);
+  ar.f64("rep.sensorAreaGates", r.sensorAreaGates);
+  ar.i64("rep.staCriticalCount", r.sta.criticalCount);
+  ar.f64("rep.staThresholdPs", r.sta.thresholdPs);
+  ar.f64("rep.staClockPeriodPs", r.sta.clockPeriodPs);
+  ar.f64("rep.staMinSlackPs", r.sta.minSlackPs);
+  ar.i64("rep.locRtlClean", r.loc.rtlClean);
+  ar.i64("rep.locRtlAugmented", r.loc.rtlAugmented);
+  ar.i64("rep.locTlm", r.loc.tlm);
+  ar.i64("rep.locTlmInjected", r.loc.tlmInjected);
+  ar.list("rep.sensors", r.sensors, [&](auto& s) { fields(ar, s); });
+  ar.list("rep.mutantSpecs", r.mutantSpecs, [&](auto& m) { fields(ar, m); });
+  fields(ar, r.analysis);
 }
 
-core::FlowReport getReport(Decoder& d) {
-  core::FlowReport r;
-  r.ipName = d.str("rep.ipName");
-  r.sensorKind = sensorKindByName(d.str("rep.sensorKind"));
-  r.hfRatio = static_cast<int>(d.i64("rep.hfRatio"));
-  r.skippedEndpoints = static_cast<int>(d.i64("rep.skippedEndpoints"));
-  r.sensorAreaGates = d.f64("rep.sensorAreaGates");
-  r.sta.criticalCount = static_cast<int>(d.i64("rep.staCriticalCount"));
-  r.sta.thresholdPs = d.f64("rep.staThresholdPs");
-  r.sta.clockPeriodPs = d.f64("rep.staClockPeriodPs");
-  r.sta.minSlackPs = d.f64("rep.staMinSlackPs");
-  r.loc.rtlClean = static_cast<int>(d.i64("rep.locRtlClean"));
-  r.loc.rtlAugmented = static_cast<int>(d.i64("rep.locRtlAugmented"));
-  r.loc.tlm = static_cast<int>(d.i64("rep.locTlm"));
-  r.loc.tlmInjected = static_cast<int>(d.i64("rep.locTlmInjected"));
-  r.sensors.resize(d.beginList("rep.sensors"));
-  for (auto& s : r.sensors) s = getSensor(d);
-  r.mutantSpecs.resize(d.beginList("rep.mutantSpecs"));
-  for (auto& m : r.mutantSpecs) m = getMutantSpec(d);
-  r.analysis = getAnalysis(d);
-  return r;
+template <class Ar>
+void fields(Ar& ar, CampaignItemResult& it) {
+  ar.u64("item.taskId", it.taskId);
+  ar.str("item.label", it.label);
+  ar.str("item.error", it.error);
+  ar.f64("item.taskSeconds", it.taskSeconds);
+  ar.f64("item.goldenSeconds", it.goldenSeconds);
+  ar.boolean("item.goldenFromCache", it.goldenFromCache);
+  ar.boolean("item.prefixShared", it.prefixShared);
+  fields(ar, it.report);
 }
 
-void putItemResult(Encoder& e, const CampaignItemResult& it) {
-  e.u64("item.taskId", it.taskId);
-  e.str("item.label", it.label);
-  e.str("item.error", it.error);
-  e.f64("item.taskSeconds", it.taskSeconds);
-  e.f64("item.goldenSeconds", it.goldenSeconds);
-  e.boolean("item.goldenFromCache", it.goldenFromCache);
-  e.boolean("item.prefixShared", it.prefixShared);
-  putReport(e, it.report);
+template <class Ar>
+void fields(Ar& ar, CampaignItem& item) {
+  ar.text("item.case", item.caseStudy, [](const ips::CaseStudy& cs) { return cs.name; },
+          buildCaseStudyByName);
+  ar.str("item.label", item.label);
+  ar.str("item.prefixKey", item.prefixKey);
+  fields(ar, item.options);
 }
 
-CampaignItemResult getItemResult(Decoder& d) {
-  CampaignItemResult it;
-  it.taskId = static_cast<std::size_t>(d.u64("item.taskId"));
-  it.label = d.str("item.label");
-  it.error = d.str("item.error");
-  it.taskSeconds = d.f64("item.taskSeconds");
-  it.goldenSeconds = d.f64("item.goldenSeconds");
-  it.goldenFromCache = d.boolean("item.goldenFromCache");
-  it.prefixShared = d.boolean("item.prefixShared");
-  it.report = getReport(d);
-  return it;
+template <class Ar>
+void fields(Ar& ar, CampaignSpec& spec) {
+  ar.str("name", spec.name);
+  ar.i64("executor.threads", spec.executor.threads);
+  ar.i64("executor.chunkSize", spec.executor.chunkSize);
+  ar.list("items", spec.items, [&](auto& item) { fields(ar, item); });
+}
+
+template <class Ar>
+void fields(Ar& ar, CampaignResult& r) {
+  ar.str("name", r.name);
+  ar.f64("simSeconds", r.simSeconds);
+  ar.f64("goldenSeconds", r.goldenSeconds);
+  ar.i64("goldenCacheHits", r.goldenCacheHits);
+  ar.i64("prefixCacheHits", r.prefixCacheHits);
+  ar.i64("mutantCacheHits", r.mutantCacheHits);
+  ar.i64("diskHits", r.diskHits);
+  ar.i64("diskStores", r.diskStores);
+  ar.i64("diskEvictions", r.diskEvictions);
+  ar.u64("cyclesSimulated", r.cyclesSimulated);
+  ar.u64("cyclesSkipped", r.cyclesSkipped);
+  ar.i64("nativeCompiles", r.nativeCompiles);
+  ar.i64("nativeCacheHits", r.nativeCacheHits);
+  ar.i64("batchedMutants", r.batchedMutants);
+  ar.f64("wallSeconds", r.wallSeconds);
+  ar.i64("threadsUsed", r.threadsUsed);
+  ar.list("items", r.items, [&](auto& it) { fields(ar, it); });
+}
+
+/// What a flow-prefix artifact stores: the identity it was recorded for,
+/// the STA report and the inserted sensors. The designs are re-derived
+/// (decodeFlowPrefix).
+struct PrefixRecord {
+  std::string ip;
+  insertion::SensorKind kind = insertion::SensorKind::Razor;
+  sta::StaReport sta;
+  std::vector<insertion::InsertedSensor> sensors;
+};
+
+template <class Ar>
+void fields(Ar& ar, sta::PathRecord& p) {
+  ar.i64("path.endpoint", p.endpoint);
+  ar.str("path.endpointName", p.endpointName);
+  ar.i64("path.startpoint", p.startpoint);
+  ar.str("path.startpointName", p.startpointName);
+  ar.f64("path.arrivalPs", p.arrivalPs);
+  ar.f64("path.slackPs", p.slackPs);
+  ar.f64("path.logicLevels", p.logicLevels);
+  ar.boolean("path.critical", p.critical);
+}
+
+template <class Ar>
+void fields(Ar& ar, PrefixRecord& p) {
+  ar.str("ip", p.ip);
+  ar.enumeration("kind", p.kind, insertion::sensorKindName, insertion::kSensorKinds);
+  ar.f64("sta.thresholdPs", p.sta.thresholdPs);
+  ar.f64("sta.clockPeriodPs", p.sta.clockPeriodPs);
+  ar.i64("sta.criticalCount", p.sta.criticalCount);
+  ar.f64("sta.minSlackPs", p.sta.minSlackPs);
+  ar.list("sta.paths", p.sta.paths, [&](auto& path) { fields(ar, path); });
+  ar.list("sensors", p.sensors, [&](auto& s) { fields(ar, s); });
+}
+
+template <class Ar>
+void fields(Ar& ar, ShardUnit& u) {
+  ar.u64("unit.taskId", u.taskId);
+  ar.u64("unit.mutantBegin", u.mutantBegin);
+  ar.u64("unit.mutantEnd", u.mutantEnd);
+}
+
+template <class Ar>
+void fields(Ar& ar, ShardOutput& o) {
+  ar.u64("specFnv", o.specFnv);
+  ar.i64("shardIndex", o.shardIndex);
+  ar.i64("shardCount", o.shardCount);
+  ar.list("units", o.units, [&](auto& u) { fields(ar, u); });
+  // The result travels as a nested campaign-result document; its own header
+  // keeps the two schema versions independently checkable.
+  ar.text("result", o.result, encodeCampaignResult, decodeCampaignResult);
+}
+
+template <class Ar>
+void fields(Ar& ar, SubmitFrame& f) {
+  ar.u64("specFnv", f.specFnv);
+  ar.u64("campaignId", f.campaignId);
+  ar.u64("seq", f.seq);
+  ar.u64("taskIndex", f.taskIndex);
+  ar.u64("taskCount", f.taskCount);
+  ar.u64("attempt", f.attempt);
+  fields(ar, f.unit);
+  ar.str("specPath", f.specPath);
+  ar.boolean("shutdown", f.shutdown);
+}
+
+template <class Ar>
+void fields(Ar& ar, StatusFrame& f) {
+  ar.u64("workerIndex", f.workerIndex);
+  ar.u64("generation", f.generation);
+  ar.u64("itemsDone", f.itemsDone);
+  ar.str("state", f.state);
+}
+
+template <class Ar>
+void fields(Ar& ar, HeartbeatFrame& f) {
+  ar.u64("workerIndex", f.workerIndex);
+  ar.u64("generation", f.generation);
+  ar.u64("seq", f.seq);
+  ar.u64("itemsDone", f.itemsDone);
+}
+
+template <class Ar>
+void fields(Ar& ar, ResultFrame& f) {
+  ar.u64("campaignId", f.campaignId);
+  ar.u64("seq", f.seq);
+  ar.u64("taskIndex", f.taskIndex);
+  ar.u64("attempt", f.attempt);
+  // A nested shard-output document, like the result inside ShardOutput.
+  ar.text("output", f.output, encodeShardOutput, decodeShardOutput);
+}
+
+template <class Ar>
+void fields(Ar& ar, ClientSubmitFrame& f) {
+  ar.str("clientName", f.clientName);
+  ar.str("spec", f.spec);
+  ar.u64("maxFragmentMutants", f.maxFragmentMutants);
+  ar.u64("deadlineMs", f.deadlineMs);
+}
+
+template <class Ar>
+void fields(Ar& ar, AcceptFrame& f) {
+  ar.u64("campaignId", f.campaignId);
+  ar.u64("specFnv", f.specFnv);
+  ar.u64("unitCount", f.unitCount);
+}
+
+template <class Ar>
+void fields(Ar& ar, RejectFrame& f) {
+  ar.str("reason", f.reason);
+  ar.u64("retryAfterMs", f.retryAfterMs);
+}
+
+template <class Ar>
+void fields(Ar& ar, ItemResultFrame& f) {
+  ar.u64("campaignId", f.campaignId);
+  ar.u64("taskIndex", f.taskIndex);
+  ar.u64("taskCount", f.taskCount);
+  ar.text("output", f.output, encodeShardOutput, decodeShardOutput);
+}
+
+template <class Ar>
+void fields(Ar& ar, CampaignDoneFrame& f) {
+  ar.u64("campaignId", f.campaignId);
+  ar.u64("unitsTotal", f.unitsTotal);
+  ar.u64("unitsCompleted", f.unitsCompleted);
+  ar.u64("requeues", f.requeues);
+  ar.boolean("cancelled", f.cancelled);
+  ar.str("error", f.error);
+  ar.list("quarantined", f.quarantined, [&](auto& q) { ar.u64("q", q); });
+}
+
+// Every document of this codec: its tag, kCampaignCodecVersion, then the
+// record's field list.
+constexpr auto kFields = [](auto& ar, auto& record) { fields(ar, record); };
+
+template <class T>
+std::string encodeDoc(const char* tag, const T& record) {
+  return util::writeDocument(tag, kCampaignCodecVersion, record, kFields);
+}
+
+template <class T>
+T decodeDoc(std::string_view data, const char* tag) {
+  return util::readDocument<T>(data, tag, kCampaignCodecVersion, kFields);
 }
 
 }  // namespace
@@ -294,180 +347,70 @@ ips::CaseStudy buildCaseStudyByName(const std::string& name) {
   throw DecodeError("unknown case study '" + name + "' (known: Plasma, DSP, Filter, Handshake)");
 }
 
-std::string encodeCampaignSpec(const CampaignSpec& spec) {
-  Encoder e(kSpecTag, kCampaignCodecVersion);
-  e.str("name", spec.name);
-  e.i64("executor.threads", spec.executor.threads);
-  e.i64("executor.chunkSize", spec.executor.chunkSize);
-  e.beginList("items", spec.items.size());
-  for (const auto& item : spec.items) {
-    e.str("item.case", item.caseStudy.name);
-    e.str("item.label", item.label);
-    e.str("item.prefixKey", item.prefixKey);
-    putOptions(e, item.options);
-  }
-  return e.take();
-}
+std::string encodeCampaignSpec(const CampaignSpec& spec) { return encodeDoc(kSpecTag, spec); }
 
 CampaignSpec decodeCampaignSpec(std::string_view data) {
-  Decoder d(data, kSpecTag, kCampaignCodecVersion);
-  CampaignSpec spec;
-  spec.name = d.str("name");
-  spec.executor.threads = static_cast<int>(d.i64("executor.threads"));
-  spec.executor.chunkSize = static_cast<int>(d.i64("executor.chunkSize"));
-  spec.items.resize(d.beginList("items"));
-  for (auto& item : spec.items) {
-    item.caseStudy = buildCaseStudyByName(d.str("item.case"));
-    item.label = d.str("item.label");
-    item.prefixKey = d.str("item.prefixKey");
-    item.options = getOptions(d);
-  }
-  d.finish();
-  return spec;
+  return decodeDoc<CampaignSpec>(data, kSpecTag);
 }
 
 std::string encodeCampaignResult(const CampaignResult& result) {
-  Encoder e(kResultTag, kCampaignCodecVersion);
-  e.str("name", result.name);
-  e.f64("simSeconds", result.simSeconds);
-  e.f64("goldenSeconds", result.goldenSeconds);
-  e.i64("goldenCacheHits", result.goldenCacheHits);
-  e.i64("prefixCacheHits", result.prefixCacheHits);
-  e.i64("mutantCacheHits", result.mutantCacheHits);
-  e.i64("diskHits", result.diskHits);
-  e.i64("diskStores", result.diskStores);
-  e.i64("diskEvictions", result.diskEvictions);
-  e.u64("cyclesSimulated", result.cyclesSimulated);
-  e.u64("cyclesSkipped", result.cyclesSkipped);
-  e.i64("nativeCompiles", result.nativeCompiles);
-  e.i64("nativeCacheHits", result.nativeCacheHits);
-  e.i64("batchedMutants", result.batchedMutants);
-  e.f64("wallSeconds", result.wallSeconds);
-  e.i64("threadsUsed", result.threadsUsed);
-  e.beginList("items", result.items.size());
-  for (const auto& it : result.items) putItemResult(e, it);
-  return e.take();
+  return encodeDoc(kResultTag, result);
 }
 
 CampaignResult decodeCampaignResult(std::string_view data) {
-  Decoder d(data, kResultTag, kCampaignCodecVersion);
-  CampaignResult result;
-  result.name = d.str("name");
-  result.simSeconds = d.f64("simSeconds");
-  result.goldenSeconds = d.f64("goldenSeconds");
-  result.goldenCacheHits = static_cast<int>(d.i64("goldenCacheHits"));
-  result.prefixCacheHits = static_cast<int>(d.i64("prefixCacheHits"));
-  result.mutantCacheHits = static_cast<int>(d.i64("mutantCacheHits"));
-  result.diskHits = static_cast<int>(d.i64("diskHits"));
-  result.diskStores = static_cast<int>(d.i64("diskStores"));
-  result.diskEvictions = static_cast<int>(d.i64("diskEvictions"));
-  result.cyclesSimulated = d.u64("cyclesSimulated");
-  result.cyclesSkipped = d.u64("cyclesSkipped");
-  result.nativeCompiles = static_cast<int>(d.i64("nativeCompiles"));
-  result.nativeCacheHits = static_cast<int>(d.i64("nativeCacheHits"));
-  result.batchedMutants = static_cast<int>(d.i64("batchedMutants"));
-  result.wallSeconds = d.f64("wallSeconds");
-  result.threadsUsed = static_cast<int>(d.i64("threadsUsed"));
-  result.items.resize(d.beginList("items"));
-  for (auto& it : result.items) it = getItemResult(d);
-  d.finish();
-  return result;
+  return decodeDoc<CampaignResult>(data, kResultTag);
 }
 
 std::string encodeAnalysisReport(const analysis::AnalysisReport& report) {
-  Encoder e(kAnalysisTag, kCampaignCodecVersion);
-  putAnalysis(e, report);
-  return e.take();
+  return encodeDoc(kAnalysisTag, report);
 }
 
 analysis::AnalysisReport decodeAnalysisReport(std::string_view data) {
-  Decoder d(data, kAnalysisTag, kCampaignCodecVersion);
-  analysis::AnalysisReport report = getAnalysis(d);
-  d.finish();
-  return report;
+  return decodeDoc<analysis::AnalysisReport>(data, kAnalysisTag);
 }
 
 std::string encodeMutantResult(const analysis::MutantResult& result) {
-  Encoder e(kMutantTag, kCampaignCodecVersion);
-  putMutantResult(e, result);
-  return e.take();
+  return encodeDoc(kMutantTag, result);
 }
 
 analysis::MutantResult decodeMutantResult(std::string_view data) {
-  Decoder d(data, kMutantTag, kCampaignCodecVersion);
-  analysis::MutantResult result = getMutantResult(d);
-  d.finish();
-  return result;
+  return decodeDoc<analysis::MutantResult>(data, kMutantTag);
+}
+
+std::string encodeShardOutput(const ShardOutput& output) {
+  return encodeDoc(kOutputTag, output);
+}
+
+ShardOutput decodeShardOutput(std::string_view data) {
+  return decodeDoc<ShardOutput>(data, kOutputTag);
 }
 
 // --- flow-prefix artifact ----------------------------------------------------
 
 std::string encodeFlowPrefix(const core::FlowPrefix& prefix) {
   const core::FlowReport& r = prefix.report;
-  Encoder e(kPrefixTag, kCampaignCodecVersion);
-  e.str("ip", r.ipName);
-  e.str("kind", sensorKindName(r.sensorKind));
-  e.f64("sta.thresholdPs", r.sta.thresholdPs);
-  e.f64("sta.clockPeriodPs", r.sta.clockPeriodPs);
-  e.i64("sta.criticalCount", r.sta.criticalCount);
-  e.f64("sta.minSlackPs", r.sta.minSlackPs);
-  e.beginList("sta.paths", r.sta.paths.size());
-  for (const auto& p : r.sta.paths) {
-    e.i64("path.endpoint", p.endpoint);
-    e.str("path.endpointName", p.endpointName);
-    e.i64("path.startpoint", p.startpoint);
-    e.str("path.startpointName", p.startpointName);
-    e.f64("path.arrivalPs", p.arrivalPs);
-    e.f64("path.slackPs", p.slackPs);
-    e.f64("path.logicLevels", p.logicLevels);
-    e.boolean("path.critical", p.critical);
-  }
-  e.beginList("sensors", r.sensors.size());
-  for (const auto& s : r.sensors) putSensor(e, s);
-  return e.take();
+  return encodeDoc(kPrefixTag, PrefixRecord{r.ipName, r.sensorKind, r.sta, r.sensors});
 }
 
 core::FlowPrefix decodeFlowPrefix(std::string_view data, const ips::CaseStudy& cs,
                                   const core::FlowOptions& opts) {
-  Decoder d(data, kPrefixTag, kCampaignCodecVersion);
-  const std::string ip = d.str("ip");
-  const insertion::SensorKind kind = sensorKindByName(d.str("kind"));
-  sta::StaReport sta;
-  sta.thresholdPs = d.f64("sta.thresholdPs");
-  sta.clockPeriodPs = d.f64("sta.clockPeriodPs");
-  sta.criticalCount = static_cast<int>(d.i64("sta.criticalCount"));
-  sta.minSlackPs = d.f64("sta.minSlackPs");
-  sta.paths.resize(d.beginList("sta.paths"));
-  for (auto& p : sta.paths) {
-    p.endpoint = static_cast<ir::SymbolId>(d.i64("path.endpoint"));
-    p.endpointName = d.str("path.endpointName");
-    p.startpoint = static_cast<ir::SymbolId>(d.i64("path.startpoint"));
-    p.startpointName = d.str("path.startpointName");
-    p.arrivalPs = d.f64("path.arrivalPs");
-    p.slackPs = d.f64("path.slackPs");
-    p.logicLevels = d.f64("path.logicLevels");
-    p.critical = d.boolean("path.critical");
-  }
-  std::vector<insertion::InsertedSensor> storedSensors(d.beginList("sensors"));
-  for (auto& s : storedSensors) s = getSensor(d);
-  d.finish();
-
-  if (ip != cs.name || kind != opts.sensorKind) {
-    throw DecodeError("flow-prefix artifact was recorded for " + ip + "/" +
-                      sensorKindName(kind) + ", requested " + cs.name + "/" +
-                      sensorKindName(opts.sensorKind));
+  const PrefixRecord stored = decodeDoc<PrefixRecord>(data, kPrefixTag);
+  if (stored.ip != cs.name || stored.kind != opts.sensorKind) {
+    throw DecodeError("flow-prefix artifact was recorded for " + stored.ip + "/" +
+                      insertion::sensorKindName(stored.kind) + ", requested " + cs.name +
+                      "/" + insertion::sensorKindName(opts.sensorKind));
   }
   // Re-derive the designs deterministically from the stored STA report,
   // then cross-check the rebuilt sensor list against the stored one: a
   // mismatch means the artifact predates a code or model change (the key
   // failed to capture it) and must be rebuilt from scratch, never trusted.
-  core::FlowPrefix prefix = core::rebuildFlowPrefix(cs, opts, sta);
+  core::FlowPrefix prefix = core::rebuildFlowPrefix(cs, opts, stored.sta);
   const auto& rebuilt = prefix.report.sensors;
-  bool consistent = rebuilt.size() == storedSensors.size();
+  bool consistent = rebuilt.size() == stored.sensors.size();
   for (std::size_t i = 0; consistent && i < rebuilt.size(); ++i) {
-    consistent = rebuilt[i].endpointName == storedSensors[i].endpointName &&
-                 rebuilt[i].instanceName == storedSensors[i].instanceName &&
-                 rebuilt[i].endpointArrivalPs == storedSensors[i].endpointArrivalPs;
+    consistent = rebuilt[i].endpointName == stored.sensors[i].endpointName &&
+                 rebuilt[i].instanceName == stored.sensors[i].instanceName &&
+                 rebuilt[i].endpointArrivalPs == stored.sensors[i].endpointArrivalPs;
   }
   if (!consistent) {
     throw DecodeError("flow-prefix artifact for " + cs.name +
@@ -476,35 +419,7 @@ core::FlowPrefix decodeFlowPrefix(std::string_view data, const ips::CaseStudy& c
   return prefix;
 }
 
-// --- dispatcher daemon wire frames -------------------------------------------
-
-const char* const kSubmitFrameTag = "dispatch-submit";
-const char* const kStatusFrameTag = "dispatch-status";
-const char* const kHeartbeatFrameTag = "dispatch-heartbeat";
-const char* const kResultFrameTag = "dispatch-result";
-const char* const kClientSubmitFrameTag = "client-submit";
-const char* const kAcceptFrameTag = "dispatch-accept";
-const char* const kRejectFrameTag = "dispatch-reject";
-const char* const kItemResultFrameTag = "dispatch-item-result";
-const char* const kCampaignDoneFrameTag = "dispatch-done";
-
-namespace {
-
-void putFrameUnit(Encoder& e, const ShardUnit& u) {
-  e.u64("unit.taskId", u.taskId);
-  e.u64("unit.mutantBegin", u.mutantBegin);
-  e.u64("unit.mutantEnd", u.mutantEnd);
-}
-
-ShardUnit getFrameUnit(Decoder& d) {
-  ShardUnit u;
-  u.taskId = static_cast<std::size_t>(d.u64("unit.taskId"));
-  u.mutantBegin = static_cast<std::size_t>(d.u64("unit.mutantBegin"));
-  u.mutantEnd = static_cast<std::size_t>(d.u64("unit.mutantEnd"));
-  return u;
-}
-
-}  // namespace
+// --- dispatcher daemon and socket-service frames -----------------------------
 
 bool ResultFrame::operator==(const ResultFrame& other) const {
   // ShardOutput carries a nested CampaignResult with no memberwise
@@ -512,106 +427,6 @@ bool ResultFrame::operator==(const ResultFrame& other) const {
   return seq == other.seq && taskIndex == other.taskIndex && attempt == other.attempt &&
          encodeShardOutput(output) == encodeShardOutput(other.output);
 }
-
-std::string encodeSubmitFrame(const SubmitFrame& f) {
-  Encoder e(kSubmitFrameTag, kCampaignCodecVersion);
-  e.u64("specFnv", f.specFnv);
-  e.u64("campaignId", f.campaignId);
-  e.u64("seq", f.seq);
-  e.u64("taskIndex", f.taskIndex);
-  e.u64("taskCount", f.taskCount);
-  e.u64("attempt", f.attempt);
-  putFrameUnit(e, f.unit);
-  e.str("specPath", f.specPath);
-  e.boolean("shutdown", f.shutdown);
-  return e.take();
-}
-
-SubmitFrame decodeSubmitFrame(std::string_view data) {
-  Decoder d(data, kSubmitFrameTag, kCampaignCodecVersion);
-  SubmitFrame f;
-  f.specFnv = d.u64("specFnv");
-  f.campaignId = d.u64("campaignId");
-  f.seq = d.u64("seq");
-  f.taskIndex = d.u64("taskIndex");
-  f.taskCount = d.u64("taskCount");
-  f.attempt = d.u64("attempt");
-  f.unit = getFrameUnit(d);
-  f.specPath = d.str("specPath");
-  f.shutdown = d.boolean("shutdown");
-  d.finish();
-  return f;
-}
-
-std::string encodeStatusFrame(const StatusFrame& f) {
-  Encoder e(kStatusFrameTag, kCampaignCodecVersion);
-  e.u64("workerIndex", f.workerIndex);
-  e.u64("generation", f.generation);
-  e.u64("itemsDone", f.itemsDone);
-  e.str("state", f.state);
-  return e.take();
-}
-
-StatusFrame decodeStatusFrame(std::string_view data) {
-  Decoder d(data, kStatusFrameTag, kCampaignCodecVersion);
-  StatusFrame f;
-  f.workerIndex = d.u64("workerIndex");
-  f.generation = d.u64("generation");
-  f.itemsDone = d.u64("itemsDone");
-  f.state = d.str("state");
-  if (f.state != "ready" && f.state != "working") {
-    throw DecodeError("status frame: unknown state '" + f.state + "'");
-  }
-  d.finish();
-  return f;
-}
-
-std::string encodeHeartbeatFrame(const HeartbeatFrame& f) {
-  Encoder e(kHeartbeatFrameTag, kCampaignCodecVersion);
-  e.u64("workerIndex", f.workerIndex);
-  e.u64("generation", f.generation);
-  e.u64("seq", f.seq);
-  e.u64("itemsDone", f.itemsDone);
-  return e.take();
-}
-
-HeartbeatFrame decodeHeartbeatFrame(std::string_view data) {
-  Decoder d(data, kHeartbeatFrameTag, kCampaignCodecVersion);
-  HeartbeatFrame f;
-  f.workerIndex = d.u64("workerIndex");
-  f.generation = d.u64("generation");
-  f.seq = d.u64("seq");
-  f.itemsDone = d.u64("itemsDone");
-  d.finish();
-  return f;
-}
-
-std::string encodeResultFrame(const ResultFrame& f) {
-  Encoder e(kResultFrameTag, kCampaignCodecVersion);
-  e.u64("campaignId", f.campaignId);
-  e.u64("seq", f.seq);
-  e.u64("taskIndex", f.taskIndex);
-  e.u64("attempt", f.attempt);
-  // The output travels as a nested shard-output document: its own header
-  // keeps the schema independently checkable, exactly like the result
-  // nested inside encodeShardOutput itself.
-  e.str("output", encodeShardOutput(f.output));
-  return e.take();
-}
-
-ResultFrame decodeResultFrame(std::string_view data) {
-  Decoder d(data, kResultFrameTag, kCampaignCodecVersion);
-  ResultFrame f;
-  f.campaignId = d.u64("campaignId");
-  f.seq = d.u64("seq");
-  f.taskIndex = d.u64("taskIndex");
-  f.attempt = d.u64("attempt");
-  f.output = decodeShardOutput(d.str("output"));
-  d.finish();
-  return f;
-}
-
-// --- socket-service client frames --------------------------------------------
 
 bool ItemResultFrame::operator==(const ItemResultFrame& other) const {
   // Same rationale as ResultFrame: the canonical encoding is the nested
@@ -621,107 +436,72 @@ bool ItemResultFrame::operator==(const ItemResultFrame& other) const {
          encodeShardOutput(output) == encodeShardOutput(other.output);
 }
 
+std::string encodeSubmitFrame(const SubmitFrame& f) { return encodeDoc(kSubmitFrameTag, f); }
+
+SubmitFrame decodeSubmitFrame(std::string_view data) {
+  return decodeDoc<SubmitFrame>(data, kSubmitFrameTag);
+}
+
+std::string encodeStatusFrame(const StatusFrame& f) { return encodeDoc(kStatusFrameTag, f); }
+
+StatusFrame decodeStatusFrame(std::string_view data) {
+  StatusFrame f = decodeDoc<StatusFrame>(data, kStatusFrameTag);
+  if (f.state != "ready" && f.state != "working") {
+    throw DecodeError("status frame: unknown state '" + f.state + "'");
+  }
+  return f;
+}
+
+std::string encodeHeartbeatFrame(const HeartbeatFrame& f) {
+  return encodeDoc(kHeartbeatFrameTag, f);
+}
+
+HeartbeatFrame decodeHeartbeatFrame(std::string_view data) {
+  return decodeDoc<HeartbeatFrame>(data, kHeartbeatFrameTag);
+}
+
+std::string encodeResultFrame(const ResultFrame& f) { return encodeDoc(kResultFrameTag, f); }
+
+ResultFrame decodeResultFrame(std::string_view data) {
+  return decodeDoc<ResultFrame>(data, kResultFrameTag);
+}
+
 std::string encodeClientSubmitFrame(const ClientSubmitFrame& f) {
-  Encoder e(kClientSubmitFrameTag, kCampaignCodecVersion);
-  e.str("clientName", f.clientName);
-  e.str("spec", f.spec);
-  e.u64("maxFragmentMutants", f.maxFragmentMutants);
-  e.u64("deadlineMs", f.deadlineMs);
-  return e.take();
+  return encodeDoc(kClientSubmitFrameTag, f);
 }
 
 ClientSubmitFrame decodeClientSubmitFrame(std::string_view data) {
-  Decoder d(data, kClientSubmitFrameTag, kCampaignCodecVersion);
-  ClientSubmitFrame f;
-  f.clientName = d.str("clientName");
-  f.spec = d.str("spec");
-  f.maxFragmentMutants = d.u64("maxFragmentMutants");
-  f.deadlineMs = d.u64("deadlineMs");
-  d.finish();
-  return f;
+  return decodeDoc<ClientSubmitFrame>(data, kClientSubmitFrameTag);
 }
 
-std::string encodeAcceptFrame(const AcceptFrame& f) {
-  Encoder e(kAcceptFrameTag, kCampaignCodecVersion);
-  e.u64("campaignId", f.campaignId);
-  e.u64("specFnv", f.specFnv);
-  e.u64("unitCount", f.unitCount);
-  return e.take();
-}
+std::string encodeAcceptFrame(const AcceptFrame& f) { return encodeDoc(kAcceptFrameTag, f); }
 
 AcceptFrame decodeAcceptFrame(std::string_view data) {
-  Decoder d(data, kAcceptFrameTag, kCampaignCodecVersion);
-  AcceptFrame f;
-  f.campaignId = d.u64("campaignId");
-  f.specFnv = d.u64("specFnv");
-  f.unitCount = d.u64("unitCount");
+  AcceptFrame f = decodeDoc<AcceptFrame>(data, kAcceptFrameTag);
   if (f.campaignId == 0) throw DecodeError("accept frame: campaignId must be nonzero");
-  d.finish();
   return f;
 }
 
-std::string encodeRejectFrame(const RejectFrame& f) {
-  Encoder e(kRejectFrameTag, kCampaignCodecVersion);
-  e.str("reason", f.reason);
-  e.u64("retryAfterMs", f.retryAfterMs);
-  return e.take();
-}
+std::string encodeRejectFrame(const RejectFrame& f) { return encodeDoc(kRejectFrameTag, f); }
 
 RejectFrame decodeRejectFrame(std::string_view data) {
-  Decoder d(data, kRejectFrameTag, kCampaignCodecVersion);
-  RejectFrame f;
-  f.reason = d.str("reason");
-  f.retryAfterMs = d.u64("retryAfterMs");
-  d.finish();
-  return f;
+  return decodeDoc<RejectFrame>(data, kRejectFrameTag);
 }
 
 std::string encodeItemResultFrame(const ItemResultFrame& f) {
-  Encoder e(kItemResultFrameTag, kCampaignCodecVersion);
-  e.u64("campaignId", f.campaignId);
-  e.u64("taskIndex", f.taskIndex);
-  e.u64("taskCount", f.taskCount);
-  e.str("output", encodeShardOutput(f.output));
-  return e.take();
+  return encodeDoc(kItemResultFrameTag, f);
 }
 
 ItemResultFrame decodeItemResultFrame(std::string_view data) {
-  Decoder d(data, kItemResultFrameTag, kCampaignCodecVersion);
-  ItemResultFrame f;
-  f.campaignId = d.u64("campaignId");
-  f.taskIndex = d.u64("taskIndex");
-  f.taskCount = d.u64("taskCount");
-  f.output = decodeShardOutput(d.str("output"));
-  d.finish();
-  return f;
+  return decodeDoc<ItemResultFrame>(data, kItemResultFrameTag);
 }
 
 std::string encodeCampaignDoneFrame(const CampaignDoneFrame& f) {
-  Encoder e(kCampaignDoneFrameTag, kCampaignCodecVersion);
-  e.u64("campaignId", f.campaignId);
-  e.u64("unitsTotal", f.unitsTotal);
-  e.u64("unitsCompleted", f.unitsCompleted);
-  e.u64("requeues", f.requeues);
-  e.boolean("cancelled", f.cancelled);
-  e.str("error", f.error);
-  e.beginList("quarantined", f.quarantined.size());
-  for (const std::uint64_t q : f.quarantined) e.u64("q", q);
-  return e.take();
+  return encodeDoc(kCampaignDoneFrameTag, f);
 }
 
 CampaignDoneFrame decodeCampaignDoneFrame(std::string_view data) {
-  Decoder d(data, kCampaignDoneFrameTag, kCampaignCodecVersion);
-  CampaignDoneFrame f;
-  f.campaignId = d.u64("campaignId");
-  f.unitsTotal = d.u64("unitsTotal");
-  f.unitsCompleted = d.u64("unitsCompleted");
-  f.requeues = d.u64("requeues");
-  f.cancelled = d.boolean("cancelled");
-  f.error = d.str("error");
-  f.quarantined.resize(d.beginList("quarantined"));
-  for (std::uint64_t& q : f.quarantined) q = d.u64("q");
-  d.finish();
-  return f;
+  return decodeDoc<CampaignDoneFrame>(data, kCampaignDoneFrameTag);
 }
 
 }  // namespace xlv::campaign

@@ -4,6 +4,15 @@
 // worker processes and ships their unit results back (campaign/shard.h);
 // the codecs here are the wire layer for both, built on util/codec.h
 // (versioned header, length-prefixed fields, strict field-order checking).
+// serialize.cpp also holds the unit-output codec declared in shard.h
+// (encodeShardOutput / decodeShardOutput).
+//
+// Each record is described ONCE, as a field list (util/codec.h: a
+// `fields(ar, record)` visitor in wire order) that FieldWriter walks to
+// encode and FieldReader to decode. A new field is one line in its
+// record's list plus a kCampaignCodecVersion bump and a re-pin of
+// CodecFuzz.EncodingsMatchThePinnedFormat. Integer fields decode strictly:
+// a value outside the field's C++ type is a util::DecodeError.
 //
 // Two deliberate asymmetries versus the in-memory structs:
 //

@@ -34,8 +34,6 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-void ignoreSigpipe() { ::signal(SIGPIPE, SIG_IGN); }
-
 /// Self-pipe for graceful drain: the SIGTERM/SIGINT handler only writes one
 /// byte here, and the poll loop — the single place allowed to touch server
 /// state — reads it and starts the drain. Async-signal-safe by construction:
@@ -50,19 +48,6 @@ void onDrainSignal(int) {
     [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
   }
   errno = saved;
-}
-
-bool writeFdAll(int fd, std::string_view data) noexcept {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// Connect to a server address (blocking fd). -1 with `error` set on failure.
@@ -1301,7 +1286,7 @@ SubmitOutcome submitCampaignOnce(const CampaignSpec& spec, const SubmitOptions& 
   submit.spec = encodeCampaignSpec(spec);
   submit.maxFragmentMutants = static_cast<std::uint64_t>(opt.maxFragmentMutants);
   submit.deadlineMs = opt.deadlineMs;
-  if (!writeFdAll(fd, frameWire(encodeClientSubmitFrame(submit)))) {
+  if (!writeAll(fd, frameWire(encodeClientSubmitFrame(submit)))) {
     out.error = std::string("submit write failed: ") + std::strerror(errno);
     ::close(fd);
     return out;

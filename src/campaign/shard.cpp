@@ -1,45 +1,23 @@
 #include "campaign/shard.h"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 
+#include "abstraction/tlm_model.h"
 #include "analysis/mutation_analysis.h"
 #include "campaign/serialize.h"
 #include "campaign/sweep.h"
-#include "util/codec.h"
 #include "util/fnv.h"
 #include "util/log.h"
 
 namespace xlv::campaign {
 
-using util::Decoder;
-using util::Encoder;
-
-namespace {
-
-constexpr const char* kOutputTag = "shard-output";
-
-void putUnit(Encoder& e, const ShardUnit& u) {
-  e.u64("unit.taskId", u.taskId);
-  e.u64("unit.mutantBegin", u.mutantBegin);
-  e.u64("unit.mutantEnd", u.mutantEnd);
-}
-
-ShardUnit getUnit(Decoder& d) {
-  ShardUnit u;
-  u.taskId = static_cast<std::size_t>(d.u64("unit.taskId"));
-  u.mutantBegin = static_cast<std::size_t>(d.u64("unit.mutantBegin"));
-  u.mutantEnd = static_cast<std::size_t>(d.u64("unit.mutantEnd"));
-  return u;
-}
-
-}  // namespace
-
 std::uint64_t campaignSpecFnv(const CampaignSpec& spec) {
   return util::fnv1a64(encodeCampaignSpec(spec));
 }
 
-std::size_t countFlowMutants(const ips::CaseStudy& cs, const core::FlowOptions& opts) {
+FlowMutantSet probeFlowMutants(const ips::CaseStudy& cs, const core::FlowOptions& opts) {
   // The specs stageInjection would generate, without injecting or
   // simulating anything: elaborate + insertion + set generation + slice.
   core::FlowReport report;
@@ -50,34 +28,48 @@ std::size_t countFlowMutants(const ips::CaseStudy& cs, const core::FlowOptions& 
           ? analysis::razorMutantSet(report.sensors)
           : analysis::counterMutantSet(report.sensors,
                                        static_cast<double>(cs.periodPs), report.hfRatio);
-  return core::sliceMutantSet(specs, opts.mutantSet).size();
+  return FlowMutantSet{core::sliceMutantSet(specs, opts.mutantSet), report.hfRatio};
 }
 
-DispatchUnitPlan planDispatchUnits(const CampaignSpec& spec, std::size_t maxFragmentMutants) {
-  std::vector<std::size_t> counts;
-  if (maxFragmentMutants > 0) {
-    counts.reserve(spec.items.size());
-    for (const auto& item : spec.items) {
-      counts.push_back(countFlowMutants(item.caseStudy, item.options));
-    }
-  }
+namespace {
 
-  // Units in global task-id order (fragments of one item in range order),
-  // each weighted by its mutant count so schedulers can balance simulation
-  // work, not just item counts.
+/// Co-simulations a unit over [begin, end) of `set` runs: the analysis
+/// simulates one representative per mutant class in its range
+/// (abstraction::mutantClassSpec). At least 1.
+std::uint64_t classWeight(const FlowMutantSet& set, std::size_t begin, std::size_t end) {
+  std::set<mutation::MutantSpec> classes;
+  for (std::size_t i = begin; i < end; ++i) {
+    classes.insert(abstraction::mutantClassSpec(set.specs[i], set.hfRatio));
+  }
+  return std::max<std::uint64_t>(classes.size(), 1);
+}
+
+}  // namespace
+
+DispatchUnitPlan planDispatchUnits(const CampaignSpec& spec, std::size_t maxFragmentMutants) {
+  // Units in global task-id order (fragments of one item in range order).
+  // A fragmenting plan weighs each unit by its co-simulations so schedulers
+  // balance simulation work, not just item counts; otherwise nothing is
+  // probed and every unit weighs 1.
   DispatchUnitPlan plan;
   plan.specFnv = campaignSpecFnv(spec);
   for (std::size_t i = 0; i < spec.items.size(); ++i) {
-    const std::size_t count = i < counts.size() ? counts[i] : 0;
-    if (maxFragmentMutants > 0 && count > maxFragmentMutants) {
-      for (std::size_t begin = 0; begin < count; begin += maxFragmentMutants) {
-        const std::size_t end = std::min(count, begin + maxFragmentMutants);
-        plan.units.push_back(ShardUnit{i, begin, end});
-        plan.weights.push_back(static_cast<std::uint64_t>(end - begin));
-      }
-    } else {
+    if (maxFragmentMutants == 0) {
       plan.units.push_back(ShardUnit{i, 0, 0});
-      plan.weights.push_back(std::max<std::uint64_t>(count, 1));
+      plan.weights.push_back(1);
+      continue;
+    }
+    const FlowMutantSet set = probeFlowMutants(spec.items[i].caseStudy, spec.items[i].options);
+    const std::size_t count = set.specs.size();
+    if (count <= maxFragmentMutants) {
+      plan.units.push_back(ShardUnit{i, 0, 0});
+      plan.weights.push_back(classWeight(set, 0, count));
+      continue;
+    }
+    for (std::size_t begin = 0; begin < count; begin += maxFragmentMutants) {
+      const std::size_t end = std::min(count, begin + maxFragmentMutants);
+      plan.units.push_back(ShardUnit{i, begin, end});
+      plan.weights.push_back(classWeight(set, begin, end));
     }
   }
   return plan;
@@ -351,34 +343,6 @@ CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutp
                     << "': " << merged.items.size() << " items, "
                     << (merged.ok() ? "ok" : "with errors");
   return merged;
-}
-
-// --- wire format -------------------------------------------------------------
-
-std::string encodeShardOutput(const ShardOutput& output) {
-  Encoder e(kOutputTag, kCampaignCodecVersion);
-  e.u64("specFnv", output.specFnv);
-  e.i64("shardIndex", output.shardIndex);
-  e.i64("shardCount", output.shardCount);
-  e.beginList("units", output.units.size());
-  for (const auto& u : output.units) putUnit(e, u);
-  // The result travels as a nested campaign-result document; its own header
-  // keeps the two schema versions independently checkable.
-  e.str("result", encodeCampaignResult(output.result));
-  return e.take();
-}
-
-ShardOutput decodeShardOutput(std::string_view data) {
-  Decoder d(data, kOutputTag, kCampaignCodecVersion);
-  ShardOutput output;
-  output.specFnv = d.u64("specFnv");
-  output.shardIndex = static_cast<int>(d.i64("shardIndex"));
-  output.shardCount = static_cast<int>(d.i64("shardCount"));
-  output.units.resize(d.beginList("units"));
-  for (auto& u : output.units) u = getUnit(d);
-  output.result = decodeCampaignResult(d.str("result"));
-  d.finish();
-  return output;
 }
 
 // --- built-in specs ----------------------------------------------------------

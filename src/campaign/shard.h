@@ -50,10 +50,17 @@ struct ShardUnit {
   bool operator==(const ShardUnit&) const = default;
 };
 
-/// Mutants the item's analysis stage will schedule: elaborate + insertion +
-/// mutant-set generation/slicing, no simulation. Used by the planner to
-/// split and balance; deterministic for a given (cs, opts).
-std::size_t countFlowMutants(const ips::CaseStudy& cs, const core::FlowOptions& opts);
+/// The mutants an item's analysis stage will schedule, and the hfRatio their
+/// classes (abstraction::mutantClassSpec) are formed under.
+struct FlowMutantSet {
+  std::vector<mutation::MutantSpec> specs;
+  int hfRatio = 0;
+};
+
+/// Probe an item's mutant set: elaborate + insertion + mutant-set
+/// generation/slicing, no simulation. Used by the planner to split and
+/// weigh; deterministic for a given (cs, opts).
+FlowMutantSet probeFlowMutants(const ips::CaseStudy& cs, const core::FlowOptions& opts);
 
 /// The unit plan of a spec: every unit in global task-id order (fragments
 /// of one item in range order) with its weight, so a work-stealing
@@ -65,9 +72,10 @@ struct DispatchUnitPlan {
 };
 
 /// Build the unit list: items split into mutant-range fragments of at most
-/// maxFragmentMutants (0 = never split), weighted by mutant count (probed
-/// via countFlowMutants when fragmentation is requested; every unit weighs
-/// 1 otherwise).
+/// maxFragmentMutants (0 = never split). When fragmentation is requested
+/// (probed via probeFlowMutants), every unit weighs the distinct mutant
+/// classes in its range — the co-simulations it runs; otherwise every unit
+/// weighs 1. Weights only order the queue; they never change a result.
 DispatchUnitPlan planDispatchUnits(const CampaignSpec& spec, std::size_t maxFragmentMutants);
 
 /// The execution record of one unit list: an ordinary CampaignResult whose
@@ -105,7 +113,7 @@ ShardOutput runShardUnits(const CampaignSpec& spec, const std::vector<ShardUnit>
 /// spent twice.
 CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutput>& outputs);
 
-// --- wire format (util/codec.h; versioned with kCampaignCodecVersion) -------
+// --- wire format (campaign/serialize.cpp; kCampaignCodecVersion) -----------
 std::string encodeShardOutput(const ShardOutput& output);
 ShardOutput decodeShardOutput(std::string_view data);
 

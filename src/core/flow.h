@@ -46,6 +46,9 @@ namespace xlv::core {
 enum class MutantSetVariant { Full, MinDelay, MaxDelay };
 
 const char* mutantSetVariantName(MutantSetVariant v) noexcept;
+/// Every variant, for readers that find a variant by its name.
+inline constexpr MutantSetVariant kMutantSetVariants[] = {
+    MutantSetVariant::Full, MutantSetVariant::MinDelay, MutantSetVariant::MaxDelay};
 
 struct FlowOptions {
   insertion::SensorKind sensorKind = insertion::SensorKind::Razor;

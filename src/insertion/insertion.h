@@ -32,6 +32,8 @@ enum class SensorKind { Razor, Counter };
 constexpr const char* sensorKindName(SensorKind k) noexcept {
   return k == SensorKind::Razor ? "razor" : "counter";
 }
+/// Every kind, for readers that find a kind by its name.
+inline constexpr SensorKind kSensorKinds[] = {SensorKind::Razor, SensorKind::Counter};
 
 struct InsertionConfig {
   SensorKind kind = SensorKind::Razor;

@@ -18,13 +18,6 @@ const char* mutantKindName(MutantKind k) {
   return "?";
 }
 
-std::optional<MutantKind> mutantKindFromName(std::string_view name) {
-  if (name == "min-delay") return MutantKind::MinDelay;
-  if (name == "max-delay") return MutantKind::MaxDelay;
-  if (name == "delta-delay") return MutantKind::DeltaDelay;
-  return std::nullopt;
-}
-
 std::vector<std::pair<SymbolId, SymbolId>> InjectedDesign::targets() const {
   std::vector<std::pair<SymbolId, SymbolId>> out;
   for (const auto& m : mutants) {

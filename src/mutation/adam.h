@@ -19,9 +19,7 @@
 #pragma once
 
 #include <compare>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ir/design.h"
@@ -30,11 +28,11 @@ namespace xlv::mutation {
 
 enum class MutantKind { MinDelay, MaxDelay, DeltaDelay };
 
+/// The canonical kind name shared by the wire codecs and cache keys.
 const char* mutantKindName(MutantKind k);
-
-/// Reverse of mutantKindName (the one canonical mapping shared by wire
-/// codecs and cache keys); nullopt on an unknown name.
-std::optional<MutantKind> mutantKindFromName(std::string_view name);
+/// Every kind, for readers that find a kind by its name.
+inline constexpr MutantKind kMutantKinds[] = {MutantKind::MinDelay, MutantKind::MaxDelay,
+                                              MutantKind::DeltaDelay};
 
 struct MutantSpec {
   std::string targetSignal;  ///< flat name of the monitored register

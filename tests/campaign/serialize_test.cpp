@@ -280,6 +280,39 @@ TEST(Serialize, DecoderRejectsNonCanonicalNumbers) {
   }
 }
 
+/// `doc` with the payload of its first field called `name` replaced.
+std::string withField(std::string doc, const std::string& name, const std::string& payload) {
+  const std::size_t start = doc.find("\n" + name + "=") + 1;
+  EXPECT_NE(0u, start) << "no field " << name;
+  const std::size_t end = doc.find('\n', start);
+  doc.replace(start, end - start, name + "=" + std::to_string(payload.size()) + ":" + payload);
+  return doc;
+}
+
+TEST(Serialize, IntegersDecodeStrictlyIntoTheirFieldType) {
+  // A value outside its field's type is a DecodeError, never a wrapped
+  // value that re-encodes to different bytes.
+  const std::string single = encodeCampaignSpec(builtinCampaignSpec("single"));
+  EXPECT_EQ(2147483647, decodeCampaignSpec(withField(single, "executor.threads", "2147483647"))
+                            .executor.threads);
+  EXPECT_THROW(decodeCampaignSpec(withField(single, "executor.threads", "4294967298")),
+               DecodeError);
+  EXPECT_THROW(decodeCampaignSpec(withField(single, "executor.threads", "-2147483649")),
+               DecodeError);
+
+  // "failing" carries hfRatio overrides (0 and -4).
+  const std::string failing = encodeCampaignSpec(builtinCampaignSpec("failing"));
+  EXPECT_THROW(decodeCampaignSpec(withField(failing, "opt.hfRatio", "2147483648")),
+               DecodeError);
+
+  ShardOutput out;
+  out.shardIndex = 0;
+  out.shardCount = 1;
+  const std::string wire = encodeShardOutput(out);
+  EXPECT_EQ(7, decodeShardOutput(withField(wire, "shardIndex", "7")).shardIndex);
+  EXPECT_THROW(decodeShardOutput(withField(wire, "shardIndex", "4294967296")), DecodeError);
+}
+
 TEST(Serialize, DecoderRejectsImplausibleListCounts) {
   // A corrupted count must throw before any caller resizes a vector from
   // it (100000000 items cannot fit in a few bytes of remaining input).

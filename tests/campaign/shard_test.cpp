@@ -7,11 +7,14 @@
 // apart from that truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "abstraction/tlm_model.h"
 #include "campaign/serialize.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
@@ -22,9 +25,20 @@ namespace {
 
 void clearProcessCaches() { core::clearProcessCaches(); }
 
+/// Distinct mutant classes in [begin, end) of `set`, at least 1: the
+/// co-simulations a unit over that range runs.
+std::uint64_t classesIn(const FlowMutantSet& set, std::size_t begin, std::size_t end) {
+  std::set<mutation::MutantSpec> classes;
+  for (std::size_t i = begin; i < end; ++i) {
+    classes.insert(abstraction::mutantClassSpec(set.specs[i], set.hfRatio));
+  }
+  return std::max<std::size_t>(classes.size(), 1);
+}
+
 /// Every task id of the spec is covered exactly once, in order: by one
 /// whole-item unit, or by fragments that tile [0, count) of its mutant set
-/// with at most maxFragmentMutants each. Every weight is >= 1.
+/// with at most maxFragmentMutants each. A fragmenting plan weighs every
+/// unit by the mutant classes in its range; otherwise every weight is 1.
 void expectUnitsTileTheSpec(const CampaignSpec& spec, std::size_t maxFragmentMutants,
                             const DispatchUnitPlan& plan) {
   ASSERT_EQ(plan.units.size(), plan.weights.size());
@@ -33,24 +47,27 @@ void expectUnitsTileTheSpec(const CampaignSpec& spec, std::size_t maxFragmentMut
   std::size_t u = 0;
   for (std::size_t task = 0; task < spec.items.size(); ++task) {
     ASSERT_LT(u, plan.units.size()) << "task " << task << " is not covered";
+    const FlowMutantSet set =
+        probeFlowMutants(spec.items[task].caseStudy, spec.items[task].options);
     if (plan.units[u].wholeItem()) {
       EXPECT_EQ(task, plan.units[u].taskId);
+      EXPECT_EQ(maxFragmentMutants == 0 ? 1 : classesIn(set, 0, set.specs.size()),
+                plan.weights[u])
+          << "task " << task;
       ++u;
       continue;
     }
-    const std::size_t count =
-        countFlowMutants(spec.items[task].caseStudy, spec.items[task].options);
     std::size_t expectBegin = 0;
     while (u < plan.units.size() && plan.units[u].taskId == task) {
       const ShardUnit& unit = plan.units[u];
       EXPECT_FALSE(unit.wholeItem());
       EXPECT_EQ(expectBegin, unit.mutantBegin) << "task " << task;
       EXPECT_LE(unit.mutantEnd - unit.mutantBegin, maxFragmentMutants);
-      EXPECT_EQ(unit.mutantEnd - unit.mutantBegin, plan.weights[u]);
+      EXPECT_EQ(classesIn(set, unit.mutantBegin, unit.mutantEnd), plan.weights[u]);
       expectBegin = unit.mutantEnd;
       ++u;
     }
-    EXPECT_EQ(count, expectBegin) << "fragments of task " << task << " leave a gap";
+    EXPECT_EQ(set.specs.size(), expectBegin) << "fragments of task " << task << " leave a gap";
   }
   EXPECT_EQ(plan.units.size(), u) << "units past the last task";
 }
@@ -89,7 +106,7 @@ TEST(Shard, OversizedItemSplitsByMutantRangeAndStitchesBack) {
   const CampaignSpec spec = builtinCampaignSpec("single");
   ASSERT_EQ(1u, spec.items.size());
   const std::size_t mutants =
-      countFlowMutants(spec.items[0].caseStudy, spec.items[0].options);
+      probeFlowMutants(spec.items[0].caseStudy, spec.items[0].options).specs.size();
   ASSERT_GE(mutants, 3u) << "Counter sets carry a DeltaDelay triple per sensor";
 
   clearProcessCaches();
@@ -138,6 +155,25 @@ TEST(Shard, PlannerIsDeterministicContiguousAndComplete) {
     EXPECT_EQ(ShardUnit{i}, whole.units[i]);
     EXPECT_EQ(1u, whole.weights[i]);
   }
+}
+
+TEST(Shard, WholeRazorItemWeighsHalfItsMutants) {
+  // A Razor layout has hfRatio 0, so an endpoint's MinDelay and MaxDelay
+  // mutants are one class: a whole Razor item runs half its mutants.
+  const CampaignSpec spec = builtinCampaignSpec("smoke");
+  const DispatchUnitPlan plan = planDispatchUnits(spec, 40);
+  int checked = 0;
+  for (std::size_t u = 0; u < plan.units.size(); ++u) {
+    const CampaignItem& item = spec.items[plan.units[u].taskId];
+    if (!plan.units[u].wholeItem() ||
+        item.options.sensorKind != insertion::SensorKind::Razor) {
+      continue;
+    }
+    const std::size_t mutants = probeFlowMutants(item.caseStudy, item.options).specs.size();
+    EXPECT_EQ(mutants, 2 * plan.weights[u]) << "task " << plan.units[u].taskId;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0) << "no whole Razor item in smoke's plan at 40";
 }
 
 // --- failure propagation across the unit boundary ----------------------------
@@ -238,7 +274,7 @@ TEST(Shard, MergeDeduplicatesDoubleSubmittedShardsByFragmentId) {
 
 TEST(Shard, PlanDispatchUnitsUnderpinsPlanShards) {
   // The units the pool schedules for a fragmented one-item spec: ranges of
-  // at most 2 mutants that tile the item, weighted by their mutant count.
+  // at most 2 mutants that tile the item, weighted by their class count.
   const CampaignSpec spec = builtinCampaignSpec("single");
   const DispatchUnitPlan units = planDispatchUnits(spec, 2);
   ASSERT_GT(units.units.size(), 1u) << "fragmentation requested but not applied";

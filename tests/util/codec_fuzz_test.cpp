@@ -10,6 +10,7 @@
 // layer up by the artifact store's payload fingerprint.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,9 @@
 #include "analysis/mutant_cache.h"
 #include "campaign/serialize.h"
 #include "campaign/shard.h"
+#include "core/flow.h"
 #include "util/codec.h"
+#include "util/fnv.h"
 #include "util/prng.h"
 
 namespace xlv {
@@ -473,6 +476,56 @@ TEST(CodecFuzz, EverySingleByteTruncationRaisesDecodeError) {
             << doc.size();
       }
     }
+  }
+}
+
+TEST(CodecFuzz, EncodingsMatchThePinnedFormat) {
+  // fnv1a64 over fixed-seed documents of every codec, the builtin preset
+  // specs and one flow-prefix artifact. A mismatch is a wire-format change:
+  // make it deliberately — bump the codec's version and re-pin.
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"mutant-result", 0x5e1ee3e8f38669f7ULL},
+      {"mutant-artifact", 0xe7e679e645cd19e6ULL},
+      {"analysis-report", 0xce766544f3529233ULL},
+      {"campaign-result", 0xdbe1fb9750a0d8e0ULL},
+      {"campaign-spec", 0x1e8694ef50a53d23ULL},
+      {"shard-output", 0xf72bbe3eb4973381ULL},
+      {"dispatch-submit", 0x4dc899f4aadda29dULL},
+      {"dispatch-status", 0xe5d59858c87e96c4ULL},
+      {"dispatch-heartbeat", 0x1986dde7961bdc3cULL},
+      {"dispatch-result", 0xefb35e7d2108c6c3ULL},
+      {"client-submit", 0xff93708065214c0ULL},
+      {"dispatch-accept", 0x9a729ad36e9c84dULL},
+      {"dispatch-reject", 0xf86c84cb0dbc81cULL},
+      {"dispatch-item-result", 0xd553d39ca58d1eacULL},
+      {"dispatch-done", 0x7a843a5a175224d2ULL},
+      {"golden-trace", 0xf12b9d5ebe2599c8ULL},
+      {"preset:smoke", 0xfa77ddad15962183ULL},
+      {"preset:single", 0x8f83eaad93ab8c47ULL},
+      {"preset:failing", 0x12226b1eaf46f7f8ULL},
+      {"flow-prefix:Filter/razor", 0x96ecd5f2135069a4ULL},
+  };
+  std::map<std::string, std::uint64_t> actual;
+  for (const Codec& codec : codecs()) {
+    Prng rng(0x5EED0F0124A7ULL);
+    std::uint64_t h = util::kFnvOffset;
+    for (int i = 0; i < 200; ++i) h = util::fnv1a64(codec.randomDoc(rng), h);
+    actual[codec.name] = h;
+  }
+  for (const std::string& preset : campaign::builtinCampaignSpecNames()) {
+    actual["preset:" + preset] =
+        util::fnv1a64(campaign::encodeCampaignSpec(campaign::builtinCampaignSpec(preset)));
+  }
+  core::FlowOptions razor;
+  razor.sensorKind = insertion::SensorKind::Razor;
+  actual["flow-prefix:Filter/razor"] = util::fnv1a64(
+      campaign::encodeFlowPrefix(core::buildFlowPrefix(ips::buildFilterCase(), razor)));
+
+  ASSERT_EQ(pinned.size(), actual.size());
+  for (const auto& [name, hash] : actual) {
+    const auto it = pinned.find(name);
+    ASSERT_NE(pinned.end(), it) << name << " is not pinned";
+    EXPECT_EQ(it->second, hash) << name << ": encodes to 0x" << std::hex << hash;
   }
 }
 
