@@ -5,36 +5,29 @@
 // repository's own experiments.
 #pragma once
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ips/case_study.h"
+#include "util/env.h"
 
 namespace xlv::bench {
 
 /// Cycle budget multiplier: XLV_BENCH_SCALE=2 doubles every simulation
 /// length (slower, steadier timings); 0.5 halves them (quick smoke run).
 /// Unset or empty means 1; anything but a finite positive decimal throws
-/// std::invalid_argument naming the variable and the value, like
-/// util::envLongStrict — a typo such as `0,25` must not silently run the
-/// gated benches at full scale against quarter-scale baselines.
+/// std::invalid_argument naming the variable and the value
+/// (util::parseDoubleStrict) — a typo such as `0,25` must not silently run
+/// the gated benches at full scale against quarter-scale baselines.
 inline double scale() {
   const char* s = std::getenv("XLV_BENCH_SCALE");
   if (s == nullptr || *s == '\0') return 1.0;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  // The charset check rejects what strtod would otherwise accept: leading
-  // blanks, hex floats, inf and nan.
-  if (std::strspn(s, "0123456789.eE+-") != std::strlen(s) || end == s || *end != '\0' ||
-      errno == ERANGE || !std::isfinite(v) || v <= 0.0) {
+  const double v = util::parseDoubleStrict("XLV_BENCH_SCALE", s);
+  if (v <= 0.0) {
     throw std::invalid_argument(std::string("XLV_BENCH_SCALE='") + s +
                                 "' is not a finite positive decimal");
   }

@@ -7,12 +7,10 @@ namespace xlv::abstraction {
 AbstractionArtifacts abstractDesign(const ir::Design& design, const AbstractionOptions& opts) {
   util::Timer t;
   AbstractionArtifacts a;
-  if (opts.emitSource) {
-    EmitCppOptions eo;
-    eo.hfRatio = opts.hfRatio;
-    a.source = emitCpp(design, eo);
-    a.sourceLines = countLines(a.source);
-  }
+  EmitCppOptions eo;
+  eo.hfRatio = opts.hfRatio;
+  a.source = emitCpp(design, eo);
+  a.sourceLines = countLines(a.source);
   a.abstractionSeconds = t.seconds();
   return a;
 }
@@ -21,12 +19,10 @@ AbstractionArtifacts abstractInjected(const mutation::InjectedDesign& injected,
                                       const AbstractionOptions& opts) {
   util::Timer t;
   AbstractionArtifacts a;
-  if (opts.emitSource) {
-    EmitCppOptions eo;
-    eo.hfRatio = opts.hfRatio;
-    a.source = emitCppInjected(injected, eo);
-    a.sourceLines = countLines(a.source);
-  }
+  EmitCppOptions eo;
+  eo.hfRatio = opts.hfRatio;
+  a.source = emitCppInjected(injected, eo);
+  a.sourceLines = countLines(a.source);
   a.abstractionSeconds = t.seconds();
   return a;
 }

@@ -24,7 +24,6 @@ namespace xlv::abstraction {
 
 struct AbstractionOptions {
   int hfRatio = 0;             ///< >0 selects the dual-clock scheduler (Fig. 8b)
-  bool emitSource = true;      ///< generate the SystemC-TLM text
 };
 
 struct AbstractionArtifacts {

@@ -26,32 +26,6 @@ namespace {
 
 constexpr const char* kTag = "campaign-checkpoints";
 
-std::string packWords(const std::vector<std::uint64_t>& words) {
-  std::string out;
-  out.reserve(words.size() * 8);
-  for (std::uint64_t w : words) {
-    for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>((w >> (8 * b)) & 0xff));
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> unpackWords(std::string_view bytes, std::size_t count,
-                                       const char* what) {
-  if (bytes.size() != count * 8) {
-    throw util::DecodeError(std::string(what) + ": expected " + std::to_string(count * 8) +
-                            " bytes, found " + std::to_string(bytes.size()));
-  }
-  std::vector<std::uint64_t> words(count);
-  std::size_t pos = 0;
-  for (auto& w : words) {
-    w = 0;
-    for (int b = 0; b < 8; ++b) {
-      w |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[pos++])) << (8 * b);
-    }
-  }
-  return words;
-}
-
 }  // namespace
 
 std::string encodeCheckpointRecording(const CheckpointRecording& rec) {
@@ -69,10 +43,10 @@ std::string encodeCheckpointRecording(const CheckpointRecording& rec) {
   e.u64("recordedCycles", rec.recordedCycles);
   e.u64("count", rec.cycles.size());
   e.u64("stateWords", stateWords);
-  e.str("cycles", packWords(rec.cycles));
+  e.str("cycles", util::packWords(rec.cycles.data(), rec.cycles.size()));
   std::string words;
   words.reserve(rec.snapWords.size() * stateWords * 8);
-  for (const auto& snap : rec.snapWords) words.append(packWords(snap));
+  for (const auto& snap : rec.snapWords) words.append(util::packWords(snap.data(), stateWords));
   e.str("snapWords", words);
   return e.take();
 }
@@ -93,16 +67,21 @@ CheckpointRecording decodeCheckpointRecording(std::string_view data) {
   if (rec.interval == 0) {
     throw util::DecodeError("checkpoint recording: zero interval");
   }
-  rec.cycles = unpackWords(d.str("cycles"), count, "checkpoint cycles");
+  // Encode writes width 0 when there are no snapshots: a nonzero one is
+  // corrupt bytes that would decode to a value re-encoding differently.
+  if (count == 0 && stateWords != 0) {
+    throw util::DecodeError("checkpoint recording: no snapshots with a nonzero width");
+  }
+  rec.cycles.resize(count);
+  util::unpackWords(d.str("cycles"), rec.cycles.data(), count, "checkpoint cycles");
   const std::string words = d.str("snapWords");
   if (words.size() != count * stateWords * 8) {
     throw util::DecodeError("checkpoint recording: snapshot byte count mismatch");
   }
-  rec.snapWords.resize(count);
+  rec.snapWords.assign(count, std::vector<std::uint64_t>(stateWords));
   for (std::size_t i = 0; i < count; ++i) {
-    rec.snapWords[i] = unpackWords(
-        std::string_view(words).substr(i * stateWords * 8, stateWords * 8), stateWords,
-        "checkpoint snapshot");
+    util::unpackWords(std::string_view(words).substr(i * stateWords * 8, stateWords * 8),
+                      rec.snapWords[i].data(), stateWords, "checkpoint snapshot");
   }
   d.finish();
   return rec;

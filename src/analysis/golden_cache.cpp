@@ -62,10 +62,8 @@ std::string goldenTraceKey(const ir::Design& golden,
   // field boundary.
   std::string key(buf);
   key.append("|tb=").append(std::to_string(tb.name.size())).append(":").append(tb.name);
-  key.append("|rec=")
-      .append(std::to_string(cfg.recoveryPort.size()))
-      .append(":")
-      .append(cfg.recoveryPort);
+  const std::string_view rec = insertion::AddedPorts::recovery;
+  key.append("|rec=").append(std::to_string(rec.size())).append(":").append(rec);
   return key;
 }
 
@@ -84,36 +82,6 @@ constexpr const char* kTraceTag = "golden-trace";
 // dropped as corrupt -> re-recorded; a trace without the metadata could
 // otherwise silently disable the divergence-driven fast path.
 constexpr int kTraceVersion = kGoldenTraceCodecVersion;
-
-/// Pack `count` words into little-endian 8-byte words. Fixed-width binary
-/// inside one length-prefixed codec field: byte-stable, compact,
-/// endianness-explicit. A table's words are its rows in order (row-major).
-std::string packWords(const std::uint64_t* words, std::size_t count) {
-  std::string out(count * 8, '\0');
-  for (std::size_t i = 0; i < count; ++i) {
-    for (int b = 0; b < 8; ++b) {
-      out[i * 8 + b] = static_cast<char>((words[i] >> (8 * b)) & 0xff);
-    }
-  }
-  return out;
-}
-
-/// Inverse of packWords into `count` words at `out`; `bytes` must hold
-/// exactly count * 8 bytes.
-void unpackWords(std::string_view bytes, std::uint64_t* out, std::size_t count,
-                 const char* what) {
-  if (bytes.size() != count * 8) {
-    throw util::DecodeError(std::string(what) + ": expected " + std::to_string(count * 8) +
-                            " bytes, found " + std::to_string(bytes.size()));
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t w = 0;
-    for (int b = 0; b < 8; ++b) {
-      w |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i * 8 + b])) << (8 * b);
-    }
-    out[i] = w;
-  }
-}
 
 }  // namespace
 
@@ -144,9 +112,9 @@ std::string encodeGoldenTrace(const GoldenTrace& trace) {
   e.u64("cycles", cycles);
   e.u64("outWidth", outWidth);
   e.u64("epWidth", epWidth);
-  e.str("outputs", packWords(trace.outputs.data(), trace.outputs.size()));
-  e.str("endpoints", packWords(trace.endpoints.data(), trace.endpoints.size()));
-  e.str("firstActivity", packWords(trace.firstActivity.data(), epWidth));
+  e.str("outputs", util::packWords(trace.outputs.data(), trace.outputs.size()));
+  e.str("endpoints", util::packWords(trace.endpoints.data(), trace.endpoints.size()));
+  e.str("firstActivity", util::packWords(trace.firstActivity.data(), epWidth));
   return e.take();
 }
 
@@ -181,14 +149,14 @@ GoldenTrace decodeGoldenTrace(std::string_view data) {
   trace.outWidth = outWidth;
   trace.epWidth = epWidth;
   trace.outputs = util::MappedWords(cycles * outWidth);
-  unpackWords(d.str("outputs"), trace.outputs.data(), trace.outputs.size(),
-              "golden trace outputs");
+  util::unpackWords(d.str("outputs"), trace.outputs.data(), trace.outputs.size(),
+                    "golden trace outputs");
   trace.endpoints = util::MappedWords(cycles * epWidth);
-  unpackWords(d.str("endpoints"), trace.endpoints.data(), trace.endpoints.size(),
-              "golden trace endpoints");
+  util::unpackWords(d.str("endpoints"), trace.endpoints.data(), trace.endpoints.size(),
+                    "golden trace endpoints");
   trace.firstActivity.resize(epWidth);
-  unpackWords(d.str("firstActivity"), trace.firstActivity.data(), epWidth,
-              "golden trace firstActivity");
+  util::unpackWords(d.str("firstActivity"), trace.firstActivity.data(), epWidth,
+                    "golden trace firstActivity");
   d.finish();
   return trace;
 }

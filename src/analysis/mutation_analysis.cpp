@@ -281,7 +281,7 @@ GoldenTrace recordGoldenOn(const abstraction::TlmModelLayoutPtr& layout,
   std::vector<SV> prev(n);
   for (std::size_t i = 0; i < n; ++i) prev[i] = model.rawValue(endpointSyms[i]);
 
-  const ir::SymbolId recoverySym = design.findSymbol(cfg.recoveryPort);
+  const ir::SymbolId recoverySym = design.findSymbol(insertion::AddedPorts::recovery);
   const DriveFn drive = tb.driverForTask(cfg.stimulusId);
   DriveRecorder stimulus(design);
   for (std::uint64_t c = 0; c < tb.cycles; ++c) {
@@ -350,7 +350,7 @@ MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
   // is a cheap private session over this one layout.
   ctx.layout = abstraction::buildTlmModelLayout(
       injected.design, TlmModelConfig{cfg.hfRatio, false}, injected.mutants);
-  ctx.recoverySym = ctx.layout->design.findSymbol(cfg.recoveryPort);
+  ctx.recoverySym = ctx.layout->design.findSymbol(insertion::AddedPorts::recovery);
   ctx.hasRecovery = ctx.recoverySym != ir::kNoSymbol;
   ctx.referenceSim = referenceSimMode();
   // Backend/batch resolution happens exactly once per campaign: every run
@@ -404,78 +404,79 @@ MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
 
 namespace {
 
-/// Record the campaign checkpoints exactly once (any number of tasks may
-/// race here; losers block on the winner): one clean no-mutant run over the
-/// injected layout — by mutant transparency, the golden trajectory — with a
-/// state snapshot at every interval boundary.
+/// Record the campaign checkpoints once (any number of tasks may race
+/// here; losers block on the winner, and retry if it threw): one clean
+/// no-mutant run over the injected layout — by mutant transparency, the
+/// golden trajectory — with a state snapshot at every interval boundary.
 template <class P>
 const CampaignCheckpoints& ensureCheckpoints(const MutationCampaignContext& ctx) {
   CampaignCheckpoints& cp = *ctx.checkpoints;
-  std::call_once(cp.once, [&] {
-    const std::uint64_t k = ctx.checkpointInterval;
-    // The deepest restorable point any mutant can use is the last interval
-    // boundary at or before the largest fast-forward limit of THIS
-    // analysis's mutant subrange (a shard fragment must not pay for the
-    // prefixes of mutants other fragments own; a limit >= tb.cycles is a
-    // full skip that needs no checkpoint at all) — the recording run stops
-    // there instead of replaying the whole bench. Computed BEFORE any
-    // simulation so the cache key below is known up front.
-    const auto [begin, end] = clampMutantRange(ctx.cfg, ctx.layout->mutants.size());
-    std::uint64_t deepest = 0;
-    for (std::size_t m = begin; m < end; ++m) {
-      const std::string& endpoint = ctx.layout->mutants[m].spec.targetSignal;
-      for (std::size_t i = 0; i < ctx.sensors.size(); ++i) {
-        if (ctx.sensors[i].endpointName != endpoint) continue;
-        if (i < ctx.gold->firstActivity.size() &&
-            ctx.gold->firstActivity[i] < ctx.tb.cycles) {
-          deepest = std::max(deepest, ctx.gold->firstActivity[i]);
-        }
-        break;
+  if (cp.recorded.load(std::memory_order_acquire)) return cp;
+  std::lock_guard<std::mutex> lock(cp.mu);
+  if (cp.recorded.load(std::memory_order_relaxed)) return cp;
+  const std::uint64_t k = ctx.checkpointInterval;
+  // The deepest restorable point any mutant can use is the last interval
+  // boundary at or before the largest fast-forward limit of THIS
+  // analysis's mutant subrange (a shard fragment must not pay for the
+  // prefixes of mutants other fragments own; a limit >= tb.cycles is a
+  // full skip that needs no checkpoint at all) — the recording run stops
+  // there instead of replaying the whole bench. Computed BEFORE any
+  // simulation so the cache key below is known up front.
+  const auto [begin, end] = clampMutantRange(ctx.cfg, ctx.layout->mutants.size());
+  std::uint64_t deepest = 0;
+  for (std::size_t m = begin; m < end; ++m) {
+    const std::string& endpoint = ctx.layout->mutants[m].spec.targetSignal;
+    for (std::size_t i = 0; i < ctx.sensors.size(); ++i) {
+      if (ctx.sensors[i].endpointName != endpoint) continue;
+      if (i < ctx.gold->firstActivity.size() &&
+          ctx.gold->firstActivity[i] < ctx.tb.cycles) {
+        deepest = std::max(deepest, ctx.gold->firstActivity[i]);
       }
+      break;
     }
-    const std::uint64_t last = (deepest / k) * k;
+  }
+  const std::uint64_t last = (deepest / k) * k;
 
-    const auto record = [&]() -> CheckpointRecording {
-      CheckpointRecording rec;
-      rec.interval = k;
-      rec.recordedCycles = last;
-      Session<P> model(ctx.layout, ctx.nativeLib);
-      const DriveFn drive = ctx.tb.driverForTask(ctx.cfg.stimulusId);
-      DriveRecorder stimulus(model.design());
-      for (std::uint64_t c = 0; c < last; ++c) {
-        if (c != 0 && c % k == 0) {
-          rec.cycles.push_back(c);
-          model.saveWords(rec.snapWords.emplace_back());
-        }
-        stimulus.capture(drive, c);
-        stimulus.replayInto(model);
-        if (ctx.hasRecovery) model.setInputUint(ctx.recoverySym, 1);
-        model.scheduler();
-      }
-      if (last != 0) {
-        rec.cycles.push_back(last);
+  const auto record = [&]() -> CheckpointRecording {
+    CheckpointRecording rec;
+    rec.interval = k;
+    rec.recordedCycles = last;
+    Session<P> model(ctx.layout, ctx.nativeLib);
+    const DriveFn drive = ctx.tb.driverForTask(ctx.cfg.stimulusId);
+    DriveRecorder stimulus(model.design());
+    for (std::uint64_t c = 0; c < last; ++c) {
+      if (c != 0 && c % k == 0) {
+        rec.cycles.push_back(c);
         model.saveWords(rec.snapWords.emplace_back());
       }
-      return rec;
-    };
-
-    if (!ctx.goldenKey.empty()) {
-      // Cross-campaign sharing (warm re-runs, sweep variants over the same
-      // injected design, shard processes that agree on the depth): keyed by
-      // golden identity x injected layout fingerprint x interval x depth,
-      // spilled through the artifact store like the traces it derives from.
-      bool memHit = false, diskHit = false;
-      cp.rec = util::getOrBuildWithStore<CheckpointRecording>(
-          checkpointCache(), util::processArtifactStore(), "ckpt",
-          checkpointKey(ctx.goldenKey,
-                        designFingerprint(ctx.layout->design, ctx.cfg.hfRatio), k, last),
-          record, encodeCheckpointRecording, decodeCheckpointRecording, &memHit, &diskHit);
-      cp.fromCache = memHit || diskHit;
-    } else {
-      cp.rec = std::make_shared<const CheckpointRecording>(record());
+      stimulus.capture(drive, c);
+      stimulus.replayInto(model);
+      if (ctx.hasRecovery) model.setInputUint(ctx.recoverySym, 1);
+      model.scheduler();
     }
-    cp.recorded.store(true, std::memory_order_release);
-  });
+    if (last != 0) {
+      rec.cycles.push_back(last);
+      model.saveWords(rec.snapWords.emplace_back());
+    }
+    return rec;
+  };
+
+  if (!ctx.goldenKey.empty()) {
+    // Cross-campaign sharing (warm re-runs, sweep variants over the same
+    // injected design, shard processes that agree on the depth): keyed by
+    // golden identity x injected layout fingerprint x interval x depth,
+    // spilled through the artifact store like the traces it derives from.
+    bool memHit = false, diskHit = false;
+    cp.rec = util::getOrBuildWithStore<CheckpointRecording>(
+        checkpointCache(), util::processArtifactStore(), "ckpt",
+        checkpointKey(ctx.goldenKey,
+                      designFingerprint(ctx.layout->design, ctx.cfg.hfRatio), k, last),
+        record, encodeCheckpointRecording, decodeCheckpointRecording, &memHit, &diskHit);
+    cp.fromCache = memHit || diskHit;
+  } else {
+    cp.rec = std::make_shared<const CheckpointRecording>(record());
+  }
+  cp.recorded.store(true, std::memory_order_release);
   return cp;
 }
 

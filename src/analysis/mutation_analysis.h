@@ -207,8 +207,6 @@ struct AnalysisReport {
 struct AnalysisConfig {
   int hfRatio = 0;  ///< dual-clock scheduler ratio for Counter designs
   insertion::SensorKind sensorKind = insertion::SensorKind::Razor;
-  /// Drive the Razor recovery input high (named port, ignored if absent).
-  std::string recoveryPort = "recovery_en";
   /// Worker threads for the per-mutant campaign: 1 = serial (today's
   /// behavior), 0 = auto (XLV_THREADS env override, else hardware
   /// concurrency), n > 1 = exactly n. Ignored when the analysis runs inside
@@ -321,11 +319,15 @@ bool referenceSimMode();
 /// state, so they live in the campaign context, not in the cross-variant
 /// golden-trace cache.
 struct CampaignCheckpoints {
-  std::once_flag once;
+  /// Held while recording: the first caller records, the others wait. A
+  /// recording that throws leaves `rec` null and `recorded` false, so the
+  /// next caller records again. (A mutex, not std::call_once: call_once
+  /// cannot re-run a callable that threw under ThreadSanitizer.)
+  std::mutex mu;
   /// The recording (analysis/checkpoint_cache.h), in the engine-neutral
   /// snapshot word layout so interpreter and native sessions restore the
-  /// same bytes. Null until the call_once completed; possibly shared with
-  /// other campaigns through the checkpoint cache.
+  /// same bytes. Null until recorded; possibly shared with other campaigns
+  /// through the checkpoint cache.
   std::shared_ptr<const CheckpointRecording> rec;
   /// True when `rec` was served by the cross-campaign cache (memory or
   /// artifact store): its recordedCycles were charged by the campaign that
@@ -397,7 +399,7 @@ MutationCampaignContext prepareMutationCampaign(
 
 /// One campaign task: simulate mutant `mutantIndex` on a private session
 /// cloned from the shared layout. Thread-safe for distinct indices (the
-/// lazy checkpoint recording serializes through the context's call_once).
+/// lazy checkpoint recording serializes through the context's mutex).
 ///
 /// Fast path (default): the task restores the last campaign checkpoint at
 /// or before the mutant's fast-forward limit (GoldenTrace::firstActivity —

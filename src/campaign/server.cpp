@@ -116,29 +116,37 @@ struct ClientConn {
 };
 
 struct Campaign {
-  std::uint64_t id = 0;
-  std::string name;
+  /// The campaign's ledger record, kept up to date as it runs (unitsTotal
+  /// is the current task count; unitsCompleted is filled in by finalize).
+  CampaignLedgerEntry entry;
   std::uint64_t specFnv = 0;
   std::string specPath;  ///< per-campaign spec handoff file
   TaskQueue queue;
-  std::uint64_t taskCount = 0;
-  std::uint64_t requeues = 0;
-  std::uint64_t discarded = 0;
   /// Cancelled or errored: pending units left the scheduler, in-flight
   /// units drain with their results discarded, then the campaign finalizes.
   bool finishing = false;
-  bool cancelled = false;
-  std::string error;
   ClientConn* conn = nullptr;  ///< null once the client connection is gone
   /// Run mode's in-process campaign: unit outputs collect here instead of
   /// streaming to a client connection.
   std::vector<ShardOutput>* sink = nullptr;
-  std::uint64_t bisections = 0;
-  std::vector<std::uint64_t> quarantined;  ///< retired irreducible task indices
-  std::uint64_t deadlineMs = 0;            ///< 0 = no deadline
+  std::uint64_t deadlineMs = 0;  ///< 0 = no deadline
   Clock::time_point deadlineAt{};
-  bool drained = false;  ///< was live when a drain began
 };
+
+/// The done frame of `c`: its final unit count — bisection appended tasks,
+/// and the client normalizes its streamed outputs' shardCount to it before
+/// merging — and its error, if it failed.
+CampaignDoneFrame doneFrame(const Campaign& c) {
+  CampaignDoneFrame done;
+  done.campaignId = c.entry.campaignId;
+  done.unitsTotal = c.entry.unitsTotal;
+  done.unitsCompleted = c.queue.completedCount();
+  done.requeues = c.entry.requeues;
+  done.cancelled = c.entry.cancelled;
+  done.error = c.entry.error;
+  done.quarantined = c.entry.quarantined;
+  return done;
+}
 
 class Server {
  public:
@@ -363,16 +371,16 @@ void Server::submitUnit(std::size_t wi, Campaign& c) {
   const DispatchTask& t = c.queue.claim();
   SubmitFrame submit;
   submit.specFnv = c.specFnv;
-  submit.campaignId = c.id;
+  submit.campaignId = c.entry.campaignId;
   submit.seq = ++seqCounter_;
   submit.taskIndex = t.index;
-  submit.taskCount = c.taskCount;
+  submit.taskCount = c.entry.unitsTotal;
   submit.attempt = t.attempts - 1;
   submit.unit = t.unit;
   submit.specPath = c.specPath;
   s.ready = false;
   s.busy = true;
-  s.campaignId = c.id;
+  s.campaignId = c.entry.campaignId;
   s.taskIndex = t.index;
   s.lastBeat = Clock::now();
   s.out.enqueue(frameWire(encodeSubmitFrame(submit)));
@@ -502,15 +510,16 @@ void Server::admit(ClientConn& conn, const ClientSubmitFrame& f) {
     return;
   }
   c->conn = &conn;
-  conn.campaignId = c->id;
+  conn.campaignId = c->entry.campaignId;
 
   AcceptFrame accept;
-  accept.campaignId = c->id;
+  accept.campaignId = c->entry.campaignId;
   accept.specFnv = c->specFnv;
-  accept.unitCount = c->taskCount;
+  accept.unitCount = c->entry.unitsTotal;
   conn.out.enqueue(frameWire(encodeAcceptFrame(accept)));
   flushConn(conn);  // may cancel c (client write failure sets finishing)
-  if (!c->finishing && c->taskCount == 0) finishSuccess(*c);  // empty spec: done before it began
+  // An empty spec is done before it began.
+  if (!c->finishing && c->entry.unitsTotal == 0) finishSuccess(*c);
 }
 
 /// Stage the spec handoff file and put the campaign's units on the
@@ -528,12 +537,12 @@ Campaign* Server::startCampaign(const CampaignSpec& spec, const DispatchUnitPlan
   }
 
   Campaign c;
-  c.id = id;
-  c.name = name;
+  c.entry.campaignId = id;
+  c.entry.name = name;
   c.specFnv = plan.specFnv;
   c.specPath = specPath.string();
   c.queue = TaskQueue(plan);
-  c.taskCount = c.queue.taskCount();
+  c.entry.unitsTotal = c.queue.taskCount();
   if (deadlineMs > 0) {
     c.deadlineMs = deadlineMs;
     c.deadlineAt = Clock::now() + std::chrono::milliseconds(deadlineMs);
@@ -542,7 +551,7 @@ Campaign* Server::startCampaign(const CampaignSpec& spec, const DispatchUnitPlan
   rr_.push_back(id);
   ++ledger_.campaignsAccepted;
   XLV_INFO("campaignd") << "campaign " << id << " ('" << name << "') admitted: "
-                        << live.taskCount << " units";
+                        << live.entry.unitsTotal << " units";
   return &live;
 }
 
@@ -572,13 +581,13 @@ void Server::clientGone(ClientConn& conn) {
     auto it = campaigns_.find(conn.campaignId);
     if (it != campaigns_.end() && !it->second.finishing) {
       Campaign& c = it->second;
-      c.cancelled = true;
+      c.entry.cancelled = true;
       c.finishing = true;
-      rrRemove(c.id);
-      XLV_WARN("campaignd") << "campaign " << c.id << " ('" << c.name
+      rrRemove(c.entry.campaignId);
+      XLV_WARN("campaignd") << "campaign " << c.entry.campaignId << " ('" << c.entry.name
                             << "') cancelled: client disconnected with "
                             << c.queue.pendingCount() << " units pending, "
-                            << inFlight(c.id) << " in flight";
+                            << inFlight(c.entry.campaignId) << " in flight";
     }
   }
   closeConn(conn);
@@ -648,7 +657,7 @@ void Server::handleWorkerFrame(std::size_t i, const std::string& doc) {
 void Server::onResult(std::size_t wi, ResultFrame rf) {
   ServerWorker& s = workers_[wi];
   auto it = campaigns_.find(rf.campaignId);
-  if (it != campaigns_.end() && rf.taskIndex >= it->second.taskCount) {
+  if (it != campaigns_.end() && rf.taskIndex >= it->second.entry.unitsTotal) {
     throw util::DecodeError("result for unknown task " + std::to_string(rf.taskIndex) +
                             " of campaign " + std::to_string(rf.campaignId));
   }
@@ -663,7 +672,7 @@ void Server::onResult(std::size_t wi, ResultFrame rf) {
   }
   Campaign& c = it->second;
   if (c.finishing) {
-    ++c.discarded;
+    ++c.entry.discardedResults;
     ++ledger_.discardedResults;
     return;
   }
@@ -684,9 +693,9 @@ void Server::streamOutput(Campaign& c, std::size_t taskIndex, ShardOutput output
   }
   if (c.conn == nullptr || c.conn->dead) return;
   ItemResultFrame ir;
-  ir.campaignId = c.id;
+  ir.campaignId = c.entry.campaignId;
   ir.taskIndex = taskIndex;
-  ir.taskCount = c.taskCount;
+  ir.taskCount = c.entry.unitsTotal;
   ir.output = std::move(output);
   c.conn->out.enqueue(frameWire(encodeItemResultFrame(ir)));
   flushConn(*c.conn);  // may cancel c (client write failure sets finishing)
@@ -716,35 +725,35 @@ void Server::quarantineOrBisect(Campaign& c, std::size_t taskIndex,
     // high half, then the low half lands in front of it.
     c.queue.addTask(ShardUnit{unit.taskId, mid, unit.mutantEnd}, unit.mutantEnd - mid);
     c.queue.addTask(ShardUnit{unit.taskId, unit.mutantBegin, mid}, mid - unit.mutantBegin);
-    c.taskCount = c.queue.taskCount();
-    ++c.bisections;
+    c.entry.unitsTotal = c.queue.taskCount();
+    ++c.entry.bisections;
     ++ledger_.bisections;
-    XLV_WARN("campaignd") << "campaign " << c.id << " task " << taskIndex << " (item "
+    XLV_WARN("campaignd") << "campaign " << c.entry.campaignId << " task " << taskIndex << " (item "
                           << unit.taskId << " mutants [" << unit.mutantBegin << ", "
                           << unit.mutantEnd << ")) lost after " << t.attempts
                           << " attempts (" << reason << "); bisected at " << mid;
     ShardOutput placeholder;
     placeholder.specFnv = c.specFnv;
     placeholder.shardIndex = static_cast<int>(taskIndex);
-    placeholder.shardCount = static_cast<int>(c.taskCount);
+    placeholder.shardCount = static_cast<int>(c.entry.unitsTotal);
     streamOutput(c, taskIndex, std::move(placeholder));
     return;
   }
   c.queue.retire(taskIndex);
-  c.quarantined.push_back(taskIndex);
+  c.entry.quarantined.push_back(taskIndex);
   ++ledger_.quarantinedUnits;
   const std::string what =
       unit.wholeItem()
           ? "item " + std::to_string(unit.taskId)
           : "item " + std::to_string(unit.taskId) + " mutant " +
                 std::to_string(unit.mutantBegin);
-  XLV_ERROR("campaignd") << "campaign " << c.id << " quarantined " << what
+  XLV_ERROR("campaignd") << "campaign " << c.entry.campaignId << " quarantined " << what
                          << " (task " << taskIndex << "): lost after " << t.attempts
                          << " attempts (last: " << reason << ")";
   ShardOutput q;
   q.specFnv = c.specFnv;
   q.shardIndex = static_cast<int>(taskIndex);
-  q.shardCount = static_cast<int>(c.taskCount);
+  q.shardCount = static_cast<int>(c.entry.unitsTotal);
   q.units.push_back(unit);
   CampaignItemResult item;
   item.taskId = unit.taskId;
@@ -772,10 +781,11 @@ void Server::requeueLostUnit(std::size_t wi, const std::string& reason) {
     return;
   }
   c.queue.requeue(s.taskIndex);
-  ++c.requeues;
-  ledger_.requeuedShards.push_back(RequeueRecord{c.id, t.index, t.unit, t.attempts, reason, wi,
+  ++c.entry.requeues;
+  ledger_.requeuedShards.push_back(RequeueRecord{c.entry.campaignId, t.index, t.unit,
+                                                 t.attempts, reason, wi,
                                                  static_cast<std::uint64_t>(s.generation)});
-  XLV_WARN("campaignd") << "re-queued task " << t.index << " of campaign " << c.id
+  XLV_WARN("campaignd") << "re-queued task " << t.index << " of campaign " << c.entry.campaignId
                         << " (attempt " << t.attempts << " lost to worker " << wi
                         << ": " << reason << ")";
 }
@@ -818,20 +828,13 @@ void Server::workerDeath(std::size_t i, const char* reasonHint) {
 }
 
 void Server::failCampaign(Campaign& c, const std::string& msg) {
-  XLV_ERROR("campaignd") << "campaign " << c.id << " ('" << c.name << "') failed: " << msg;
-  c.error = msg;
+  XLV_ERROR("campaignd") << "campaign " << c.entry.campaignId << " ('" << c.entry.name
+                         << "') failed: " << msg;
+  c.entry.error = msg;
   c.finishing = true;
-  rrRemove(c.id);
+  rrRemove(c.entry.campaignId);
   if (c.conn != nullptr && !c.conn->dead) {
-    CampaignDoneFrame done;
-    done.campaignId = c.id;
-    done.unitsTotal = c.taskCount;
-    done.unitsCompleted = c.queue.completedCount();
-    done.requeues = c.requeues;
-    done.cancelled = false;
-    done.error = msg;
-    done.quarantined = c.quarantined;
-    c.conn->out.enqueue(frameWire(encodeCampaignDoneFrame(done)));
+    c.conn->out.enqueue(frameWire(encodeCampaignDoneFrame(doneFrame(c))));
     c.conn->closing = true;
     flushConn(*c.conn);
   }
@@ -839,18 +842,9 @@ void Server::failCampaign(Campaign& c, const std::string& msg) {
 }
 
 void Server::finishSuccess(Campaign& c) {
-  CampaignDoneFrame done;
-  done.campaignId = c.id;
-  done.unitsTotal = c.taskCount;
-  done.unitsCompleted = c.queue.completedCount();
-  done.requeues = c.requeues;
-  // unitsTotal is the FINAL task count: bisection appended tasks, and the
-  // client must normalize its streamed outputs' shardCount to this before
-  // merging.
-  done.quarantined = c.quarantined;
   ClientConn* conn = c.conn;
   if (conn != nullptr && !conn->dead) {
-    conn->out.enqueue(frameWire(encodeCampaignDoneFrame(done)));
+    conn->out.enqueue(frameWire(encodeCampaignDoneFrame(doneFrame(c))));
     conn->closing = true;
   }
   // Finalize BEFORE the flush: the campaign has left the scheduler either
@@ -860,34 +854,24 @@ void Server::finishSuccess(Campaign& c) {
 }
 
 void Server::finalize(Campaign& c) {
-  CampaignLedgerEntry e;
-  e.campaignId = c.id;
-  e.name = c.name;
-  e.unitsTotal = c.taskCount;
+  CampaignLedgerEntry& e = c.entry;
   e.unitsCompleted = c.queue.completedCount();
-  e.requeues = c.requeues;
-  e.discardedResults = c.discarded;
-  e.cancelled = c.cancelled;
-  e.error = c.error;
-  e.bisections = c.bisections;
-  e.quarantined = c.quarantined;
-  e.drained = c.drained;
   ledger_.campaigns.push_back(e);
   ledger_.tasksTotal += e.unitsTotal;
   ledger_.tasksCompleted += e.unitsCompleted;
-  if (c.cancelled) {
+  if (e.cancelled) {
     ++ledger_.campaignsCancelled;
   } else {
     ++ledger_.campaignsCompleted;
   }
-  XLV_INFO("campaignd") << "campaign " << c.id << " ('" << c.name << "') finished: "
+  XLV_INFO("campaignd") << "campaign " << e.campaignId << " ('" << e.name << "') finished: "
                         << e.unitsCompleted << "/" << e.unitsTotal << " units, "
                         << e.requeues << " re-queues"
-                        << (c.cancelled ? " (cancelled)" : "");
+                        << (e.cancelled ? " (cancelled)" : "");
   removeSpecFile(c);
-  rrRemove(c.id);
+  rrRemove(e.campaignId);
   if (c.conn != nullptr) c.conn->campaignId = 0;
-  const std::uint64_t id = c.id;
+  const std::uint64_t id = e.campaignId;
   campaigns_.erase(id);  // `c` is dangling from here on
   ++served_;
 }
@@ -999,7 +983,7 @@ void Server::onDrainRequest() {
   if (!draining_) {
     draining_ = true;
     ledger_.drained = true;
-    for (auto& [id, c] : campaigns_) c.drained = true;
+    for (auto& [id, c] : campaigns_) c.entry.drained = true;
     XLV_INFO("campaignd") << "drain requested: finishing " << campaigns_.size()
                           << " live campaigns, rejecting new submissions";
   } else {

@@ -33,8 +33,8 @@ void driveInputs(const analysis::DriveFn& drive, std::uint64_t cycle, Sim& sim) 
   });
   // The Razor recovery enable is an insertion-added port the stock
   // testbench does not know about.
-  if (sim.design().findSymbol("recovery_en") != ir::kNoSymbol) {
-    sim.setInputByName("recovery_en", 1);
+  if (sim.design().findSymbol(insertion::AddedPorts::recovery) != ir::kNoSymbol) {
+    sim.setInputByName(insertion::AddedPorts::recovery, 1);
   }
 }
 

@@ -114,21 +114,21 @@ InsertionResult insertSensors(const ir::Module& ip, const sta::StaReport& report
   // sensor outputs").
   Sig recovery, hclkSig;
   if (cfg.kind == SensorKind::Razor) {
-    recovery = addSymbol(m, cfg.recoveryPortName, SymKind::Signal, Type{1, false}, PortDir::In);
+    recovery = addSymbol(m, AddedPorts::recovery, SymKind::Signal, Type{1, false}, PortDir::In);
   } else {
     const SymbolId existing = findHfClock(m);
     if (existing != kNoSymbol) {
       hclkSig = Sig{existing, m.symbol(existing).type};
     } else {
-      hclkSig = addSymbol(m, cfg.hfClockName, SymKind::Signal, Type{1, false}, PortDir::In,
+      hclkSig = addSymbol(m, AddedPorts::hfClock, SymKind::Signal, Type{1, false}, PortDir::In,
                           ClockRole::HighFreq);
     }
   }
   const Sig metricOk =
-      addSymbol(m, cfg.metricOkPortName, SymKind::Signal, Type{1, false}, PortDir::Out);
+      addSymbol(m, AddedPorts::metricOk, SymKind::Signal, Type{1, false}, PortDir::Out);
   Sig measValPort;
   if (cfg.kind == SensorKind::Counter) {
-    measValPort = addSymbol(m, cfg.measValPortName, SymKind::Signal,
+    measValPort = addSymbol(m, AddedPorts::measVal, SymKind::Signal,
                             Type{cfg.counterCfg.measWidth, false}, PortDir::Out);
   }
 

@@ -35,6 +35,15 @@ constexpr const char* sensorKindName(SensorKind k) noexcept {
 /// Every kind, for readers that find a kind by its name.
 inline constexpr SensorKind kSensorKinds[] = {SensorKind::Razor, SensorKind::Counter};
 
+/// The ports insertion adds to the augmented IP, named once: the analysis
+/// and the flow drive `recovery` by this name.
+struct AddedPorts {
+  static constexpr const char* recovery = "recovery_en";  ///< Razor recovery enable (in)
+  static constexpr const char* hfClock = "hclk";          ///< Counter HF clock, if the IP has none
+  static constexpr const char* metricOk = "metric_ok";    ///< 1 = no sensor error (out)
+  static constexpr const char* measVal = "meas_val";      ///< Counter measured delay (out)
+};
+
 struct InsertionConfig {
   SensorKind kind = SensorKind::Razor;
   /// Counter CPS extraction (the "intermediate variable used to extract
@@ -43,11 +52,6 @@ struct InsertionConfig {
   /// any odd-bit change); >= 0 observes that bit (clamped to the width).
   int monitoredBit = -1;
   sensors::CounterConfig counterCfg;
-  /// Names of the ports added to the augmented IP.
-  std::string recoveryPortName = "recovery_en";
-  std::string metricOkPortName = "metric_ok";
-  std::string measValPortName = "meas_val";
-  std::string hfClockName = "hclk";
 };
 
 /// One inserted sensor and the names of its observable signals in the

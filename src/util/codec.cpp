@@ -237,4 +237,29 @@ void Decoder::finish() const {
   }
 }
 
+std::string packWords(const std::uint64_t* words, std::size_t count) {
+  std::string out(count * 8, '\0');
+  for (std::size_t i = 0; i < count; ++i) {
+    for (int b = 0; b < 8; ++b) {
+      out[i * 8 + b] = static_cast<char>((words[i] >> (8 * b)) & 0xff);
+    }
+  }
+  return out;
+}
+
+void unpackWords(std::string_view bytes, std::uint64_t* out, std::size_t count,
+                 const char* what) {
+  if (bytes.size() != count * 8) {
+    throw DecodeError(std::string(what) + ": expected " + std::to_string(count * 8) +
+                      " bytes, found " + std::to_string(bytes.size()));
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t w = 0;
+    for (int b = 0; b < 8; ++b) {
+      w |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i * 8 + b])) << (8 * b);
+    }
+    out[i] = w;
+  }
+}
+
 }  // namespace xlv::util

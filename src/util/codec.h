@@ -48,6 +48,16 @@ class DecodeError : public std::runtime_error {
 /// version is still validated by the actual Decoder afterwards.
 std::string peekDocumentTag(std::string_view data);
 
+/// Pack `count` words as little-endian 8-byte words: fixed-width binary for
+/// one length-prefixed str field (byte-stable, compact, endianness-explicit).
+/// A table's words are its rows in order (row-major).
+std::string packWords(const std::uint64_t* words, std::size_t count);
+
+/// Inverse of packWords into `count` words at `out`; DecodeError naming
+/// `what` unless `bytes` holds exactly count * 8 bytes.
+void unpackWords(std::string_view bytes, std::uint64_t* out, std::size_t count,
+                 const char* what);
+
 class Encoder {
  public:
   Encoder(std::string_view tag, int version);

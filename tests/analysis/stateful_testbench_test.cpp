@@ -5,14 +5,18 @@
 // Testbench::makeDriver beyond the API-level tests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/mutation_analysis.h"
 #include "core/flow.h"
 #include "ips/case_study.h"
+#include "tests/reference_mode_guard.h"
 
 namespace xlv::analysis {
 namespace {
@@ -127,6 +131,64 @@ TEST(StatefulTestbench, EndToEndMutationAnalysisCounter) {
   EXPECT_GT(r.analysis.countDetected(), 0)
       << "counter sensors must measure delays under handshake traffic";
   EXPECT_GT(r.analysis.killedPct(), 0.0);
+}
+
+TEST(StatefulTestbench, ACheckpointRecordingThatThrowsIsRetriedByTheNextCall) {
+  // The checkpoint recording is a context's second driver instance (the
+  // golden recording is the first). When that instance throws, the
+  // simulateMutant that needed the checkpoints rethrows and nothing is
+  // kept: the next call records them and returns what a fresh context
+  // returns. Filter's late-active endpoints fast-forward past the first
+  // checkpoint; its pure driver is served through makeDriver.
+  ReferenceModeGuard fastPath(false);
+  const ips::CaseStudy cs = ips::buildFilterCase();
+  core::FlowOptions opts;
+  opts.sensorKind = SensorKind::Razor;
+  opts.testbenchCycles = 400;
+  opts.measureRtl = false;
+  opts.measureTlm = false;
+  opts.measureOptimized = false;
+  const core::FlowReport r = core::runFlow(cs, opts);
+  Testbench tb = cs.testbench;
+  tb.cycles = core::flowCycles(cs, opts);
+  AnalysisConfig cfg;
+  cfg.sensorKind = opts.sensorKind;
+  cfg.hfRatio = r.hfRatio;
+
+  auto instances = std::make_shared<std::atomic<int>>(0);
+  Testbench flaky = tb;
+  flaky.drive = nullptr;
+  flaky.makeDriver = [drive = tb.drive, instances](std::uint64_t) {
+    if (instances->fetch_add(1) == 1) throw std::runtime_error("driver session refused");
+    return drive;
+  };
+  const MutationCampaignContext ctx = prepareMutationCampaign<hdt::FourState>(
+      r.augmentedDesign, r.injected, r.sensors, flaky, cfg);
+  ASSERT_EQ(1, instances->load());
+
+  // A mutant whose fast-forward limit reaches the first checkpoint.
+  int mutant = -1;
+  for (std::size_t m = 0; m < ctx.layout->mutants.size() && mutant < 0; ++m) {
+    for (std::size_t i = 0; i < ctx.sensors.size(); ++i) {
+      const std::uint64_t limit = ctx.gold->firstActivity[i];
+      if (ctx.sensors[i].endpointName == ctx.layout->mutants[m].spec.targetSignal &&
+          limit >= ctx.checkpointInterval && limit < tb.cycles) {
+        mutant = static_cast<int>(m);
+      }
+    }
+  }
+  ASSERT_GE(mutant, 0) << "no mutant fast-forwards past the first checkpoint";
+
+  EXPECT_THROW(simulateMutant<hdt::FourState>(ctx, mutant), std::runtime_error);
+  EXPECT_FALSE(ctx.checkpoints->recorded.load());
+  EXPECT_EQ(nullptr, ctx.checkpoints->rec);
+  const MutantResult retried = simulateMutant<hdt::FourState>(ctx, mutant);
+  EXPECT_TRUE(ctx.checkpoints->recorded.load());
+  ASSERT_NE(nullptr, ctx.checkpoints->rec);
+
+  const MutationCampaignContext fresh = prepareMutationCampaign<hdt::FourState>(
+      r.augmentedDesign, r.injected, r.sensors, tb, cfg);
+  EXPECT_EQ(simulateMutant<hdt::FourState>(fresh, mutant), retried);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/checkpoint_cache.h"
 #include "analysis/golden_cache.h"
 #include "analysis/mutant_cache.h"
 #include "campaign/serialize.h"
@@ -347,6 +348,19 @@ analysis::GoldenTrace randomGoldenTrace(Prng& rng) {
   return trace;
 }
 
+analysis::CheckpointRecording randomCheckpointRecording(Prng& rng) {
+  analysis::CheckpointRecording rec;
+  rec.interval = 1 + rng.below(64);
+  const std::size_t count = rng.below(4);
+  const std::size_t stateWords = rng.below(4);
+  for (std::size_t i = 0; i < count; ++i) {
+    rec.cycles.push_back(rec.interval * (i + 1));
+    for (auto& w : rec.snapWords.emplace_back(stateWords)) w = rng.next();
+  }
+  rec.recordedCycles = rec.cycles.empty() ? 0 : rec.cycles.back();
+  return rec;
+}
+
 // --- the three fuzz properties -----------------------------------------------
 
 /// A named encode/decode pair: decode(bytes) either throws DecodeError or
@@ -449,6 +463,13 @@ std::vector<Codec> codecs() {
        [](std::string_view b) {
          return analysis::encodeGoldenTrace(analysis::decodeGoldenTrace(b));
        }},
+      {"campaign-checkpoints",
+       [](Prng& rng) {
+         return analysis::encodeCheckpointRecording(randomCheckpointRecording(rng));
+       },
+       [](std::string_view b) {
+         return analysis::encodeCheckpointRecording(analysis::decodeCheckpointRecording(b));
+       }},
   };
 }
 
@@ -500,6 +521,7 @@ TEST(CodecFuzz, EncodingsMatchThePinnedFormat) {
       {"dispatch-item-result", 0xd553d39ca58d1eacULL},
       {"dispatch-done", 0x7a843a5a175224d2ULL},
       {"golden-trace", 0xf12b9d5ebe2599c8ULL},
+      {"campaign-checkpoints", 0x10c6551361d0136bULL},
       {"preset:smoke", 0xfa77ddad15962183ULL},
       {"preset:single", 0x8f83eaad93ab8c47ULL},
       {"preset:failing", 0x12226b1eaf46f7f8ULL},
@@ -541,6 +563,19 @@ TEST(CodecFuzz, GoldenTraceRejectsOverflowingCountsBeforeAllocating) {
   e.str("endpoints", "");
   e.str("firstActivity", "");
   EXPECT_THROW(analysis::decodeGoldenTrace(e.out()), DecodeError);
+}
+
+TEST(CodecFuzz, CheckpointRecordingRejectsAWidthWithoutSnapshots) {
+  // The canonical empty recording carries width 0; any other width would
+  // decode to the same empty value and re-encode to different bytes.
+  util::Encoder e("campaign-checkpoints", analysis::kCheckpointCodecVersion);
+  e.u64("interval", 4);
+  e.u64("recordedCycles", 0);
+  e.u64("count", 0);
+  e.u64("stateWords", 1);
+  e.str("cycles", "");
+  e.str("snapWords", "");
+  EXPECT_THROW(analysis::decodeCheckpointRecording(e.out()), DecodeError);
 }
 
 TEST(CodecFuzz, DispatchFramesRejectMixedSchemaVersions) {

@@ -10,17 +10,20 @@
 //   bench_compare --baseline-dir bench/baselines [--tolerance 0.25] BENCH_x.json...
 //   bench_compare --baseline bench/baselines/BENCH_x.json --current BENCH_x.json
 //
+// Every flag is declared once, in main's flag table. --tolerance parses
+// strictly (util::parseDoubleStrict): `25%` or `0.25x` is a usage error, not
+// tolerance 25 or 0.25.
+//
 // Exit codes: 0 all reports within the ratchet, 1 usage / unreadable or
 // malformed report, 2 at least one metric regressed.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/bench_compare.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -40,14 +43,6 @@ using namespace xlv;
   std::exit(1);
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 std::string baseName(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
@@ -58,30 +53,18 @@ std::string baseName(const std::string& path) {
 int main(int argc, char** argv) {
   std::string baselineDir, baselineFile, currentFile;
   double tolerance = 0.25;
+  const std::vector<util::Flag> flags = {
+      {{"--baseline-dir"}, &baselineDir, {}},
+      {{"--baseline"}, &baselineFile, {}},
+      {{"--current"}, &currentFile, {}},
+      {{"--tolerance"}, &tolerance, {}},
+  };
   std::vector<std::string> currents;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) usage((std::string(flag) + " requires a value").c_str());
-      return argv[++i];
-    };
-    if (arg == "--baseline-dir") {
-      baselineDir = next("--baseline-dir");
-    } else if (arg == "--baseline") {
-      baselineFile = next("--baseline");
-    } else if (arg == "--current") {
-      currentFile = next("--current");
-    } else if (arg == "--tolerance") {
-      try {
-        tolerance = std::stod(next("--tolerance"));
-      } catch (const std::exception&) {
-        usage("--tolerance: invalid number");
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage(("unknown flag '" + arg + "'").c_str());
-    } else {
-      currents.push_back(arg);
-    }
+  try {
+    currents = util::parseCommandLine(flags, "", util::kAnyOperands,
+                                      std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const util::UsageError& e) {
+    usage(e.what());
   }
   if (tolerance < 0.0) usage("--tolerance must be >= 0");
 
@@ -103,8 +86,8 @@ int main(int argc, char** argv) {
   bool regressed = false;
   try {
     for (const auto& [basePath, curPath] : pairs) {
-      const util::BenchReport baseline = util::parseBenchJson(readFile(basePath));
-      const util::BenchReport current = util::parseBenchJson(readFile(curPath));
+      const util::BenchReport baseline = util::parseBenchJson(util::readFile(basePath));
+      const util::BenchReport current = util::parseBenchJson(util::readFile(curPath));
       const util::BenchComparison cmp =
           util::compareBenchReports(baseline, current, tolerance);
       std::fputs(cmp.render().c_str(), stdout);

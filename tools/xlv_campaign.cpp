@@ -39,6 +39,11 @@
 //   xlv_campaign submit --spec spec.xlv --socket /tmp/xlv.sock -o served.xlv
 //   xlv_campaign diff single.xlv served.xlv
 //
+// Flags: one table (parseArgs) lists every flag once with the subcommands
+// that read it. A flag its subcommand does not read is a usage error, like
+// an unknown flag, a missing value, a stray operand or a malformed number
+// (`--batch 2x`): whatever parses shapes the run.
+//
 // Exit codes: 0 success (diff: identical), 1 usage or runtime error,
 // 2 diff divergence, 3 campaign completed but one or more items errored
 // (the output file is still written so the failure can be inspected, but
@@ -49,20 +54,17 @@
 // (backpressure or malformed spec; the reject reason and retry hint are
 // printed), 9 the --disconnect-after-items test hook closed the connection
 // on purpose.
+#include <climits>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
-#include <stdexcept>
+#include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "campaign/serialize.h"
 #include "campaign/server.h"
 #include "campaign/shard.h"
 #include "util/artifact_store.h"
+#include "util/cli.h"
 #include "util/fault_point.h"
 #include "util/log.h"
 
@@ -117,103 +119,52 @@ using namespace xlv;
   std::exit(1);
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-void writeOutput(const std::string& path, const std::string& data) {
-  if (path.empty() || path == "-") {
-    std::fwrite(data.data(), 1, data.size(), stdout);
-    return;
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !(out << data)) throw std::runtime_error("cannot write '" + path + "'");
-}
-
-/// Minimal flag cursor: named flags in any order, positional operands kept.
 struct Args {
-  std::vector<std::string> positional;
+  std::vector<std::string> operands;
   std::string spec, out, preset, cacheDir, backend, socket, clientName;
   long maxFragment = 0, threads = 0, cacheMaxBytes = 0;
   long maxAgeSeconds = 0, batch = 0, tcpPort = 0, disconnectAfterItems = -1;
   long maxRetries = 0, deadlineMs = 0;
-  bool requireDiskHits = false;
-  bool requireNative = false;
-
-  static long parseLong(const std::string& flag, const std::string& v) {
-    try {
-      std::size_t end = 0;
-      const long n = std::stol(v, &end);
-      if (end != v.size()) throw std::invalid_argument(v);
-      return n;
-    } catch (const std::exception&) {
-      usage(("flag " + flag + ": invalid integer '" + v + "'").c_str());
-    }
-  }
+  bool requireDiskHits = false, requireNative = false, verbose = false;
 };
 
-Args parseArgs(int argc, char** argv, int first) {
+/// The flag table: each flag once, with the subcommands that read it.
+Args parseArgs(const std::string& cmd, std::size_t operands,
+               const std::vector<std::string>& argv) {
   Args a;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) usage((std::string(flag) + " requires a value").c_str());
-      return argv[++i];
-    };
-    if (arg == "--spec") {
-      a.spec = next("--spec");
-    } else if (arg == "-o" || arg == "--out") {
-      a.out = next("-o");
-    } else if (arg == "--preset") {
-      a.preset = next("--preset");
-    } else if (arg == "--max-fragment") {
-      a.maxFragment = Args::parseLong(arg, next("--max-fragment"));
-    } else if (arg == "--threads") {
-      a.threads = Args::parseLong(arg, next("--threads"));
-    } else if (arg == "--cache-dir") {
-      a.cacheDir = next("--cache-dir");
-    } else if (arg == "--cache-max-bytes") {
-      a.cacheMaxBytes = Args::parseLong(arg, next("--cache-max-bytes"));
-    } else if (arg == "--max-age-seconds") {
-      a.maxAgeSeconds = Args::parseLong(arg, next("--max-age-seconds"));
-    } else if (arg == "--require-disk-hits") {
-      a.requireDiskHits = true;
-    } else if (arg == "--backend") {
-      a.backend = next("--backend");
-    } else if (arg == "--batch") {
-      a.batch = Args::parseLong(arg, next("--batch"));
-    } else if (arg == "--require-native") {
-      a.requireNative = true;
-    } else if (arg == "--socket") {
-      a.socket = next("--socket");
-    } else if (arg == "--tcp-port") {
-      a.tcpPort = Args::parseLong(arg, next("--tcp-port"));
-    } else if (arg == "--client-name") {
-      a.clientName = next("--client-name");
-    } else if (arg == "--disconnect-after-items") {
-      a.disconnectAfterItems = Args::parseLong(arg, next("--disconnect-after-items"));
-    } else if (arg == "--max-retries") {
-      a.maxRetries = Args::parseLong(arg, next("--max-retries"));
-    } else if (arg == "--deadline-ms") {
-      a.deadlineMs = Args::parseLong(arg, next("--deadline-ms"));
-    } else if (arg == "--verbose") {
-      util::setLogLevel(util::LogLevel::Info);
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      usage(("unknown flag '" + arg + "'").c_str());
-    } else {
-      a.positional.push_back(arg);
-    }
+  const std::vector<util::Flag> flags = {
+      {{"--preset"}, &a.preset, {"spec"}},
+      {{"--threads"}, &a.threads, {"spec"}, 0, INT_MAX},
+      {{"-o", "--out"}, &a.out, {"spec", "run", "submit"}},
+      {{"--spec"}, &a.spec, {"run", "submit"}},
+      {{"--cache-dir"}, &a.cacheDir, {"run", "cache-gc"}},
+      {{"--cache-max-bytes"}, &a.cacheMaxBytes, {"run", "cache-gc"}, 0},
+      {{"--max-age-seconds"}, &a.maxAgeSeconds, {"run", "cache-gc"}, 0},
+      {{"--require-disk-hits"}, &a.requireDiskHits, {"run"}},
+      {{"--backend"}, &a.backend, {"run"}},
+      {{"--batch"}, &a.batch, {"run"}, 0, INT_MAX},
+      {{"--require-native"}, &a.requireNative, {"run"}},
+      {{"--socket"}, &a.socket, {"submit"}},
+      {{"--tcp-port"}, &a.tcpPort, {"submit"}, 0, 65535},
+      {{"--client-name"}, &a.clientName, {"submit"}},
+      {{"--max-fragment"}, &a.maxFragment, {"submit"}, 0},
+      {{"--disconnect-after-items"}, &a.disconnectAfterItems, {"submit"}},
+      {{"--max-retries"}, &a.maxRetries, {"submit"}, 0, INT_MAX},
+      {{"--deadline-ms"}, &a.deadlineMs, {"submit"}, 0},
+      {{"--verbose"}, &a.verbose, {}},
+  };
+  try {
+    a.operands = util::parseCommandLine(flags, cmd, operands, argv);
+  } catch (const util::UsageError& e) {
+    usage(e.what());
   }
+  if (a.verbose) util::setLogLevel(util::LogLevel::Info);
   return a;
 }
 
 campaign::CampaignSpec loadSpec(const Args& a) {
   if (a.spec.empty()) usage("--spec FILE is required");
-  return campaign::decodeCampaignSpec(readFile(a.spec));
+  return campaign::decodeCampaignSpec(util::readFile(a.spec));
 }
 
 /// Apply the run-time engine overrides (--backend / --batch) to every item
@@ -226,50 +177,12 @@ void applyBackendOverrides(const Args& a, campaign::CampaignSpec& spec) {
     for (auto& item : spec.items) item.options.backend = be;
   }
   if (a.batch != 0) {
-    if (a.batch < 1) usage("--batch must be >= 1");
     for (auto& item : spec.items) item.options.batch = static_cast<int>(a.batch);
-  }
-}
-
-/// Subcommands that never run a campaign must reject the run flags too.
-void rejectRunFlags(const Args& a, const char* cmd) {
-  if (!a.backend.empty() || a.batch != 0 || a.requireNative) {
-    usage((std::string(cmd) +
-           " does not take run flags (--backend/--batch/--require-native "
-           "apply to run)")
-              .c_str());
-  }
-}
-
-/// Only submit talks to a server; the flags are meaningless elsewhere.
-void rejectServiceFlags(const Args& a, const char* cmd) {
-  if (!a.socket.empty() || a.tcpPort != 0 || !a.clientName.empty() ||
-      a.disconnectAfterItems != -1 || a.maxRetries != 0 || a.deadlineMs != 0) {
-    usage((std::string(cmd) +
-           " does not take service flags (--socket/--tcp-port/--client-name/"
-           "--max-retries/--deadline-ms/--disconnect-after-items apply to "
-           "submit)")
-              .c_str());
-  }
-}
-
-/// Subcommands that never touch the store must REJECT cache flags, not
-/// silently ignore them (a flag on the wrong pipeline stage doing nothing
-/// is how a "cached" pipeline runs cold without anyone noticing).
-void rejectCacheFlags(const Args& a, const char* cmd) {
-  if (!a.cacheDir.empty() || a.cacheMaxBytes != 0 || a.maxAgeSeconds != 0 ||
-      a.requireDiskHits) {
-    usage((std::string(cmd) +
-           " does not take cache flags (--cache-dir/--cache-max-bytes/"
-           "--max-age-seconds/--require-disk-hits apply to run and cache-gc)")
-              .c_str());
   }
 }
 
 /// Install the process-wide artifact store when --cache-dir was given.
 void configureCache(const Args& a) {
-  if (a.cacheMaxBytes < 0) usage("--cache-max-bytes must be >= 0 (0 = unbounded)");
-  if (a.maxAgeSeconds < 0) usage("--max-age-seconds must be >= 0 (0 = never expire)");
   if (a.cacheDir.empty()) {
     if (a.requireDiskHits) usage("--require-disk-hits needs --cache-dir");
     if (a.cacheMaxBytes != 0) usage("--cache-max-bytes needs --cache-dir");
@@ -338,14 +251,10 @@ void printSummary(const campaign::CampaignResult& r) {
 }
 
 int cmdSpec(const Args& a) {
-  rejectServiceFlags(a, "spec");
-  rejectCacheFlags(a, "spec");
-  rejectRunFlags(a, "spec");
   if (a.preset.empty()) usage("--preset <name> is required");
-  if (a.threads < 0) usage("--threads must be >= 0 (0 = auto)");
   campaign::CampaignSpec spec = campaign::builtinCampaignSpec(a.preset);
   if (a.threads != 0) spec.executor.threads = static_cast<int>(a.threads);
-  writeOutput(a.out, campaign::encodeCampaignSpec(spec));
+  util::writeOutput(a.out, campaign::encodeCampaignSpec(spec));
   std::fprintf(stderr, "spec '%s': %zu items, fingerprint %016llx\n", spec.name.c_str(),
                spec.items.size(),
                static_cast<unsigned long long>(campaign::campaignSpecFnv(spec)));
@@ -353,12 +262,11 @@ int cmdSpec(const Args& a) {
 }
 
 int cmdRun(const Args& a) {
-  rejectServiceFlags(a, "run");
   campaign::CampaignSpec spec = loadSpec(a);
   applyBackendOverrides(a, spec);
   configureCache(a);
   const campaign::CampaignResult result = campaign::runCampaign(spec);
-  writeOutput(a.out, campaign::encodeCampaignResult(result));
+  util::writeOutput(a.out, campaign::encodeCampaignResult(result));
   return reportItemErrors("campaign", a, result);
 }
 
@@ -367,15 +275,9 @@ int cmdRun(const Args& a) {
 /// reportItemErrors path as a local run, so pipelines can swap `run` for
 /// `submit` without changing their failure handling.
 int cmdSubmit(const Args& a) {
-  rejectCacheFlags(a, "submit");
-  rejectRunFlags(a, "submit");
   if (a.socket.empty() && a.tcpPort == 0) {
     usage("submit needs a server address (--socket PATH or --tcp-port P)");
   }
-  if (a.tcpPort < 0 || a.tcpPort > 65535) usage("--tcp-port must be in [1, 65535]");
-  if (a.maxFragment < 0) usage("--max-fragment must be >= 0");
-  if (a.maxRetries < 0) usage("--max-retries must be >= 0");
-  if (a.deadlineMs < 0) usage("--deadline-ms must be >= 0 (0 = no deadline)");
   const campaign::CampaignSpec spec = loadSpec(a);
   campaign::SubmitOptions opt;
   opt.socketPath = a.socket;
@@ -408,7 +310,7 @@ int cmdSubmit(const Args& a) {
     std::fprintf(stderr, "submit failed: %s\n", outcome.error.c_str());
     return 1;
   }
-  writeOutput(a.out, campaign::encodeCampaignResult(outcome.result));
+  util::writeOutput(a.out, campaign::encodeCampaignResult(outcome.result));
   std::fprintf(stderr,
                "served campaign %llu: %llu units over %zu result frames\n",
                static_cast<unsigned long long>(outcome.campaignId),
@@ -422,12 +324,8 @@ int cmdSubmit(const Args& a) {
 }
 
 int cmdDiff(const Args& a) {
-  rejectServiceFlags(a, "diff");
-  rejectCacheFlags(a, "diff");
-  rejectRunFlags(a, "diff");
-  if (a.positional.size() != 2) usage("diff takes exactly two result files");
-  const campaign::CampaignResult x = campaign::decodeCampaignResult(readFile(a.positional[0]));
-  const campaign::CampaignResult y = campaign::decodeCampaignResult(readFile(a.positional[1]));
+  const auto x = campaign::decodeCampaignResult(util::readFile(a.operands[0]));
+  const auto y = campaign::decodeCampaignResult(util::readFile(a.operands[1]));
   if (x.sameResults(y)) {
     std::printf("identical: %zu items\n", x.items.size());
     return 0;
@@ -447,21 +345,12 @@ int cmdDiff(const Args& a) {
 }
 
 int cmdShow(const Args& a) {
-  rejectServiceFlags(a, "show");
-  rejectCacheFlags(a, "show");
-  rejectRunFlags(a, "show");
-  if (a.positional.size() != 1) usage("show takes exactly one result file");
-  printSummary(campaign::decodeCampaignResult(readFile(a.positional[0])));
+  printSummary(campaign::decodeCampaignResult(util::readFile(a.operands[0])));
   return 0;
 }
 
 int cmdCacheGc(const Args& a) {
-  rejectServiceFlags(a, "cache-gc");
-  rejectRunFlags(a, "cache-gc");
   if (a.cacheDir.empty()) usage("cache-gc requires --cache-dir DIR");
-  if (a.requireDiskHits) usage("cache-gc does not take --require-disk-hits");
-  if (a.cacheMaxBytes < 0) usage("--cache-max-bytes must be >= 0 (0 = unbounded)");
-  if (a.maxAgeSeconds < 0) usage("--max-age-seconds must be >= 0 (0 = never expire)");
   util::ArtifactStore store(util::ArtifactStoreConfig{
       a.cacheDir, static_cast<std::uint64_t>(a.cacheMaxBytes),
       static_cast<std::uint64_t>(a.maxAgeSeconds)});
@@ -480,20 +369,26 @@ int cmdCacheGc(const Args& a) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
-  using Command = int (*)(const Args&);
-  const std::pair<const char*, Command> commands[] = {
-      {"spec", cmdSpec}, {"run", cmdRun},   {"submit", cmdSubmit},
-      {"diff", cmdDiff}, {"show", cmdShow}, {"cache-gc", cmdCacheGc}};
-  Command command = nullptr;
-  for (const auto& [name, fn] : commands) {
-    if (cmd == name) command = fn;
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    std::size_t operands;
+  };
+  const Command commands[] = {{"spec", cmdSpec, 0}, {"run", cmdRun, 0},
+                              {"submit", cmdSubmit, 0}, {"diff", cmdDiff, 2},
+                              {"show", cmdShow, 1}, {"cache-gc", cmdCacheGc, 0}};
+  const Command* command = nullptr;
+  for (const Command& c : commands) {
+    if (cmd == c.name) command = &c;
   }
   if (command == nullptr) usage(("unknown command '" + cmd + "'").c_str());
+  const Args a =
+      parseArgs(cmd, command->operands, std::vector<std::string>(argv + 2, argv + argc));
   try {
     // Strict XLV_FAULTS parse up front: a typo aborts with a message here
     // instead of throwing from a noexcept write path mid-run.
     xlv::util::initFaultPointsFromEnv();
-    return command(parseArgs(argc, argv, 2));
+    return command->run(a);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xlv_campaign %s: %s\n", cmd.c_str(), e.what());
     return 1;

@@ -35,6 +35,11 @@
 // xlv_campaign run, so the pool shares ONE artifact store: the first worker
 // to finish a golden trace or flow prefix stores it, the others load it.
 //
+// Flags: one table (parseArgs) lists every flag once with the subcommands
+// that read it. A flag its subcommand does not read (`worker --workers 9`,
+// `run --socket P`) is a usage error, like an unknown flag, a missing value
+// or a malformed number.
+//
 // Env knobs (all strict — a malformed value aborts with a message, it never
 // silently runs with a default): XLV_WORKERS (pool size when --workers is
 // absent), XLV_HEARTBEAT_MS / XLV_HEARTBEAT_TIMEOUT_MS (defaults for the
@@ -52,10 +57,8 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -64,6 +67,7 @@
 #include "campaign/server.h"
 #include "campaign/shard.h"
 #include "util/artifact_store.h"
+#include "util/cli.h"
 #include "util/env.h"
 #include "util/fault_point.h"
 #include "util/log.h"
@@ -126,23 +130,6 @@ using namespace xlv;
   std::exit(1);
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-void writeOutput(const std::string& path, const std::string& data) {
-  if (path.empty() || path == "-") {
-    std::fwrite(data.data(), 1, data.size(), stdout);
-    return;
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !(out << data)) throw std::runtime_error("cannot write '" + path + "'");
-}
-
 struct Args {
   std::string spec, out, ledger, cacheDir, socket;
   long workers = 0, maxFragment = 0, index = -1, generation = -1;
@@ -151,80 +138,50 @@ struct Args {
   long tcpPort = 0, maxPendingUnits = 0, maxCampaigns = 0, maxCampaignsServed = 0;
   long retryAfterMs = -1;
   long maxClientFrameBytes = 0, clientReadTimeoutMs = -1;
-
-  static long parseLong(const std::string& flag, const std::string& v) {
-    try {
-      std::size_t end = 0;
-      const long n = std::stol(v, &end);
-      if (end != v.size()) throw std::invalid_argument(v);
-      return n;
-    } catch (const std::exception&) {
-      usage(("flag " + flag + ": invalid integer '" + v + "'").c_str());
-    }
-  }
+  bool verbose = false;
 };
 
-Args parseArgs(int argc, char** argv, int first) {
+/// The flag table: each flag once, with the subcommands that read it. The
+/// pool flags are read by run and serve; a worker reads the cache flags and
+/// the coordinates the pool appends to its command.
+Args parseArgs(const std::string& cmd, const std::vector<std::string>& argv) {
   Args a;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) usage((std::string(flag) + " requires a value").c_str());
-      return argv[++i];
-    };
-    if (arg == "--spec") {
-      a.spec = next("--spec");
-    } else if (arg == "-o" || arg == "--out") {
-      a.out = next("-o");
-    } else if (arg == "--ledger") {
-      a.ledger = next("--ledger");
-    } else if (arg == "--socket") {
-      a.socket = next("--socket");
-    } else if (arg == "--tcp-port") {
-      a.tcpPort = Args::parseLong(arg, next("--tcp-port"));
-    } else if (arg == "--workers") {
-      a.workers = Args::parseLong(arg, next("--workers"));
-    } else if (arg == "--max-fragment") {
-      a.maxFragment = Args::parseLong(arg, next("--max-fragment"));
-    } else if (arg == "--max-pending-units") {
-      a.maxPendingUnits = Args::parseLong(arg, next("--max-pending-units"));
-    } else if (arg == "--max-campaigns") {
-      a.maxCampaigns = Args::parseLong(arg, next("--max-campaigns"));
-    } else if (arg == "--max-campaigns-served") {
-      a.maxCampaignsServed = Args::parseLong(arg, next("--max-campaigns-served"));
-    } else if (arg == "--retry-after-ms") {
-      a.retryAfterMs = Args::parseLong(arg, next("--retry-after-ms"));
-    } else if (arg == "--max-client-frame-bytes") {
-      a.maxClientFrameBytes = Args::parseLong(arg, next("--max-client-frame-bytes"));
-    } else if (arg == "--client-read-timeout-ms") {
-      a.clientReadTimeoutMs = Args::parseLong(arg, next("--client-read-timeout-ms"));
-    } else if (arg == "--index") {
-      a.index = Args::parseLong(arg, next("--index"));
-    } else if (arg == "--generation") {
-      a.generation = Args::parseLong(arg, next("--generation"));
-    } else if (arg == "--heartbeat-ms") {
-      a.heartbeatMs = Args::parseLong(arg, next("--heartbeat-ms"));
-    } else if (arg == "--heartbeat-timeout-ms") {
-      a.heartbeatTimeoutMs = Args::parseLong(arg, next("--heartbeat-timeout-ms"));
-    } else if (arg == "--max-attempts") {
-      a.maxAttempts = Args::parseLong(arg, next("--max-attempts"));
-    } else if (arg == "--max-respawns") {
-      a.maxRespawns = Args::parseLong(arg, next("--max-respawns"));
-    } else if (arg == "--cache-dir") {
-      a.cacheDir = next("--cache-dir");
-    } else if (arg == "--cache-max-bytes") {
-      a.cacheMaxBytes = Args::parseLong(arg, next("--cache-max-bytes"));
-    } else if (arg == "--verbose") {
-      util::setLogLevel(util::LogLevel::Info);
-    } else {
-      usage(("unknown argument '" + arg + "'").c_str());
-    }
+  const std::vector<std::string_view> runServe = {"run", "serve"};
+  const std::vector<std::string_view> runServeWorker = {"run", "serve", "worker"};
+  const std::vector<util::Flag> flags = {
+      {{"--spec"}, &a.spec, {"run"}},
+      {{"-o", "--out"}, &a.out, {"run"}},
+      {{"--ledger"}, &a.ledger, runServe},
+      {{"--workers"}, &a.workers, runServe, 0, INT_MAX},
+      {{"--max-fragment"}, &a.maxFragment, runServe, 0},
+      {{"--heartbeat-ms"}, &a.heartbeatMs, runServeWorker, 0, INT_MAX},
+      {{"--heartbeat-timeout-ms"}, &a.heartbeatTimeoutMs, runServe, 0, INT_MAX},
+      {{"--max-attempts"}, &a.maxAttempts, runServe, 0, INT_MAX},
+      {{"--max-respawns"}, &a.maxRespawns, runServe, 0, INT_MAX},
+      {{"--cache-dir"}, &a.cacheDir, runServeWorker},
+      {{"--cache-max-bytes"}, &a.cacheMaxBytes, runServeWorker, 0},
+      {{"--socket"}, &a.socket, {"serve"}},
+      {{"--tcp-port"}, &a.tcpPort, {"serve"}, 0, 65535},
+      {{"--max-pending-units"}, &a.maxPendingUnits, {"serve"}, 0},
+      {{"--max-campaigns"}, &a.maxCampaigns, {"serve"}, 0},
+      {{"--max-campaigns-served"}, &a.maxCampaignsServed, {"serve"}, 0},
+      {{"--retry-after-ms"}, &a.retryAfterMs, {"serve"}, 0},
+      {{"--max-client-frame-bytes"}, &a.maxClientFrameBytes, {"serve"}, 0},
+      {{"--client-read-timeout-ms"}, &a.clientReadTimeoutMs, {"serve"}, 0, INT_MAX},
+      {{"--index"}, &a.index, {"worker"}, 0, INT_MAX},
+      {{"--generation"}, &a.generation, {"worker"}, 0, INT_MAX},
+      {{"--verbose"}, &a.verbose, {}},
+  };
+  try {
+    util::parseCommandLine(flags, cmd, 0, argv);
+  } catch (const util::UsageError& e) {
+    usage(e.what());
   }
+  if (a.verbose) util::setLogLevel(util::LogLevel::Info);
   return a;
 }
 
 void configureCache(const Args& a) {
-  if (a.cacheMaxBytes < 0) usage("--cache-max-bytes must be >= 0 (0 = unbounded)");
   if (a.cacheDir.empty()) {
     if (a.cacheMaxBytes != 0) usage("--cache-max-bytes needs --cache-dir");
     return;
@@ -249,8 +206,6 @@ std::vector<std::string> workerCommand(const char* self, const Args& a) {
 /// The pool settings `run` and `serve` share, from flags with strict env
 /// defaults.
 void fillPoolOptions(const char* self, const Args& a, campaign::PoolOptions& opt) {
-  if (a.workers < 0) usage("--workers must be >= 0 (0 = XLV_WORKERS or hardware)");
-  if (a.maxFragment < 0) usage("--max-fragment must be >= 0 (0 = whole items)");
   opt.workers = static_cast<int>(a.workers);
   opt.maxFragmentMutants = static_cast<std::size_t>(a.maxFragment);
   opt.heartbeatIntervalMs = static_cast<int>(
@@ -269,7 +224,7 @@ int cmdRun(const char* self, const Args& a) {
   if (a.spec.empty()) usage("--spec FILE is required");
   campaign::DispatchOptions opt;
   fillPoolOptions(self, a, opt);
-  const campaign::CampaignSpec spec = campaign::decodeCampaignSpec(readFile(a.spec));
+  const campaign::CampaignSpec spec = campaign::decodeCampaignSpec(util::readFile(a.spec));
 
   campaign::DispatchResult res;
   try {
@@ -278,9 +233,9 @@ int cmdRun(const char* self, const Args& a) {
     std::fprintf(stderr, "xlv_campaignd run: %s\n", e.what());
     return 6;
   }
-  writeOutput(a.out, campaign::encodeCampaignResult(res.result));
+  util::writeOutput(a.out, campaign::encodeCampaignResult(res.result));
   if (!a.ledger.empty()) {
-    writeOutput(a.ledger, campaign::encodeServeLedgerJson(res.ledger));
+    util::writeOutput(a.ledger, campaign::encodeServeLedgerJson(res.ledger));
   }
   std::fprintf(stderr,
                "campaignd: %llu tasks, %llu submissions, %zu re-queues, %llu quarantined, "
@@ -316,7 +271,6 @@ int cmdServe(const char* self, const Args& a) {
     opt.maxCampaignsServed = static_cast<std::uint64_t>(a.maxCampaignsServed);
   }
   if (a.retryAfterMs >= 0) opt.rejectRetryAfterMs = static_cast<std::uint64_t>(a.retryAfterMs);
-  if (a.maxClientFrameBytes < 0) usage("--max-client-frame-bytes must be >= 1");
   if (a.maxClientFrameBytes > 0) {
     opt.maxClientFrameBytes = static_cast<std::size_t>(a.maxClientFrameBytes);
   }
@@ -334,7 +288,7 @@ int cmdServe(const char* self, const Args& a) {
     return 6;
   }
   if (!a.ledger.empty()) {
-    writeOutput(a.ledger, campaign::encodeServeLedgerJson(res.ledger));
+    util::writeOutput(a.ledger, campaign::encodeServeLedgerJson(res.ledger));
   }
   std::fprintf(stderr,
                "campaignd serve: %llu accepted (%llu completed, %llu cancelled), "
@@ -354,8 +308,6 @@ int cmdServe(const char* self, const Args& a) {
 int cmdWorker(const Args& a) {
   if (a.index < 0) usage("worker: --index I (>= 0) is required");
   if (a.generation < 0) usage("worker: --generation G (>= 0) is required");
-  // Every submit frame names its campaign's spec handoff file.
-  if (!a.spec.empty()) usage("worker: --spec is not a worker flag");
   configureCache(a);
   campaign::DispatchWorkerOptions opt;
   opt.workerIndex = static_cast<int>(a.index);
@@ -369,15 +321,17 @@ int cmdWorker(const Args& a) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
+  if (cmd != "run" && cmd != "serve" && cmd != "worker") {
+    usage(("unknown command '" + cmd + "'").c_str());
+  }
+  const Args a = parseArgs(cmd, std::vector<std::string>(argv + 2, argv + argc));
   try {
     // Parse XLV_FAULTS up front so a malformed grammar is a clean startup
     // diagnostic, not a throw from deep inside a noexcept write path.
     xlv::util::initFaultPointsFromEnv();
-    const Args a = parseArgs(argc, argv, 2);
     if (cmd == "run") return cmdRun(argv[0], a);
     if (cmd == "serve") return cmdServe(argv[0], a);
-    if (cmd == "worker") return cmdWorker(a);
-    usage(("unknown command '" + cmd + "'").c_str());
+    return cmdWorker(a);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xlv_campaignd %s: %s\n", cmd.c_str(), e.what());
     return 1;
