@@ -16,6 +16,10 @@
 // wall-time speedup (the ISSUE 6 acceptance bar). Without a system C++
 // compiler the bench prints a visible notice and reports
 // native_available=0 — skipping is a recorded state, not a silent pass.
+//
+// It also reports native_source_bytes_single, the size of the source the
+// workload's layout emits. The row is deterministic and the ratchet gates
+// it lower-is-better, since the native compile time grows with it.
 #include <stdlib.h>
 
 #include <chrono>
@@ -58,11 +62,26 @@ double seconds(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// Bytes of the native source the workload's layout emits (no identity):
+/// deterministic, and what the native compile time grows with.
+double nativeSourceBytes() {
+  const campaign::CampaignItem item = workload(analysis::SimBackend::Native).items.at(0);
+  core::FlowReport r;
+  core::stageElaborate(item.caseStudy, item.options, r);
+  core::stageInsertion(item.caseStudy, item.options, r);
+  core::stageInjection(item.caseStudy, item.options, r);
+  const auto layout = abstraction::buildTlmModelLayout(
+      r.injected.design, abstraction::TlmModelConfig{r.hfRatio, false}, r.injected.mutants);
+  return static_cast<double>(abstraction::emitNativeCpp(*layout, true, "").size());
+}
+
 }  // namespace
 
 int main() {
   bench::banner("Native-codegen backend vs interpreter — bit-identical, faster",
                 "the simulation-throughput side of paper Section 7's campaigns");
+  const double sourceBytes = nativeSourceBytes();
+  std::printf("native source: %.0f bytes\n", sourceBytes);
 
   if (!abstraction::nativeToolchainAvailable()) {
     std::printf(
@@ -70,8 +89,9 @@ int main() {
         "        — native backend unavailable, recording native_available=0 and\n"
         "        skipping the engine comparison. The interpreter path is still\n"
         "        covered by every other bench and the test suite.\n");
-    bench::writeBenchJson("campaign",
-                          {{"native_available", 0.0}, {"self_check_ok", 1.0}});
+    bench::writeBenchJson("campaign", {{"native_available", 0.0},
+                                       {"native_source_bytes_single", sourceBytes},
+                                       {"self_check_ok", 1.0}});
     return 0;
   }
   std::printf("native toolchain: %s\n\n",
@@ -147,6 +167,7 @@ int main() {
        {"wall_seconds_interp_single", interpSeconds},
        {"wall_seconds_native_single", nativeSeconds},
        {"native_speedup_single", speedup},
+       {"native_source_bytes_single", sourceBytes},
        {"cycles_simulated_single", static_cast<double>(interp.cyclesSimulated)},
        {"native_compiles", static_cast<double>(warm.nativeCompiles)},
        {"native_cache_hits",

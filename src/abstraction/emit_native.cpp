@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace xlv::abstraction {
@@ -31,14 +32,30 @@ std::vector<int> arrayOffsets(const ir::Design& d, std::size_t* totalOut) {
   return off;
 }
 
-/// Emit one compiled process body as a straight-line function with goto
+/// One process body as emitted: its statements, with every operand read
+/// from the table `o`, and the process's operand values in `o` order.
+struct RenderedBody {
+  std::string text;
+  std::vector<int> operands;
+};
+
+/// Render one compiled process body as straight-line statements with goto
 /// labels at jump targets. Policy branches are resolved here, at emit time;
-/// each op is the literal ScalarMachine<P> case with constants folded in.
-void emitProc(std::ostringstream& os, const TlmModelLayout& L, int procIndex,
-              bool fourState, const std::vector<int>& arrOff) {
+/// each op is the literal ScalarMachine<P> case with widths, masks, array
+/// sizes and jump targets written inline. Operands (symbol ids, array-pool
+/// offsets, constant-pool indices) are read as o[k], so processes that
+/// differ only in what they read and write render the same text.
+RenderedBody renderBody(const TlmModelLayout& L, int procIndex, bool fourState,
+                        const std::vector<int>& arrOff) {
   const ir::Design& d = L.design;
   const CompiledProc& proc = L.code.procs[static_cast<std::size_t>(procIndex)];
   const auto& ops = proc.ops;
+  RenderedBody out;
+  // The next operand: records `value` and returns the expression reading it.
+  const auto operand = [&](int value) {
+    out.operands.push_back(value);
+    return "o[" + std::to_string(out.operands.size() - 1) + "]";
+  };
 
   std::unordered_set<std::size_t> targets;
   for (const Op& op : ops) {
@@ -57,7 +74,7 @@ void emitProc(std::ostringstream& os, const TlmModelLayout& L, int procIndex,
                      : "(" + v + ".val != 0)";
   };
 
-  os << "static void proc_" << procIndex << "(State& st) {\n";
+  std::ostringstream os;
   os << "  SV stk[" << (proc.maxStack + 8 < 9 ? 9 : proc.maxStack + 8) << "];\n";
   os << "  SV* sp = stk;\n";
   os << "  (void)sp;\n";
@@ -69,16 +86,16 @@ void emitProc(std::ostringstream& os, const TlmModelLayout& L, int procIndex,
     os << "  ";
     switch (op.code) {
       case OpCode::PushConst:
-        os << "*sp++ = kConst[" << op.a << "];";
+        os << "*sp++ = kConst[" << operand(op.a) << "];";
         break;
       case OpCode::PushSig:
-        os << "*sp++ = st.vals[" << symI << "];";
+        os << "*sp++ = st.vals[" << operand(symI) << "];";
         break;
       case OpCode::PushArrayElem: {
         const int off = arrOff[static_cast<std::size_t>(op.sym)];
         const int size = d.symbol(op.sym).arraySize;
         os << "{ SV idx = *--sp; if (idx.unk != 0) { *sp++ = " << allX(op.a)
-           << "; } else { *sp++ = st.arr[" << off << " + (int)(idx.val % " << size
+           << "; } else { *sp++ = st.arr[" << operand(off) << " + (int)(idx.val % " << size
            << "ull)]; } }";
         break;
       }
@@ -277,28 +294,29 @@ void emitProc(std::ostringstream& os, const TlmModelLayout& L, int procIndex,
         os << "--sp;";
         break;
       case OpCode::StoreVar:
-        os << "st.vals[" << symI << "] = *--sp;";
+        os << "st.vals[" << operand(symI) << "] = *--sp;";
         break;
       case OpCode::StoreVarRange: {
         const std::uint64_t m = maskOf(op.a - op.b + 1) << op.b;
-        os << "{ SV v = *--sp; SV& cur = st.vals[" << symI << "]; cur.val = (cur.val & "
+        os << "{ SV v = *--sp; SV& cur = st.vals[" << operand(symI) << "]; cur.val = (cur.val & "
            << hexU64(~m) << ") | ((v.val << " << op.b << ") & " << hexU64(m)
            << "); cur.unk = (cur.unk & " << hexU64(~m) << ") | ((v.unk << " << op.b
            << ") & " << hexU64(m) << "); }";
         break;
       }
       case OpCode::StoreSig:
-        os << "{ Write& w = st.nba[st.nbaCount++]; w.sym = " << symI
+        os << "{ Write& w = st.nba[st.nbaCount++]; w.sym = " << operand(symI)
            << "; w.hi = -1; w.lo = -1; w.idx = -1; w.v = *--sp; }";
         break;
       case OpCode::StoreSigRange:
-        os << "{ Write& w = st.nba[st.nbaCount++]; w.sym = " << symI << "; w.hi = "
+        os << "{ Write& w = st.nba[st.nbaCount++]; w.sym = " << operand(symI) << "; w.hi = "
            << op.a << "; w.lo = " << op.b << "; w.idx = -1; w.v = *--sp; }";
         break;
       case OpCode::StoreArray:
         os << "{ SV v = *--sp; SV idx = *--sp; if (idx.unk == 0) { Write& w = "
               "st.nba[st.nbaCount++]; w.sym = "
-           << symI << "; w.hi = -1; w.lo = -1; w.idx = (long long)idx.val; w.v = v; } }";
+           << operand(symI)
+           << "; w.hi = -1; w.lo = -1; w.idx = (long long)idx.val; w.v = v; } }";
         break;
       case OpCode::End:
         os << "return;";
@@ -309,11 +327,13 @@ void emitProc(std::ostringstream& os, const TlmModelLayout& L, int procIndex,
   // A Jump target one past the last op lands here.
   if (targets.count(ops.size()) != 0) os << "L" << ops.size() << ":;\n";
   os << "  return;\n";
-  os << "}\n\n";
+  out.text = os.str();
+  return out;
 }
 
-void emitIntList(std::ostringstream& os, const char* name, const std::vector<int>& v) {
-  os << "static const int " << name << "[" << (v.empty() ? 1 : v.size()) << "] = {";
+void emitIntList(std::ostringstream& os, const char* name, const std::vector<int>& v,
+                 const char* decl = "static const int") {
+  os << decl << " " << name << "[" << (v.empty() ? 1 : v.size()) << "] = {";
   if (v.empty()) {
     os << "0";
   } else {
@@ -379,7 +399,7 @@ TlmModelSnapshot wordsToSnapshot(const TlmModelLayout& layout,
 }
 
 std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
-                          const std::string& identity) {
+                          const std::string& identity, std::size_t* distinctBodies) {
   const ir::Design& d = layout.design;
   const std::size_t nSym = d.symbols.size();
   const std::size_t nSweep = layout.sweepOrder.size();
@@ -550,6 +570,18 @@ std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
   os << "  }\n";
   os << "}\n\n";
 
+  // Array offset/size lookups used by commitW (StoreArray targets only).
+  {
+    std::vector<int> sizes(nSym, 0);
+    for (std::size_t i = 0; i < nSym; ++i) {
+      if (d.symbols[i].kind == ir::SymKind::Array) sizes[i] = d.symbols[i].arraySize;
+    }
+    emitIntList(os, "kArrOffTab", arrOff);
+    emitIntList(os, "kArrSizeTab", sizes);
+  }
+  os << "inline int kArrOffOf(int sym) { return kArrOffTab[sym]; }\n";
+  os << "inline u64 kArrSizeOf(int sym) { return (u64)kArrSizeTab[sym]; }\n\n";
+
   os << "inline int commitW(State& st, const Write& w) {\n";
   os << "  if (w.idx >= 0) {\n";
   os << "    SV& cur = st.arr[kArrOffOf(w.sym) + (int)((u64)w.idx % kArrSizeOf(w.sym))];\n";
@@ -569,208 +601,219 @@ std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
   os << "  cur = w.v; return 1;\n";
   os << "}\n\n";
 
-  // Array offset/size lookups used by commitW (StoreArray targets only).
+  os << "inline void commitNba(State& st) {\n";
+  os << "  for (int i = 0; i < st.nbaCount; ++i) {\n";
+  os << "    if (commitW(st, st.nba[i])) markDirty(st, st.nba[i].sym);\n";
+  os << "  }\n";
+  os << "  st.nbaCount = 0;\n";
+  os << "}\n\n";
+
+  // Process bodies, each distinct rendered text once, and the dispatch
+  // table of {body, operands} entries. A body only one process runs keeps
+  // its operands in a function-local constexpr table the compiler folds
+  // into constants; a shared body reads them from the entry's table.
+  std::vector<RenderedBody> procBody(nProc);
+  std::vector<int> bodyOf(nProc);
+  std::vector<int> bodyUsers;
+  std::vector<std::size_t> bodyFirstProc;
   {
-    std::vector<int> sizes(nSym, 0);
-    for (std::size_t i = 0; i < nSym; ++i) {
-      if (d.symbols[i].kind == ir::SymKind::Array) sizes[i] = d.symbols[i].arraySize;
+    std::unordered_map<std::string, int> bodyIndex;
+    for (std::size_t pi = 0; pi < nProc; ++pi) {
+      procBody[pi] = renderBody(layout, static_cast<int>(pi), fourState, arrOff);
+      const auto [it, fresh] =
+          bodyIndex.emplace(procBody[pi].text, static_cast<int>(bodyUsers.size()));
+      if (fresh) {
+        bodyUsers.push_back(0);
+        bodyFirstProc.push_back(pi);
+      }
+      bodyOf[pi] = it->second;
+      ++bodyUsers[static_cast<std::size_t>(it->second)];
     }
-    // Emitted before commitW in source order matters: declare first.
   }
-
-  // commitW references kArrOffOf/kArrSizeOf; emit them before it by
-  // splicing — build the final text with the helpers placed earlier.
-  std::string body = os.str();
-  {
-    std::ostringstream helpers;
-    std::vector<int> sizes(nSym, 0);
-    for (std::size_t i = 0; i < nSym; ++i) {
-      if (d.symbols[i].kind == ir::SymKind::Array) sizes[i] = d.symbols[i].arraySize;
+  const auto shared = [&](std::size_t pi) {
+    return bodyUsers[static_cast<std::size_t>(bodyOf[pi])] > 1;
+  };
+  os << "typedef void (*BodyFn)(State&, const int*);\n";
+  os << "struct Proc { BodyFn run; const int* o; };\n\n";
+  for (std::size_t b = 0; b < bodyUsers.size(); ++b) {
+    const RenderedBody& body = procBody[bodyFirstProc[b]];
+    if (bodyUsers[b] > 1) {
+      os << "static void body_" << b << "(State& st, const int* o) {\n";
+    } else {
+      os << "static void body_" << b << "(State& st, const int*) {\n";
+      emitIntList(os, "o", body.operands, "  static constexpr int");
     }
-    emitIntList(helpers, "kArrOffTab", arrOff);
-    emitIntList(helpers, "kArrSizeTab", sizes);
-    helpers << "inline int kArrOffOf(int sym) { return kArrOffTab[sym]; }\n";
-    helpers << "inline u64 kArrSizeOf(int sym) { return (u64)kArrSizeTab[sym]; }\n\n";
-    const std::string marker = "inline int commitW";
-    const std::size_t pos = body.find(marker);
-    body.insert(pos, helpers.str());
+    os << body.text << "}\n\n";
   }
-  std::ostringstream os2;
-  os2 << body;
-
-  os2 << "inline void commitNba(State& st) {\n";
-  os2 << "  for (int i = 0; i < st.nbaCount; ++i) {\n";
-  os2 << "    if (commitW(st, st.nba[i])) markDirty(st, st.nba[i].sym);\n";
-  os2 << "  }\n";
-  os2 << "  st.nbaCount = 0;\n";
-  os2 << "}\n\n";
-
-  // Process bodies + dispatch table.
+  const auto opsTable = [&](std::size_t pi) {
+    return shared(pi) ? "kOps" + std::to_string(pi) : std::string("nullptr");
+  };
   for (std::size_t pi = 0; pi < nProc; ++pi) {
-    emitProc(os2, layout, static_cast<int>(pi), fourState, arrOff);
+    if (shared(pi)) emitIntList(os, opsTable(pi).c_str(), procBody[pi].operands);
   }
-  os2 << "typedef void (*ProcFn)(State&);\n";
-  os2 << "static const ProcFn kProcFn[" << (nProc == 0 ? 1 : nProc) << "] = {";
-  if (nProc == 0) {
-    os2 << "nullptr";
-  } else {
-    for (std::size_t pi = 0; pi < nProc; ++pi) os2 << (pi ? ", " : "") << "proc_" << pi;
+  os << "static const Proc kProc[" << (nProc == 0 ? 1 : nProc) << "] = {";
+  if (nProc == 0) os << "{nullptr, nullptr}";
+  for (std::size_t pi = 0; pi < nProc; ++pi) {
+    os << (pi ? ", " : "") << "{body_" << bodyOf[pi] << ", " << opsTable(pi) << "}";
   }
-  os2 << "};\n\n";
+  os << "};\n\n";
+  if (distinctBodies != nullptr) *distinctBodies = bodyUsers.size();
 
-  os2 << "inline void runList(State& st, const int* list, int n) {\n";
-  os2 << "  for (int i = 0; i < n; ++i) kProcFn[list[i]](st);\n";
-  os2 << "}\n\n";
+  os << "inline void runProc(State& st, int p) { kProc[p].run(st, kProc[p].o); }\n\n";
 
-  os2 << "inline int sweepSt(State& st) {\n";
-  os2 << "  if (!st.anyDirty) return 0;\n";
-  os2 << "  for (int round = 0; st.anyDirty; ++round) {\n";
-  os2 << "    if (round > 64) return -1;\n";
-  os2 << "    st.anyDirty = 0;\n";
-  os2 << "    for (int slot = 0; slot < kNSweep; ++slot) {\n";
-  os2 << "      if (!st.dirty[slot]) continue;\n";
-  os2 << "      st.dirty[slot] = 0;\n";
-  os2 << "      kProcFn[kSweepOrder[slot]](st);\n";
-  os2 << "      for (int i = 0; i < st.nbaCount; ++i) {\n";
-  os2 << "        if (commitW(st, st.nba[i])) markDirty(st, st.nba[i].sym);\n";
-  os2 << "      }\n";
-  os2 << "      st.nbaCount = 0;\n";
-  os2 << "    }\n";
-  os2 << "  }\n";
-  os2 << "  return 0;\n";
-  os2 << "}\n\n";
+  os << "inline void runList(State& st, const int* list, int n) {\n";
+  os << "  for (int i = 0; i < n; ++i) runProc(st, list[i]);\n";
+  os << "}\n\n";
 
-  os2 << "inline void commitTarget(State& st, int t) {\n";
-  os2 << "  const SV v = st.vals[kTgt[t].tmp];\n";
-  os2 << "  SV& cur = st.vals[kTgt[t].sym];\n";
-  os2 << "  if (cur.val != v.val || cur.unk != v.unk) { cur = v; markDirty(st, kTgt[t].sym); }\n";
-  os2 << "}\n\n";
-  os2 << "inline void commitInactiveTargets(State& st) {\n";
-  os2 << "  for (int t = 0; t < kNTgt; ++t) {\n";
-  os2 << "    if (t != st.activeTarget) commitTarget(st, t);\n";
-  os2 << "  }\n";
-  os2 << "}\n\n";
-  os2 << "inline void commitActiveAt(State& st, int phase) {\n";
-  os2 << "  if (st.activePhase == phase) commitTarget(st, st.activeTarget);\n";
-  os2 << "}\n\n";
+  os << "inline int sweepSt(State& st) {\n";
+  os << "  if (!st.anyDirty) return 0;\n";
+  os << "  for (int round = 0; st.anyDirty; ++round) {\n";
+  os << "    if (round > 64) return -1;\n";
+  os << "    st.anyDirty = 0;\n";
+  os << "    for (int slot = 0; slot < kNSweep; ++slot) {\n";
+  os << "      if (!st.dirty[slot]) continue;\n";
+  os << "      st.dirty[slot] = 0;\n";
+  os << "      runProc(st, kSweepOrder[slot]);\n";
+  os << "      for (int i = 0; i < st.nbaCount; ++i) {\n";
+  os << "        if (commitW(st, st.nba[i])) markDirty(st, st.nba[i].sym);\n";
+  os << "      }\n";
+  os << "      st.nbaCount = 0;\n";
+  os << "    }\n";
+  os << "  }\n";
+  os << "  return 0;\n";
+  os << "}\n\n";
+
+  os << "inline void commitTarget(State& st, int t) {\n";
+  os << "  const SV v = st.vals[kTgt[t].tmp];\n";
+  os << "  SV& cur = st.vals[kTgt[t].sym];\n";
+  os << "  if (cur.val != v.val || cur.unk != v.unk) { cur = v; markDirty(st, kTgt[t].sym); }\n";
+  os << "}\n\n";
+  os << "inline void commitInactiveTargets(State& st) {\n";
+  os << "  for (int t = 0; t < kNTgt; ++t) {\n";
+  os << "    if (t != st.activeTarget) commitTarget(st, t);\n";
+  os << "  }\n";
+  os << "}\n\n";
+  os << "inline void commitActiveAt(State& st, int phase) {\n";
+  os << "  if (st.activePhase == phase) commitTarget(st, st.activeTarget);\n";
+  os << "}\n\n";
 
   // The scheduler: TlmIpModel::scheduler() phase for phase (Fig. 6b/8b).
   // setClock writes bypass dirty marking, exactly like the interpreter.
-  os2 << "inline int stepSt(State& st) {\n";
-  os2 << "  ++st.cycle;\n";
-  os2 << "  if (sweepSt(st)) return -1;\n";
+  os << "inline int stepSt(State& st) {\n";
+  os << "  ++st.cycle;\n";
+  os << "  if (sweepSt(st)) return -1;\n";
   if (d.mainClock != ir::kNoSymbol) {
-    os2 << "  st.vals[kMainClk] = SV{1ull, 0ull};\n";
+    os << "  st.vals[kMainClk] = SV{1ull, 0ull};\n";
   }
-  os2 << "  runList(st, kMainRise, " << layout.mainRise.size() << ");\n";
-  os2 << "  commitNba(st);\n";
-  os2 << "  commitInactiveTargets(st);\n";
-  os2 << "  if (sweepSt(st)) return -1;\n";
+  os << "  runList(st, kMainRise, " << layout.mainRise.size() << ");\n";
+  os << "  commitNba(st);\n";
+  os << "  commitInactiveTargets(st);\n";
+  os << "  if (sweepSt(st)) return -1;\n";
   if (!layout.mainPost.empty()) {
-    os2 << "  runList(st, kMainPost, " << layout.mainPost.size() << ");\n";
-    os2 << "  commitNba(st);\n";
-    os2 << "  if (sweepSt(st)) return -1;\n";
+    os << "  runList(st, kMainPost, " << layout.mainPost.size() << ");\n";
+    os << "  commitNba(st);\n";
+    os << "  if (sweepSt(st)) return -1;\n";
   }
-  os2 << "  commitActiveAt(st, " << kMinDelayPhase << ");\n";
-  os2 << "  if (sweepSt(st)) return -1;\n";
+  os << "  commitActiveAt(st, " << kMinDelayPhase << ");\n";
+  os << "  if (sweepSt(st)) return -1;\n";
   if (layout.cfg.hfRatio > 0) {
-    os2 << "  for (int j = 1; j <= kHfRatio; ++j) {\n";
-    os2 << "    commitActiveAt(st, j);\n";
-    os2 << "    if (sweepSt(st)) return -1;\n";
+    os << "  for (int j = 1; j <= kHfRatio; ++j) {\n";
+    os << "    commitActiveAt(st, j);\n";
+    os << "    if (sweepSt(st)) return -1;\n";
     if (d.hfClock != ir::kNoSymbol) {
-      os2 << "    st.vals[kHfClk] = SV{1ull, 0ull};\n";
+      os << "    st.vals[kHfClk] = SV{1ull, 0ull};\n";
     }
-    os2 << "    runList(st, kHfRise, " << layout.hfRise.size() << ");\n";
-    os2 << "    commitNba(st);\n";
-    os2 << "    if (sweepSt(st)) return -1;\n";
+    os << "    runList(st, kHfRise, " << layout.hfRise.size() << ");\n";
+    os << "    commitNba(st);\n";
+    os << "    if (sweepSt(st)) return -1;\n";
     if (d.hfClock != ir::kNoSymbol) {
-      os2 << "    st.vals[kHfClk] = SV{0ull, 0ull};\n";
+      os << "    st.vals[kHfClk] = SV{0ull, 0ull};\n";
     }
     if (!layout.hfFall.empty()) {
-      os2 << "    runList(st, kHfFall, " << layout.hfFall.size() << ");\n";
-      os2 << "    commitNba(st);\n";
-      os2 << "    if (sweepSt(st)) return -1;\n";
+      os << "    runList(st, kHfFall, " << layout.hfFall.size() << ");\n";
+      os << "    commitNba(st);\n";
+      os << "    if (sweepSt(st)) return -1;\n";
     }
-    os2 << "  }\n";
+    os << "  }\n";
   }
-  os2 << "  commitActiveAt(st, kMaxDelayPhase);\n";
-  os2 << "  if (sweepSt(st)) return -1;\n";
+  os << "  commitActiveAt(st, kMaxDelayPhase);\n";
+  os << "  if (sweepSt(st)) return -1;\n";
   if (d.mainClock != ir::kNoSymbol) {
-    os2 << "  st.vals[kMainClk] = SV{0ull, 0ull};\n";
+    os << "  st.vals[kMainClk] = SV{0ull, 0ull};\n";
   }
-  os2 << "  runList(st, kMainFall, " << layout.mainFall.size() << ");\n";
-  os2 << "  commitNba(st);\n";
-  os2 << "  if (sweepSt(st)) return -1;\n";
-  os2 << "  return 0;\n";
-  os2 << "}\n\n";
-  os2 << "}  // namespace\n\n";
+  os << "  runList(st, kMainFall, " << layout.mainFall.size() << ");\n";
+  os << "  commitNba(st);\n";
+  os << "  if (sweepSt(st)) return -1;\n";
+  os << "  return 0;\n";
+  os << "}\n\n";
+  os << "}  // namespace\n\n";
 
   // --- C ABI ----------------------------------------------------------------
-  os2 << "extern \"C\" {\n\n";
-  os2 << "void* xlvn_create(void) {\n";
-  os2 << "  State* st = new State;\n";
-  os2 << "  for (int i = 0; i < kNSym; ++i) st->vals[i] = kInit[i];\n";
-  os2 << "  for (int i = 0; i < kTotArr; ++i) st->arr[i] = kArrInit[i];\n";
-  os2 << "  for (int i = 0; i < kNSweep; ++i) st->dirty[i] = 1;\n";
-  os2 << "  st->anyDirty = kNSweep > 0 ? 1 : 0;\n";
-  os2 << "  st->cycle = 0; st->activeTarget = -1; st->activePhase = " << kNoPhase
+  os << "extern \"C\" {\n\n";
+  os << "void* xlvn_create(void) {\n";
+  os << "  State* st = new State;\n";
+  os << "  for (int i = 0; i < kNSym; ++i) st->vals[i] = kInit[i];\n";
+  os << "  for (int i = 0; i < kTotArr; ++i) st->arr[i] = kArrInit[i];\n";
+  os << "  for (int i = 0; i < kNSweep; ++i) st->dirty[i] = 1;\n";
+  os << "  st->anyDirty = kNSweep > 0 ? 1 : 0;\n";
+  os << "  st->cycle = 0; st->activeTarget = -1; st->activePhase = " << kNoPhase
       << "; st->nbaCount = 0;\n";
-  os2 << "  return st;\n";
-  os2 << "}\n\n";
-  os2 << "void xlvn_destroy(void* p) { delete static_cast<State*>(p); }\n\n";
+  os << "  return st;\n";
+  os << "}\n\n";
+  os << "void xlvn_destroy(void* p) { delete static_cast<State*>(p); }\n\n";
   // An id outside the mutant set selects no mutant (it never indexes kMut).
-  os2 << "void xlvn_set_mutant(void* p, int id) {\n";
-  os2 << "  State& st = *static_cast<State*>(p);\n";
-  os2 << "  const int valid = id >= 0 && id < kNMut;\n";
-  os2 << "  st.activeTarget = valid ? kMut[id].target : -1;\n";
-  os2 << "  st.activePhase = valid ? kMut[id].phase : " << kNoPhase << ";\n";
-  os2 << "}\n\n";
-  os2 << "void xlvn_set_input(void* p, int sym, u64 v) {\n";
-  os2 << "  State& st = *static_cast<State*>(p);\n";
-  os2 << "  const SV nv{v & kMask[sym], 0ull};\n";
-  os2 << "  SV& cur = st.vals[sym];\n";
-  os2 << "  if (cur.val != nv.val || cur.unk != nv.unk) { cur = nv; markDirty(st, sym); "
+  os << "void xlvn_set_mutant(void* p, int id) {\n";
+  os << "  State& st = *static_cast<State*>(p);\n";
+  os << "  const int valid = id >= 0 && id < kNMut;\n";
+  os << "  st.activeTarget = valid ? kMut[id].target : -1;\n";
+  os << "  st.activePhase = valid ? kMut[id].phase : " << kNoPhase << ";\n";
+  os << "}\n\n";
+  os << "void xlvn_set_input(void* p, int sym, u64 v) {\n";
+  os << "  State& st = *static_cast<State*>(p);\n";
+  os << "  const SV nv{v & kMask[sym], 0ull};\n";
+  os << "  SV& cur = st.vals[sym];\n";
+  os << "  if (cur.val != nv.val || cur.unk != nv.unk) { cur = nv; markDirty(st, sym); "
          "}\n";
-  os2 << "}\n\n";
-  os2 << "int xlvn_step(void* p) { return stepSt(*static_cast<State*>(p)); }\n\n";
-  os2 << "u64 xlvn_value(void* p, int sym) {\n";
-  os2 << "  const SV& v = static_cast<State*>(p)->vals[sym];\n";
-  os2 << "  return v.val & ~v.unk;\n";
-  os2 << "}\n\n";
-  os2 << "void xlvn_raw(void* p, int sym, u64* val, u64* unk) {\n";
-  os2 << "  const SV& v = static_cast<State*>(p)->vals[sym];\n";
-  os2 << "  *val = v.val; *unk = v.unk;\n";
-  os2 << "}\n\n";
-  os2 << "u64 xlvn_cycle(void* p) { return static_cast<State*>(p)->cycle; }\n\n";
-  os2 << "u64 xlvn_state_words(void) { return 2 + (u64)kNSweep + 2 * (u64)kNSym + 2 * "
+  os << "}\n\n";
+  os << "int xlvn_step(void* p) { return stepSt(*static_cast<State*>(p)); }\n\n";
+  os << "u64 xlvn_value(void* p, int sym) {\n";
+  os << "  const SV& v = static_cast<State*>(p)->vals[sym];\n";
+  os << "  return v.val & ~v.unk;\n";
+  os << "}\n\n";
+  os << "void xlvn_raw(void* p, int sym, u64* val, u64* unk) {\n";
+  os << "  const SV& v = static_cast<State*>(p)->vals[sym];\n";
+  os << "  *val = v.val; *unk = v.unk;\n";
+  os << "}\n\n";
+  os << "u64 xlvn_cycle(void* p) { return static_cast<State*>(p)->cycle; }\n\n";
+  os << "u64 xlvn_state_words(void) { return 2 + (u64)kNSweep + 2 * (u64)kNSym + 2 * "
          "(u64)kTotArr; }\n\n";
-  os2 << "void xlvn_save(void* p, u64* buf) {\n";
-  os2 << "  const State& st = *static_cast<State*>(p);\n";
-  os2 << "  u64* o = buf;\n";
-  os2 << "  *o++ = st.cycle;\n";
-  os2 << "  *o++ = st.anyDirty ? 1 : 0;\n";
-  os2 << "  for (int i = 0; i < kNSweep; ++i) *o++ = st.dirty[i];\n";
-  os2 << "  for (int i = 0; i < kNSym; ++i) { *o++ = st.vals[i].val; *o++ = "
+  os << "void xlvn_save(void* p, u64* buf) {\n";
+  os << "  const State& st = *static_cast<State*>(p);\n";
+  os << "  u64* o = buf;\n";
+  os << "  *o++ = st.cycle;\n";
+  os << "  *o++ = st.anyDirty ? 1 : 0;\n";
+  os << "  for (int i = 0; i < kNSweep; ++i) *o++ = st.dirty[i];\n";
+  os << "  for (int i = 0; i < kNSym; ++i) { *o++ = st.vals[i].val; *o++ = "
          "st.vals[i].unk; }\n";
-  os2 << "  for (int i = 0; i < kTotArr; ++i) { *o++ = st.arr[i].val; *o++ = "
+  os << "  for (int i = 0; i < kTotArr; ++i) { *o++ = st.arr[i].val; *o++ = "
          "st.arr[i].unk; }\n";
-  os2 << "}\n\n";
-  os2 << "void xlvn_load(void* p, const u64* buf) {\n";
-  os2 << "  State& st = *static_cast<State*>(p);\n";
-  os2 << "  const u64* o = buf;\n";
-  os2 << "  st.cycle = *o++;\n";
-  os2 << "  st.anyDirty = *o++ != 0 ? 1 : 0;\n";
-  os2 << "  for (int i = 0; i < kNSweep; ++i) st.dirty[i] = (unsigned char)*o++;\n";
-  os2 << "  for (int i = 0; i < kNSym; ++i) { st.vals[i].val = *o++; st.vals[i].unk = "
+  os << "}\n\n";
+  os << "void xlvn_load(void* p, const u64* buf) {\n";
+  os << "  State& st = *static_cast<State*>(p);\n";
+  os << "  const u64* o = buf;\n";
+  os << "  st.cycle = *o++;\n";
+  os << "  st.anyDirty = *o++ != 0 ? 1 : 0;\n";
+  os << "  for (int i = 0; i < kNSweep; ++i) st.dirty[i] = (unsigned char)*o++;\n";
+  os << "  for (int i = 0; i < kNSym; ++i) { st.vals[i].val = *o++; st.vals[i].unk = "
          "*o++; }\n";
-  os2 << "  for (int i = 0; i < kTotArr; ++i) { st.arr[i].val = *o++; st.arr[i].unk = "
+  os << "  for (int i = 0; i < kTotArr; ++i) { st.arr[i].val = *o++; st.arr[i].unk = "
          "*o++; }\n";
-  os2 << "  st.nbaCount = 0;\n";
-  os2 << "}\n\n";
-  os2 << "int xlvn_abi(void) { return " << kNativeAbiVersion << "; }\n\n";
-  os2 << "const char* xlvn_identity(void) { return \"" << identity << "\"; }\n\n";
-  os2 << "}  // extern \"C\"\n";
-  return os2.str();
+  os << "  st.nbaCount = 0;\n";
+  os << "}\n\n";
+  os << "int xlvn_abi(void) { return " << kNativeAbiVersion << "; }\n\n";
+  os << "const char* xlvn_identity(void) { return \"" << identity << "\"; }\n\n";
+  os << "}  // extern \"C\"\n";
+  return os.str();
 }
 
 }  // namespace xlv::abstraction

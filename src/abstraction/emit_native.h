@@ -29,6 +29,19 @@
 // for phase — bit-identity with the interpreter is by construction and
 // pinned by the native conformance suite.
 //
+// Bodies and operand tables. A process body is rendered with its operands
+// — symbol ids, array-pool offsets and constant-pool indices — read from a
+// table `o[k]`; widths, masks, array sizes, jump targets, stack depth and
+// the value policy stay inline. Processes whose rendered text is equal
+// share one `body_k(State&, const int* o)` function, and each process is
+// one {body, operand table} entry of the dispatch table the scheduler calls
+// through. Keying on the text makes sharing correct by construction: two
+// processes share a body only when everything but their operands is equal.
+// The replicated sensor monitors are the common case (Plasma/Counter: 107
+// processes, 32 bodies). A body only one process runs keeps its operands
+// in a function-local constexpr table, so the compiler folds them into
+// constants as if they were written inline.
+//
 // Shared snapshot word layout (xlvn_save/load AND the host-side
 // snapshotToWords/wordsToSnapshot below, so one campaign checkpoint serves
 // both backends):
@@ -57,9 +70,11 @@ inline constexpr int kNativeAbiVersion = 1;
 /// no templates); `identity` is returned verbatim by xlvn_identity() —
 /// callers bake the cache key in so a hash-collided .so cannot be used.
 /// Deterministic: equal layouts yield byte-equal sources (the source
-/// fingerprint is the cache key).
+/// fingerprint is the cache key). `distinctBodies`, when non-null, receives
+/// the number of body functions the source defines.
 std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
-                          const std::string& identity);
+                          const std::string& identity,
+                          std::size_t* distinctBodies = nullptr);
 
 /// Word count of the shared snapshot layout for `layout`.
 std::size_t nativeStateWords(const TlmModelLayout& layout);

@@ -17,6 +17,7 @@
 #include "util/log.h"
 #include "util/once_cache.h"
 #include "util/subprocess.h"
+#include "util/timer.h"
 
 namespace xlv::abstraction {
 
@@ -226,7 +227,9 @@ NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
                                << "' rejected (" << why << "); recompiling";
           }
         }
-        const std::string source = emitNativeCpp(layout, fourState, identity);
+        const util::Timer compileTimer;
+        std::size_t bodies = 0;
+        const std::string source = emitNativeCpp(layout, fourState, identity, &bodies);
         const std::string srcPath = tempPath(".cpp");
         const std::string objPath = tempPath(".so");
         if (!writeFile(srcPath, source)) {
@@ -269,6 +272,12 @@ NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
           return nullptr;
         }
         compiledHere = true;
+        char seconds[32];
+        std::snprintf(seconds, sizeof seconds, "%.2f", compileTimer.seconds());
+        XLV_INFO("native") << "compiled '" << layout.design.name << "': "
+                           << layout.code.procs.size() << " processes in " << bodies
+                           << " distinct bodies, " << source.size() << " source bytes, "
+                           << seconds << " s";
         if (store != nullptr) store->store("native", identity, bytes);
         return lib;
       },

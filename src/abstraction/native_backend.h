@@ -77,7 +77,9 @@ std::string nativeToolchainDescription();
 /// The native library for `layout` under the given policy, or null when the
 /// backend is unavailable (no toolchain / compile failure — warned once per
 /// design). `stats`, when non-null, is incremented by what THIS call did:
-/// one compile, or one cache hit (memory or artifact store). Thread-safe;
+/// one compile, or one cache hit (memory or artifact store). A compile
+/// logs one Info line: the design, its processes and distinct bodies, the
+/// source bytes and the seconds; a hit logs nothing. Thread-safe;
 /// concurrent callers for the same layout share one build.
 NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
                                   NativeUseStats* stats = nullptr);

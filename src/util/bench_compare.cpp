@@ -102,7 +102,9 @@ MetricDirection metricDirection(std::string_view name) noexcept {
   };
   if (endsWith("_ok") || endsWith("_available")) return MetricDirection::Exact;
   if (contains("speedup") || contains("reduction")) return MetricDirection::HigherIsBetter;
-  if (name.substr(0, 16) == "cycles_simulated") return MetricDirection::LowerIsBetter;
+  if (name.starts_with("cycles_simulated") || name.starts_with("native_source_bytes")) {
+    return MetricDirection::LowerIsBetter;
+  }
   return MetricDirection::Informational;
 }
 

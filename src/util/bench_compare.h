@@ -20,6 +20,8 @@
 //   cycles_simulated*           lower    — deterministic work counters for a
 //                                          fixed XLV_BENCH_SCALE; current
 //                                          must be <= baseline * (1 + tol);
+//   native_source_bytes*        lower    — emitted native source size, which
+//                                          the compile time grows with;
 //   everything else             info     — absolute seconds, point counts,
 //                                          cache ledgers: host-dependent,
 //                                          reported but never gating.

@@ -80,6 +80,32 @@ TEST(ToolFlags, AFlagTheSubcommandDoesNotReadExitsOneNamingIt) {
   }
 }
 
+// A store cap with no store would be dropped: every subcommand that reads
+// --cache-max-bytes rejects it without --cache-dir.
+TEST(ToolFlags, ACacheCapWithoutACacheDirExitsOne) {
+  const TempDir dir;
+  const std::string S = dir / "S";
+  ASSERT_TRUE(
+      util::runCommandCapture({XLV_CAMPAIGN_BIN, "spec", "--preset", "single", "--out", S})
+          .ok());
+  const std::vector<std::vector<std::string>> rejected = {
+      {XLV_CAMPAIGN_BIN, "run", "--spec", S, "--cache-max-bytes", "5"},
+      {XLV_CAMPAIGND_BIN, "run", "--spec", S, "--workers", "1", "--cache-max-bytes", "5"},
+      {XLV_CAMPAIGND_BIN, "serve", "--socket", dir / "P", "--cache-max-bytes", "5"},
+      {XLV_CAMPAIGND_BIN, "worker", "--index", "0", "--generation", "0", "--cache-max-bytes",
+       "5"},
+  };
+  for (const auto& argv : rejected) {
+    const util::SubprocessResult res = util::runCommandCapture(argv);
+    ASSERT_TRUE(res.started) << argv[0] << " " << argv[1];
+    EXPECT_EQ(1, res.exitCode) << argv[0] << " " << argv[1] << "\n" << res.output;
+    const std::string error = res.output.substr(0, res.output.find('\n'));
+    EXPECT_NE(std::string::npos, error.find("--cache-max-bytes needs --cache-dir"))
+        << argv[0] << " " << argv[1] << "\n" << error;
+  }
+  EXPECT_FALSE(fs::exists(dir / "P"));
+}
+
 TEST(ToolFlags, EachToolAcceptsTheLinesItIsSent) {
   const TempDir dir;
   const std::string spec = dir / "spec.xlv", report = dir / "BENCH_x.json";

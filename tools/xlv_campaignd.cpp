@@ -177,15 +177,14 @@ Args parseArgs(const std::string& cmd, const std::vector<std::string>& argv) {
   } catch (const util::UsageError& e) {
     usage(e.what());
   }
+  // run and serve forward the cap to their workers only with a store to cap.
+  if (a.cacheDir.empty() && a.cacheMaxBytes != 0) usage("--cache-max-bytes needs --cache-dir");
   if (a.verbose) util::setLogLevel(util::LogLevel::Info);
   return a;
 }
 
 void configureCache(const Args& a) {
-  if (a.cacheDir.empty()) {
-    if (a.cacheMaxBytes != 0) usage("--cache-max-bytes needs --cache-dir");
-    return;
-  }
+  if (a.cacheDir.empty()) return;
   util::configureProcessArtifactStore(util::ArtifactStoreConfig{
       a.cacheDir, static_cast<std::uint64_t>(a.cacheMaxBytes), 0});
 }
