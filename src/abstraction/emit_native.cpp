@@ -1,9 +1,10 @@
 #include "abstraction/emit_native.h"
 
+#include <cstdint>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace xlv::abstraction {
 
@@ -343,60 +344,6 @@ void emitIntList(std::ostringstream& os, const char* name, const std::vector<int
 }
 
 }  // namespace
-
-std::size_t nativeStateWords(const TlmModelLayout& layout) {
-  std::size_t totalArr = 0;
-  arrayOffsets(layout.design, &totalArr);
-  return 2 + layout.sweepOrder.size() + 2 * layout.design.symbols.size() + 2 * totalArr;
-}
-
-void snapshotToWords(const TlmModelLayout& layout, const TlmModelSnapshot& snap,
-                     std::vector<std::uint64_t>& out) {
-  out.reserve(out.size() + nativeStateWords(layout));
-  out.push_back(snap.cycle);
-  out.push_back(snap.anyDirty ? 1 : 0);
-  for (char d : snap.dirty) out.push_back(static_cast<std::uint64_t>(d));
-  for (const SV& v : snap.machine.vals) {
-    out.push_back(v.val);
-    out.push_back(v.unk);
-  }
-  for (const auto& pool : snap.machine.arrays) {
-    for (const SV& v : pool) {
-      out.push_back(v.val);
-      out.push_back(v.unk);
-    }
-  }
-}
-
-TlmModelSnapshot wordsToSnapshot(const TlmModelLayout& layout,
-                                 const std::vector<std::uint64_t>& words) {
-  if (words.size() != nativeStateWords(layout)) {
-    throw std::invalid_argument("native snapshot: word count mismatch for layout");
-  }
-  TlmModelSnapshot snap;
-  std::size_t i = 0;
-  snap.cycle = words[i++];
-  snap.anyDirty = words[i++] != 0;
-  snap.dirty.resize(layout.sweepOrder.size());
-  for (std::size_t s = 0; s < snap.dirty.size(); ++s) {
-    snap.dirty[s] = static_cast<char>(words[i++]);
-  }
-  snap.machine.vals.resize(layout.design.symbols.size());
-  for (SV& v : snap.machine.vals) {
-    v.val = words[i++];
-    v.unk = words[i++];
-  }
-  for (const auto& sym : layout.design.symbols) {
-    if (sym.kind != ir::SymKind::Array) continue;
-    std::vector<SV> pool(static_cast<std::size_t>(sym.arraySize));
-    for (SV& v : pool) {
-      v.val = words[i++];
-      v.unk = words[i++];
-    }
-    snap.machine.arrays.push_back(std::move(pool));
-  }
-  return snap;
-}
 
 std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
                           const std::string& identity, std::size_t* distinctBodies) {

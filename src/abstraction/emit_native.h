@@ -18,7 +18,8 @@
 //                                 -1 combinational iteration limit)
 //   xlvn_value / xlvn_raw       — valueUint / both scalar planes
 //   xlvn_cycle                  — transaction counter
-//   xlvn_state_words/save/load  — snapshot in the shared word layout below
+//   xlvn_state_words/save/load  — state in the shared word layout
+//                                 (tlm_model.h, nativeStateWords)
 //   xlvn_abi / xlvn_identity    — link-time compatibility checks
 //
 // The emitted translation unit is fully self-contained (standard headers
@@ -41,21 +42,10 @@
 // processes, 32 bodies). A body only one process runs keeps its operands
 // in a function-local constexpr table, so the compiler folds them into
 // constants as if they were written inline.
-//
-// Shared snapshot word layout (xlvn_save/load AND the host-side
-// snapshotToWords/wordsToSnapshot below, so one campaign checkpoint serves
-// both backends):
-//
-//   [ cycle, anyDirty,
-//     dirty[0..nSweep),                      one word per sweep slot,
-//     (val, unk) per symbol in id order,
-//     (val, unk) per array element, pools in array-symbol id order ]
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "abstraction/tlm_model.h"
 
@@ -75,18 +65,5 @@ inline constexpr int kNativeAbiVersion = 1;
 std::string emitNativeCpp(const TlmModelLayout& layout, bool fourState,
                           const std::string& identity,
                           std::size_t* distinctBodies = nullptr);
-
-/// Word count of the shared snapshot layout for `layout`.
-std::size_t nativeStateWords(const TlmModelLayout& layout);
-
-/// Serialize an interpreter snapshot into the shared word layout
-/// (appends exactly nativeStateWords(layout) words to `out`).
-void snapshotToWords(const TlmModelLayout& layout, const TlmModelSnapshot& snap,
-                     std::vector<std::uint64_t>& out);
-
-/// Rebuild an interpreter snapshot from the shared word layout. Throws
-/// std::invalid_argument on a word-count mismatch (wrong layout).
-TlmModelSnapshot wordsToSnapshot(const TlmModelLayout& layout,
-                                 const std::vector<std::uint64_t>& words);
 
 }  // namespace xlv::abstraction

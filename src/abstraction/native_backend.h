@@ -116,8 +116,7 @@ class NativeSession {
   }
   std::uint64_t cycle() const { return lib_->cycleOf(handle_); }
 
-  std::size_t stateWords() const { return lib_->stateWords; }
-  /// Snapshot in the shared word layout (emit_native.h).
+  /// Append the state in the shared word layout (tlm_model.h).
   void saveWords(std::vector<std::uint64_t>& out) const;
   /// Restore from the shared word layout; throws std::invalid_argument on a
   /// word-count mismatch.

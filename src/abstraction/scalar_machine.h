@@ -39,15 +39,6 @@ struct ScalarWrite {
   SV value;
 };
 
-/// A full copy of a ScalarMachine's mutable state: every scalar symbol's
-/// value+unknown planes plus every array pool. Policy-independent (2-state
-/// machines simply keep unk == 0 everywhere), so one snapshot type serves
-/// both backends and the campaign checkpoint store.
-struct ScalarSnapshot {
-  std::vector<SV> vals;
-  std::vector<std::vector<SV>> arrays;
-};
-
 inline std::uint64_t maskOf(int width) noexcept {
   return width >= 64 ? ~0ULL : ((1ULL << width) - 1);
 }
@@ -94,25 +85,37 @@ class ScalarMachine {
   int width(ir::SymbolId s) const noexcept { return widths_[static_cast<std::size_t>(s)]; }
 
   // --- checkpointing -----------------------------------------------------------
-  /// Capture the complete mutable state (both value planes, all arrays).
-  /// The compiled code, constants and scratch stack are immutable or
-  /// transient and are not part of the state.
-  ScalarSnapshot snapshot() const { return ScalarSnapshot{vals_, arrays_}; }
-
-  /// Restore a snapshot taken from a machine over the SAME design/layout.
-  /// Throws std::invalid_argument on a shape mismatch (symbol or array-pool
-  /// counts differ) — restoring across layouts is always a caller bug.
-  void restore(const ScalarSnapshot& s) {
-    if (s.vals.size() != vals_.size() || s.arrays.size() != arrays_.size()) {
-      throw std::invalid_argument("scalar machine: snapshot shape mismatch");
+  /// Write the complete mutable state at `out`: (val, unk) per symbol in id
+  /// order, then per array element, pools in array-symbol id order — the
+  /// tail of the shared word layout (tlm_model.h). The compiled code,
+  /// constants and scratch stack are immutable or transient and are not
+  /// part of the state.
+  void saveWords(std::uint64_t* out) const {
+    for (const SV& v : vals_) {
+      *out++ = v.val;
+      *out++ = v.unk;
     }
-    for (std::size_t i = 0; i < arrays_.size(); ++i) {
-      if (s.arrays[i].size() != arrays_[i].size()) {
-        throw std::invalid_argument("scalar machine: snapshot array-pool size mismatch");
+    for (const auto& pool : arrays_) {
+      for (const SV& v : pool) {
+        *out++ = v.val;
+        *out++ = v.unk;
       }
     }
-    vals_ = s.vals;
-    arrays_ = s.arrays;
+  }
+
+  /// Read back what saveWords wrote at `in`. The caller has checked the
+  /// word count against the layout.
+  void loadWords(const std::uint64_t* in) {
+    for (SV& v : vals_) {
+      v.val = *in++;
+      v.unk = *in++;
+    }
+    for (auto& pool : arrays_) {
+      for (SV& v : pool) {
+        v.val = *in++;
+        v.unk = *in++;
+      }
+    }
   }
 
   bool setScalar(ir::SymbolId s, SV v) {

@@ -50,6 +50,7 @@
 // result to the other members.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -145,18 +146,29 @@ struct TlmModelLayout {
 
 using TlmModelLayoutPtr = std::shared_ptr<const TlmModelLayout>;
 
-/// A restorable state of one TlmIpModel session, valid at the transaction
-/// boundary or at the stimulus point (i.e. between scheduler() calls, with
-/// setInput calls since the last transaction captured through the dirty
-/// flags). Policy-independent; restore() requires a session over the same
-/// layout shape. The active mutant and the stats counters are session
-/// configuration/diagnostics and deliberately NOT part of the state.
-struct TlmModelSnapshot {
-  ScalarSnapshot machine;
-  std::vector<char> dirty;
-  bool anyDirty = false;
-  std::uint64_t cycle = 0;
-};
+// Shared snapshot word layout: the one format of a session's state, saved
+// and loaded by both engines (TlmIpModel::saveWords/loadWords and the
+// emitted xlvn_save/xlvn_load behind NativeSession), so one campaign
+// checkpoint serves either engine and a session can move between them:
+//
+//   [ cycle, anyDirty,
+//     dirty[0..nSweep),                      one word per sweep slot,
+//     (val, unk) per symbol in id order,
+//     (val, unk) per array element, pools in array-symbol id order ]
+//
+// It is a state between scheduler() calls (input drives since the last
+// transaction are captured through the dirty flags) and policy-independent
+// (2-state sessions keep every unk word 0). The active mutant and the stats
+// counters are session configuration and diagnostics, not state.
+
+/// Word count of the shared snapshot layout for `layout`.
+inline std::size_t nativeStateWords(const TlmModelLayout& layout) {
+  std::size_t words = 2 + layout.sweepOrder.size() + 2 * layout.design.symbols.size();
+  for (const auto& s : layout.design.symbols) {
+    if (s.kind == ir::SymKind::Array) words += 2 * static_cast<std::size_t>(s.arraySize);
+  }
+  return words;
+}
 
 /// Build the shared layout for a (possibly injected) design. Throws
 /// std::invalid_argument on an hfRatio without an HF clock, on processes
@@ -333,27 +345,36 @@ class TlmIpModel {
   }
 
   // --- checkpointing ----------------------------------------------------------
-  /// Capture this session's state between scheduler() calls. The write
+  /// Append this session's state, taken between scheduler() calls, in the
+  /// shared word layout: exactly nativeStateWords(layout) words. The write
   /// buffer is always drained at that boundary, so the state is exactly
-  /// (machine values, dirty flags, cycle counter).
-  TlmModelSnapshot snapshot() const {
-    return TlmModelSnapshot{machine_.snapshot(), dirty_, anyDirty_, cycleCount_};
+  /// (cycle counter, dirty flags, machine values).
+  void saveWords(std::vector<std::uint64_t>& out) const {
+    const std::size_t base = out.size();
+    out.resize(base + nativeStateWords(*layout_));
+    std::uint64_t* o = out.data() + base;
+    *o++ = cycleCount_;
+    *o++ = anyDirty_ ? 1 : 0;
+    for (char d : dirty_) *o++ = static_cast<std::uint64_t>(d);
+    machine_.saveWords(o);
   }
 
-  /// Restore a snapshot taken from a session over the same layout shape
-  /// (typically the same TlmModelLayoutPtr). The active mutant selection is
-  /// untouched — a mutant session fast-forwarding from a clean-run
-  /// checkpoint keeps its own mutant active — and the stats counters keep
-  /// accumulating (they are diagnostics, not simulation state). Throws
-  /// std::invalid_argument on a shape mismatch.
-  void restore(const TlmModelSnapshot& s) {
-    if (s.dirty.size() != dirty_.size()) {
-      throw std::invalid_argument("TlmIpModel: snapshot dirty-flag shape mismatch");
+  /// Restore a state saved by either engine over the same layout (typically
+  /// the same TlmModelLayoutPtr), dropping any pending nonblocking writes.
+  /// The active mutant selection is untouched — a mutant session
+  /// fast-forwarding from a clean-run checkpoint keeps its own mutant
+  /// active — and the stats counters keep accumulating. Throws
+  /// std::invalid_argument on a word-count mismatch, before changing
+  /// anything.
+  void loadWords(const std::vector<std::uint64_t>& words) {
+    if (words.size() != nativeStateWords(*layout_)) {
+      throw std::invalid_argument("TlmIpModel: snapshot word count mismatch");
     }
-    machine_.restore(s.machine);
-    dirty_ = s.dirty;
-    anyDirty_ = s.anyDirty;
-    cycleCount_ = s.cycle;
+    const std::uint64_t* in = words.data();
+    cycleCount_ = *in++;
+    anyDirty_ = *in++ != 0;
+    for (char& d : dirty_) d = static_cast<char>(*in++);
+    machine_.loadWords(in);
     nba_.clear();
   }
 

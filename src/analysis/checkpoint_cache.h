@@ -9,7 +9,7 @@
 // each campaign — and each shard process — re-recorded that run privately.
 //
 // Snapshots are stored in the engine-neutral word layout of
-// abstraction/emit_native.h, so a recording made by the native backend
+// abstraction/tlm_model.h, so a recording made by the native backend
 // restores into interpreter sessions and vice versa (the backends are
 // bit-identical by the conformance suite).
 //

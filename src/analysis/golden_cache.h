@@ -60,13 +60,10 @@ std::string goldenTraceKey(const ir::Design& golden,
                            const Testbench& tb, const AnalysisConfig& cfg,
                            const char* policyTag);
 
-/// The process-wide trace cache. Unbounded by default (entries live until
-/// clear()); a long-lived process sweeping an unbounded key set (many IPs x
-/// testbench lengths) can bound it with OnceCache::setCapacity (LRU). When
-/// a util::processArtifactStore() is configured, the analysis layer spills
+/// The process-wide trace cache; entries live until clear(). When a
+/// util::processArtifactStore() is configured, the analysis layer spills
 /// recordings to disk under the same keys (domain "golden"), so sharded
-/// multi-process campaigns — and evicted entries — reload instead of
-/// re-simulating.
+/// multi-process campaigns reload instead of re-simulating.
 util::OnceCache<GoldenTrace>& goldenTraceCache();
 
 /// Byte-stable artifact codec for a GoldenTrace (util/codec.h envelope;

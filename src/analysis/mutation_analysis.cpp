@@ -72,9 +72,9 @@ namespace {
 /// One campaign run's simulation session, on whichever engine the campaign
 /// resolved to: a private TlmIpModel when `lib` is null, a dlopen'd native
 /// session otherwise. The two are bit-identical (the conformance suite pins
-/// it), so everything above this wrapper is engine-agnostic. State moves
-/// between engines in the shared snapshot word layout
-/// (abstraction/emit_native.h).
+/// it), so everything above this wrapper is engine-agnostic. Both engines
+/// save and load their state in the shared snapshot word layout
+/// (abstraction/tlm_model.h).
 template <class P>
 class Session {
  public:
@@ -102,20 +102,11 @@ class Session {
   SV rawValue(ir::SymbolId sym) const {
     return native_ ? native_->rawValue(sym) : interp_->rawValue(sym);
   }
-  /// Append the session state in the shared word layout.
   void saveWords(std::vector<std::uint64_t>& out) const {
-    if (native_ != nullptr) {
-      native_->saveWords(out);
-    } else {
-      abstraction::snapshotToWords(*layout_, interp_->snapshot(), out);
-    }
+    native_ ? native_->saveWords(out) : interp_->saveWords(out);
   }
   void loadWords(const std::vector<std::uint64_t>& words) {
-    if (native_ != nullptr) {
-      native_->loadWords(words);
-    } else {
-      interp_->restore(abstraction::wordsToSnapshot(*layout_, words));
-    }
+    native_ ? native_->loadWords(words) : interp_->loadWords(words);
   }
 
  private:

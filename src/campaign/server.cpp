@@ -314,16 +314,12 @@ bool Server::spawnWorker(std::size_t i) {
   argv.push_back(std::to_string(s.generation));
   argv.push_back("--heartbeat-ms");
   argv.push_back(std::to_string(opt_.heartbeatIntervalMs));
-  const util::SubprocessEnv env = {
-      {"XLV_WORKER_INDEX", std::to_string(i)},
-      {"XLV_WORKER_GENERATION", std::to_string(s.generation)},
-  };
   // Chaos hook: a spawn "fail" leaves the slot holding a never-started
   // process, which takes the same retire/respawn path a real fork failure
   // would. Opt-in per call site so the native-compile subprocess path is
   // untouched.
   s.proc = util::faultPoint("worker.spawn") == util::FaultAction::None
-               ? util::Subprocess::spawn(argv, env)
+               ? util::Subprocess::spawn(argv)
                : util::Subprocess{};
   s.reader = FrameReader{};
   s.out = OutboundBuffer{};

@@ -50,22 +50,6 @@ struct KernelConfig {
   int deltaLimit = 10000;    ///< combinational-loop guard
 };
 
-/// A restorable state of one RtlSimulator, valid at the cycle boundary
-/// (between runCycles calls): signal/array values, the pending time-wheel
-/// events (transport-delayed writes can mature cycles later), the woken
-/// process set and the simulation clocks. Injected delays (injectDelay) are
-/// configuration, not state, and are deliberately not captured; the VCD
-/// writer and stats likewise keep accumulating across a restore.
-template <class P>
-struct RtlSnapshot {
-  ir::ValueStore<P> store;
-  std::map<std::uint64_t, std::vector<ir::SignalWrite<P>>> wheel;
-  std::vector<int> woken;
-  std::vector<char> wokenFlag;
-  std::uint64_t timePs = 0;
-  std::uint64_t cycle = 0;
-};
-
 template <class P>
 class RtlSimulator {
  public:
@@ -130,28 +114,6 @@ class RtlSimulator {
     while (cycle_ < target) {
       stepCycle();
     }
-  }
-
-  // --- checkpointing ---------------------------------------------------------
-  /// Capture the full simulation state between runCycles calls (the
-  /// nonblocking buffer is always drained at that boundary).
-  RtlSnapshot<P> snapshot() const {
-    return RtlSnapshot<P>{store_, wheel_, woken_, wokenFlag_, timePs_, cycle_};
-  }
-
-  /// Restore a snapshot taken from a simulator over the same design. Throws
-  /// std::invalid_argument on a shape mismatch (different process count).
-  void restore(const RtlSnapshot<P>& s) {
-    if (s.wokenFlag.size() != wokenFlag_.size()) {
-      throw std::invalid_argument("RtlSimulator: snapshot shape mismatch");
-    }
-    store_ = s.store;
-    wheel_ = s.wheel;
-    woken_ = s.woken;
-    wokenFlag_ = s.wokenFlag;
-    timePs_ = s.timePs;
-    cycle_ = s.cycle;
-    nba_.clear();
   }
 
  private:

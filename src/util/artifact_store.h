@@ -134,7 +134,7 @@ void configureProcessArtifactStore(const std::optional<ArtifactStoreConfig>& cfg
 
 /// The OnceCache spill hook: memory first, then disk, then build — with the
 /// build's result written through to the store so other processes (and this
-/// one after an eviction or restart) load instead of rebuilding.
+/// one after a clear() or restart) load instead of rebuilding.
 ///
 /// `wasHit` keeps OnceCache semantics (served by work this call did not run
 /// itself); `diskHit` additionally reports that the value was loaded from

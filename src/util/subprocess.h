@@ -44,8 +44,11 @@ SubprocessResult runCommandCapture(const std::vector<std::string>& argv);
 bool setNonBlocking(int fd) noexcept;
 
 /// Extra environment entries set in the child after fork (inheriting the
-/// parent environment otherwise); the dispatcher uses this for per-worker
-/// coordinates (XLV_WORKER_INDEX / XLV_WORKER_GENERATION).
+/// parent environment otherwise). setenv between fork and exec is not
+/// async-signal-safe in a multi-threaded parent, so the daemon's worker
+/// spawn passes none (workers take their coordinates as flags); the chaos
+/// tests use it to arm fault knobs (XLV_FAULTS, XLV_TEST_*) in a daemon
+/// they spawn.
 using SubprocessEnv = std::vector<std::pair<std::string, std::string>>;
 
 /// Asynchronous child process with piped stdin/stdout (stderr is inherited

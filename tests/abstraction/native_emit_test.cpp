@@ -5,10 +5,10 @@
 //   * lock-step equivalence — every symbol, both planes, every cycle, for
 //     both value policies, on designs exercising arrays, division-by-zero
 //     unknowns, dual clocks and sensor-augmented IPs;
-//   * full-state equivalence — the native xlvn_save word image equals
-//     snapshotToWords(interpreter snapshot) exactly, so checkpoints are
-//     interchangeable between engines;
-//   * cross-engine restore — an interpreter snapshot loads into a native
+//   * full-state equivalence — the native session's saved word image equals
+//     the interpreter's exactly, so checkpoints are interchangeable between
+//     engines;
+//   * cross-engine restore — an interpreter's words load into a native
 //     session (and vice versa) and the tails stay identical;
 //   * mutant phases — activating min/max/delta mutants produces the same
 //     sensor observations on both engines;
@@ -87,13 +87,15 @@ std::uint64_t stimulus(std::uint64_t c, const std::string& name) {
   return (c * 37 + 11) & 0xff;
 }
 
-/// Lock-step with the name-keyed stimulus above.
+/// Lock-step with the name-keyed stimulus above; `handoffAt` as in
+/// expectLockStep.
 template <class P>
-void lockStepByName(const TlmModelLayoutPtr& layout, int cycles, int activeMutant = -1) {
+void lockStepByName(const TlmModelLayoutPtr& layout, int cycles, int activeMutant = -1,
+                    int handoffAt = -1) {
   const Design& d = layout->design;
-  expectLockStep<P>(layout, cycles, activeMutant, [&](std::uint64_t c, SymbolId in) {
-    return stimulus(c, d.symbol(in).name);
-  });
+  expectLockStep<P>(
+      layout, cycles, activeMutant,
+      [&](std::uint64_t c, SymbolId in) { return stimulus(c, d.symbol(in).name); }, handoffAt);
 }
 
 template <class P>
@@ -194,65 +196,27 @@ TEST(NativeEmit, OutOfRangeMutantIdSelectsNoMutant) {
   }
 }
 
-// An interpreter checkpoint loads into a native session (and the reverse)
-// and the continued runs stay bit-identical — the property the campaign's
-// shared checkpoint recordings rely on.
+// An interpreter's words load into a fresh native session and the native
+// session's into a fresh interpreter, and all four sessions stay
+// bit-identical to the end — the property the campaign's shared checkpoint
+// recordings rely on.
 TYPED_TEST(NativeEmitTypedTest, CrossEngineSnapshotHandoff) {
-  using P = TypeParam;
   XLV_REQUIRE_TOOLCHAIN();
-  const Design d = stressDesign();
-  const auto layout = buildTlmModelLayout(d, TlmModelConfig{0, false});
-  const NativeLibraryPtr lib = getNativeLibrary(*layout, kFourState<P>);
+  const auto layout = buildTlmModelLayout(stressDesign(), TlmModelConfig{0, false});
+  const NativeLibraryPtr lib = getNativeLibrary(*layout, kFourState<TypeParam>);
   ASSERT_NE(nullptr, lib);
   ASSERT_EQ(nativeStateWords(*layout), lib->stateWords);
-
-  auto drive = [&](auto& session, std::uint64_t c) {
-    for (SymbolId in : d.inputs) {
-      session.setInputUint(in, stimulus(c, d.symbol(in).name));
-    }
-    session.scheduler();
-  };
-
-  // Interpreter runs 9 cycles; its snapshot seeds a native session.
-  TlmIpModel<P> interp(layout);
-  for (std::uint64_t c = 0; c < 9; ++c) drive(interp, c);
-  std::vector<std::uint64_t> words;
-  snapshotToWords(*layout, interp.snapshot(), words);
-  NativeSession native(lib);
-  native.loadWords(words);
-  EXPECT_EQ(interp.cycle(), native.cycle());
-
-  // Both continue; every symbol matches every cycle.
-  for (std::uint64_t c = 9; c < 25; ++c) {
-    drive(interp, c);
-    drive(native, c);
-    for (std::size_t i = 0; i < d.symbols.size(); ++i) {
-      const auto id = static_cast<SymbolId>(i);
-      if (d.symbols[i].kind == SymKind::Array) continue;
-      const SV iv = interp.rawValue(id);
-      const SV nv = native.rawValue(id);
-      ASSERT_TRUE(iv.val == nv.val && iv.unk == nv.unk)
-          << "cycle " << c << " symbol '" << d.symbols[i].name << "'";
-    }
-  }
-
-  // Reverse handoff: native words restore a fresh interpreter session.
-  words.clear();
-  native.saveWords(words);
-  TlmIpModel<P> resumed(layout);
-  resumed.restore(wordsToSnapshot(*layout, words));
-  EXPECT_EQ(native.cycle(), resumed.cycle());
-  drive(resumed, 25);
-  drive(native, 25);
-  const SymbolId y = d.findSymbol("y");
-  EXPECT_EQ(native.valueUint(y), resumed.valueUint(y));
+  lockStepByName<TypeParam>(layout, 25, -1, 9);
 }
 
 TEST(NativeEmit, WordCodecRejectsShapeMismatch) {
   const Design d = stressDesign();
   const auto layout = buildTlmModelLayout(d, TlmModelConfig{0, false});
   std::vector<std::uint64_t> words(nativeStateWords(*layout) + 1, 0);
-  EXPECT_THROW(wordsToSnapshot(*layout, words), std::invalid_argument);
+  TlmIpModel<hdt::FourState> fourState(layout);
+  TlmIpModel<hdt::TwoState> twoState(layout);
+  EXPECT_THROW(fourState.loadWords(words), std::invalid_argument);
+  EXPECT_THROW(twoState.loadWords(words), std::invalid_argument);
 }
 
 TEST(NativeEmit, SecondLookupIsACacheHit) {

@@ -14,8 +14,10 @@
 //
 // For each seed and both value policies, expectLockStep (lock_step.h) runs
 // the design with no mutant and with one random ADAM mutant: every symbol,
-// both planes and the state word image, every cycle. A failure names its
-// seed.
+// both planes and the state word image, every cycle. A second pass swaps
+// state between the engines mid-run (the interpreter's words into a fresh
+// native session, the native session's into a fresh interpreter) and runs
+// all four sessions in lock-step to the end. A failure names its seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,6 +46,7 @@ using util::Prng;
 constexpr std::uint64_t kFirstSeed = 1;
 constexpr int kSeeds = 6;
 constexpr int kCycles = 24;
+constexpr int kHandoffAt = kCycles / 2;
 
 /// Expression generator for one cell: structure from `s`, constant values
 /// from `k`, so two cells built from one structure seed with different
@@ -296,13 +299,10 @@ std::uint64_t randomStimulus(std::uint64_t seed, std::uint64_t c, SymbolId sym) 
   return Prng(seed * 0x9e3779b97f4a7c15ull + c * 0x100000001b3ull + sym).next();
 }
 
+/// expectLockStep over every seed's design, with no mutant and with its
+/// random mutant; `handoffAt` as in expectLockStep.
 template <class P>
-class NativeRandomTypedTest : public ::testing::Test {};
-using Policies = ::testing::Types<hdt::FourState, hdt::TwoState>;
-TYPED_TEST_SUITE(NativeRandomTypedTest, Policies);
-
-TYPED_TEST(NativeRandomTypedTest, RandomDesignsRunInLockStep) {
-  XLV_REQUIRE_TOOLCHAIN();
+void lockStepEverySeed(int handoffAt) {
   for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     TlmModelLayoutPtr layout;
@@ -319,10 +319,25 @@ TYPED_TEST(NativeRandomTypedTest, RandomDesignsRunInLockStep) {
     };
     for (const int mutant : {-1, 0}) {
       SCOPED_TRACE("mutant " + std::to_string(mutant));
-      expectLockStep<TypeParam>(layout, kCycles, mutant, stimulus);
+      expectLockStep<P>(layout, kCycles, mutant, stimulus, handoffAt);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+template <class P>
+class NativeRandomTypedTest : public ::testing::Test {};
+using Policies = ::testing::Types<hdt::FourState, hdt::TwoState>;
+TYPED_TEST_SUITE(NativeRandomTypedTest, Policies);
+
+TYPED_TEST(NativeRandomTypedTest, RandomDesignsRunInLockStep) {
+  XLV_REQUIRE_TOOLCHAIN();
+  lockStepEverySeed<TypeParam>(-1);
+}
+
+TYPED_TEST(NativeRandomTypedTest, RandomDesignsSwapEnginesMidRun) {
+  XLV_REQUIRE_TOOLCHAIN();
+  lockStepEverySeed<TypeParam>(kHandoffAt);
 }
 
 }  // namespace

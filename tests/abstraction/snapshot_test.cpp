@@ -1,34 +1,38 @@
-// snapshot()/restore() round trips for both simulation backends: the
-// state-checkpoint API behind the campaign's golden fast-forward
-// (analysis/mutation_analysis.h). Pinned properties:
+// saveWords()/loadWords() round trips: the one state format behind the
+// campaign's golden fast-forward and its checkpoint store
+// (analysis/mutation_analysis.h). Pinned properties, on the interpreter and
+// — when a system C++ compiler is present — on the native engine:
 //
-//   * mid-simulation restore equivalence — restoring a cycle-k snapshot
+//   * mid-simulation restore equivalence — loading a cycle-k word image
 //     into a FRESH session and replaying cycles k..n is bit-identical,
-//     symbol for symbol and cycle for cycle, to the straight-line run;
+//     symbol for symbol (both planes) and cycle for cycle, to the
+//     straight-line run;
 //   * both value policies (2-state and 4-state, including a live unknown
 //     plane produced by a division by zero);
-//   * array state (a register-file write pattern) is part of the snapshot;
-//   * shape-mismatched snapshots are rejected, never half-applied.
+//   * array state (a register-file write pattern) is part of the image;
+//   * saveWords appends exactly nativeStateWords(layout) words, and an
+//     image of any other length is rejected before anything is loaded.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
+#include "abstraction/native_backend.h"
 #include "abstraction/tlm_model.h"
 #include "ir/builder.h"
 #include "ir/elaborate.h"
-#include "rtl/kernel.h"
+#include "lock_step.h"
 
 namespace xlv::abstraction {
 namespace {
 
 using namespace xlv::ir;
-using rtl::KernelConfig;
-using rtl::RtlSimulator;
+
+constexpr std::size_t kRegs = 8;
 
 /// Counter/accumulator design with a register file and a division (the
-/// divide-by-zero path turns the 4-state unknown plane on, so snapshots
+/// divide-by-zero path turns the 4-state unknown plane on, so the image
 /// must carry both planes to round-trip).
 Design snapshotDesign() {
   ModuleBuilder mb("snap");
@@ -37,7 +41,7 @@ Design snapshotDesign() {
   auto d = mb.in("d", 8);
   auto acc = mb.signal("acc", 16);
   auto idx = mb.signal("idx", 3);
-  auto regs = mb.array("regs", 16, 8);
+  auto regs = mb.array("regs", 16, static_cast<int>(kRegs));
   auto quot = mb.signal("quot", 8);
   auto y = mb.out("y", 16);
 
@@ -57,15 +61,48 @@ Design snapshotDesign() {
   return elaborate(*mb.finish());
 }
 
-std::uint64_t stimulus(std::uint64_t c, const std::string& name) {
-  if (name == "en") return (c % 3) != 0 ? 1 : 0;
-  return (c * 37 + 11) & 0xff;
+TlmModelLayoutPtr snapshotLayout() {
+  return buildTlmModelLayout(snapshotDesign(), TlmModelConfig{0, false});
 }
 
-template <class P>
-void driveTlm(TlmIpModel<P>& m, const Design& d, std::uint64_t c) {
-  for (SymbolId in : d.inputs) m.setInputByName(d.symbol(in).name, stimulus(c, d.symbol(in).name));
+/// One cycle: drive every input, then one transaction.
+template <class M>
+void drive(M& m, const Design& d, std::uint64_t c) {
+  for (SymbolId in : d.inputs) {
+    m.setInputUint(in, d.symbol(in).name == "en" ? ((c % 3) != 0 ? 1 : 0)
+                                                  : ((c * 37 + 11) & 0xff));
+  }
   m.scheduler();
+}
+
+/// Both planes of every scalar symbol, read through rawValue rather than
+/// the word image.
+template <class M>
+std::vector<std::uint64_t> planes(const M& m, const Design& d) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < d.symbols.size(); ++i) {
+    if (d.symbols[i].kind == SymKind::Array) continue;
+    const SV v = m.rawValue(static_cast<SymbolId>(i));
+    out.push_back(v.val);
+    out.push_back(v.unk);
+  }
+  return out;
+}
+
+/// Runs `check(makeSession)` on the interpreter and, when a system C++
+/// compiler is present, on the native engine; `makeSession()` returns a
+/// fresh session over `layout`.
+template <class P, class Check>
+void forEachEngine(const TlmModelLayoutPtr& layout, const Check& check) {
+  {
+    SCOPED_TRACE("interpreter");
+    check([&] { return std::make_unique<TlmIpModel<P>>(layout); });
+  }
+  if (::testing::Test::HasFatalFailure() || !nativeToolchainAvailable()) return;
+  const NativeLibraryPtr lib = getNativeLibrary(*layout, kFourState<P>);
+  ASSERT_NE(nullptr, lib) << "native build failed despite available toolchain";
+  SCOPED_TRACE("native");
+  check([&] { return std::make_unique<NativeSession>(lib); });
 }
 
 template <class P>
@@ -74,141 +111,115 @@ using Policies = ::testing::Types<hdt::FourState, hdt::TwoState>;
 TYPED_TEST_SUITE(SnapshotTypedTest, Policies);
 
 TYPED_TEST(SnapshotTypedTest, MidSimulationRestoreEquality) {
-  using P = TypeParam;
-  const Design d = snapshotDesign();
-  const TlmModelLayoutPtr layout = buildTlmModelLayout(d, TlmModelConfig{0, false});
-
+  const TlmModelLayoutPtr layout = snapshotLayout();
+  const Design& d = layout->design;
   constexpr std::uint64_t kSnapAt = 7, kTotal = 25;
-  TlmIpModel<P> straight(layout);
-  TlmModelSnapshot snap;
-  // Straight-line run, snapshot at the cycle-kSnapAt boundary, recording
-  // every symbol's value each cycle afterwards.
-  std::vector<std::vector<std::string>> tail;
-  for (std::uint64_t c = 0; c < kTotal; ++c) {
-    if (c == kSnapAt) snap = straight.snapshot();
-    driveTlm(straight, d, c);
-    if (c >= kSnapAt) {
-      std::vector<std::string> row;
-      for (std::size_t i = 0; i < d.symbols.size(); ++i) {
-        if (d.symbols[i].kind == SymKind::Array) continue;
-        row.push_back(straight.value(static_cast<SymbolId>(i)).toString());
+  forEachEngine<TypeParam>(layout, [&](const auto& makeSession) {
+    // Straight-line run: the image at the cycle-kSnapAt boundary, then the
+    // planes and the image after every later cycle.
+    auto straight = makeSession();
+    std::vector<std::uint64_t> words;
+    std::vector<std::vector<std::uint64_t>> tailPlanes, tailWords;
+    for (std::uint64_t c = 0; c < kTotal; ++c) {
+      if (c == kSnapAt) straight->saveWords(words);
+      drive(*straight, d, c);
+      if (c >= kSnapAt) {
+        tailPlanes.push_back(planes(*straight, d));
+        straight->saveWords(tailWords.emplace_back());
       }
-      tail.push_back(std::move(row));
     }
-  }
 
-  // Fresh session, restore, replay the tail: every symbol must match every
-  // cycle (the unknown plane included — toString renders X/Z).
-  TlmIpModel<P> resumed(layout);
-  resumed.restore(snap);
-  EXPECT_EQ(kSnapAt, resumed.cycle());
-  for (std::uint64_t c = kSnapAt; c < kTotal; ++c) {
-    driveTlm(resumed, d, c);
-    std::size_t col = 0;
-    for (std::size_t i = 0; i < d.symbols.size(); ++i) {
-      if (d.symbols[i].kind == SymKind::Array) continue;
-      EXPECT_EQ(tail[c - kSnapAt][col], resumed.value(static_cast<SymbolId>(i)).toString())
-          << "cycle " << c << " symbol '" << d.symbols[i].name << "'";
-      ++col;
+    // A fresh session loads the image and replays the tail.
+    auto resumed = makeSession();
+    resumed->loadWords(words);
+    EXPECT_EQ(kSnapAt, resumed->cycle());
+    std::vector<std::uint64_t> got;
+    for (std::uint64_t c = kSnapAt; c < kTotal; ++c) {
+      drive(*resumed, d, c);
+      EXPECT_EQ(tailPlanes[c - kSnapAt], planes(*resumed, d)) << "cycle " << c;
+      got.clear();
+      resumed->saveWords(got);
+      EXPECT_EQ(tailWords[c - kSnapAt], got) << "cycle " << c;
     }
-  }
+  });
 }
 
 TYPED_TEST(SnapshotTypedTest, ArrayStateRoundTrips) {
-  using P = TypeParam;
-  const Design d = snapshotDesign();
-  const TlmModelLayoutPtr layout = buildTlmModelLayout(d, TlmModelConfig{0, false});
-  const SymbolId regs = d.findSymbol("regs");
-  ASSERT_NE(kNoSymbol, regs);
+  const TlmModelLayoutPtr layout = snapshotLayout();
+  const Design& d = layout->design;
+  const SymbolId y = d.findSymbol("y");
+  forEachEngine<TypeParam>(layout, [&](const auto& makeSession) {
+    auto m = makeSession();
+    for (std::uint64_t c = 0; c < 12; ++c) drive(*m, d, c);
+    std::vector<std::uint64_t> words;
+    m->saveWords(words);
+    // The register file is the design's only array: the image's tail.
+    ASSERT_NE(std::vector<std::uint64_t>(2 * kRegs, 0),
+              std::vector<std::uint64_t>(words.end() - 2 * kRegs, words.end()))
+        << "test design no longer writes its register file";
 
-  TlmIpModel<P> m(layout);
-  for (std::uint64_t c = 0; c < 12; ++c) driveTlm(m, d, c);
-  const TlmModelSnapshot snap = m.snapshot();
-
-  TlmIpModel<P> fresh(layout);
-  fresh.restore(snap);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    EXPECT_TRUE(m.arrayElem(regs, i).identical(fresh.arrayElem(regs, i)))
-        << "register-file slot " << i;
-  }
+    auto fresh = makeSession();
+    fresh->loadWords(words);
+    std::vector<std::uint64_t> back;
+    fresh->saveWords(back);
+    EXPECT_EQ(words, back);
+    // y reads regs[idx], and idx walks the whole file in 12 cycles: the
+    // loaded register file drives the same outputs.
+    for (std::uint64_t c = 12; c < 24; ++c) {
+      drive(*m, d, c);
+      drive(*fresh, d, c);
+      EXPECT_EQ(m->valueUint(y), fresh->valueUint(y)) << "cycle " << c;
+    }
+  });
 }
 
 TYPED_TEST(SnapshotTypedTest, UnknownPlaneIsCapturedWhenFourState) {
-  using P = TypeParam;
-  const Design d = snapshotDesign();
-  const TlmModelLayoutPtr layout = buildTlmModelLayout(d, TlmModelConfig{0, false});
-  TlmIpModel<P> m(layout);
-  // d = 8 -> low bits 0 -> division by zero -> X quotient in 4-state.
-  m.setInputByName("en", 1);
-  m.setInputByName("d", 8);
-  m.scheduler();
+  const TlmModelLayoutPtr layout = snapshotLayout();
+  const Design& d = layout->design;
   const SymbolId quot = d.findSymbol("quot");
-  const SV raw = m.rawValue(quot);
-  if (std::is_same_v<P, hdt::FourState>) {
-    ASSERT_NE(0u, raw.unk) << "test design no longer produces an unknown plane";
-  }
-  TlmIpModel<P> fresh(layout);
-  fresh.restore(m.snapshot());
-  EXPECT_EQ(raw.val, fresh.rawValue(quot).val);
-  EXPECT_EQ(raw.unk, fresh.rawValue(quot).unk);
+  forEachEngine<TypeParam>(layout, [&](const auto& makeSession) {
+    auto m = makeSession();
+    // d = 8 -> low bits 0 -> division by zero -> X quotient in 4-state.
+    m->setInputUint(d.findSymbol("en"), 1);
+    m->setInputUint(d.findSymbol("d"), 8);
+    m->scheduler();
+    const SV raw = m->rawValue(quot);
+    if (kFourState<TypeParam>) {
+      ASSERT_NE(0u, raw.unk) << "test design no longer produces an unknown plane";
+    }
+    std::vector<std::uint64_t> words;
+    m->saveWords(words);
+    auto fresh = makeSession();
+    fresh->loadWords(words);
+    EXPECT_EQ(raw.val, fresh->rawValue(quot).val);
+    EXPECT_EQ(raw.unk, fresh->rawValue(quot).unk);
+  });
 }
 
 TYPED_TEST(SnapshotTypedTest, ShapeMismatchIsRejected) {
-  using P = TypeParam;
-  const Design d = snapshotDesign();
-  TlmIpModel<P> m(d, TlmModelConfig{0, false});
-  TlmModelSnapshot snap = m.snapshot();
-  snap.machine.vals.pop_back();
-  EXPECT_THROW(m.restore(snap), std::invalid_argument);
-  TlmModelSnapshot snap2 = m.snapshot();
-  snap2.dirty.push_back(1);
-  EXPECT_THROW(m.restore(snap2), std::invalid_argument);
-}
+  const TlmModelLayoutPtr layout = snapshotLayout();
+  const Design& d = layout->design;
+  const std::size_t n = nativeStateWords(*layout);
+  forEachEngine<TypeParam>(layout, [&](const auto& makeSession) {
+    auto m = makeSession();
+    for (std::uint64_t c = 0; c < 5; ++c) drive(*m, d, c);
+    // saveWords appends exactly the layout's word count.
+    std::vector<std::uint64_t> before{42};
+    m->saveWords(before);
+    ASSERT_EQ(1 + n, before.size());
+    EXPECT_EQ(42u, before.front());
+    before.erase(before.begin());
 
-TYPED_TEST(SnapshotTypedTest, RtlSimulatorRestoreEquality) {
-  using P = TypeParam;
-  const Design d = snapshotDesign();
-  constexpr std::uint64_t kPeriod = 1000, kSnapAt = 6, kTotal = 20;
-
-  auto makeSim = [&] {
-    auto sim = std::make_unique<RtlSimulator<P>>(d, KernelConfig{kPeriod, 0, 1000});
-    sim->setStimulus([&d](std::uint64_t c, RtlSimulator<P>& s) {
-      for (SymbolId in : d.inputs) {
-        s.setInputByName(d.symbol(in).name, stimulus(c, d.symbol(in).name));
-      }
-    });
-    // A transport delay longer than one period keeps a pending time-wheel
-    // event alive across the snapshot boundary — the wheel must round-trip.
-    sim->injectDelay(d.findSymbol("acc"), kPeriod + kPeriod / 2);
-    return sim;
-  };
-
-  auto straight = makeSim();
-  straight->runCycles(kSnapAt);
-  const rtl::RtlSnapshot<P> snap = straight->snapshot();
-  std::vector<std::vector<std::string>> tail;
-  for (std::uint64_t c = kSnapAt; c < kTotal; ++c) {
-    straight->runCycles(1);
-    std::vector<std::string> row;
-    for (std::size_t i = 0; i < d.symbols.size(); ++i) {
-      if (d.symbols[i].kind == SymKind::Array) continue;
-      row.push_back(straight->value(static_cast<SymbolId>(i)).toString());
+    // Images one word short, one word long and empty are rejected before
+    // anything is loaded: had any word landed, the state would differ.
+    for (const std::size_t size : {n - 1, n + 1, std::size_t{0}}) {
+      const std::vector<std::uint64_t> bad(size, 0x5a5a5a5a5a5a5a5aull);
+      EXPECT_THROW(m->loadWords(bad), std::invalid_argument) << size << " words";
     }
-    tail.push_back(std::move(row));
-  }
-
-  auto resumed = makeSim();
-  resumed->restore(snap);
-  for (std::uint64_t c = kSnapAt; c < kTotal; ++c) {
-    resumed->runCycles(1);
-    std::size_t col = 0;
-    for (std::size_t i = 0; i < d.symbols.size(); ++i) {
-      if (d.symbols[i].kind == SymKind::Array) continue;
-      EXPECT_EQ(tail[c - kSnapAt][col], resumed->value(static_cast<SymbolId>(i)).toString())
-          << "cycle " << c << " symbol '" << d.symbols[i].name << "'";
-      ++col;
-    }
-  }
+    std::vector<std::uint64_t> after;
+    m->saveWords(after);
+    EXPECT_EQ(before, after);
+  });
 }
 
 }  // namespace
