@@ -351,8 +351,8 @@ MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
     abstraction::NativeUseStats native;
     ctx.nativeLib = abstraction::getNativeLibrary(
         *ctx.layout, std::is_same_v<P, hdt::FourState>, &native);
-    ctx.nativeCompiles = native.compiles;
-    ctx.nativeCacheHits = native.cacheHits;
+    ctx.prepareLedger.nativeCompiles = native.compiles;
+    ctx.prepareLedger.nativeCacheHits = native.cacheHits;
   }
   // The golden trace is recorded on that layout with no mutant active, and
   // keyed by the golden design's identity: every mutant-set variant of one
@@ -502,19 +502,18 @@ struct BatchMember {
 /// restores and saturation exits are evaluated independently, exactly as in
 /// the solo path, so results AND per-member cycle ledgers are bit-identical
 /// at any batch size (the conformance suite pins K in {1,4,64} against
-/// K=1). Returns the number of live members when two or more actually
-/// co-simulated (the report's batchedMutants ledger), 0 otherwise.
+/// K=1). `work[slot]` is member slot's ledger: its cycles, and one batched
+/// mutant when two or more members actually co-simulated.
 template <class P>
-int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<int>& indices,
-                        std::vector<MutantResult>& results,
-                        std::vector<MutantSimStats>& stats) {
+void simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<int>& indices,
+                         std::vector<MutantResult>& results, std::vector<WorkLedger>& work) {
   const ir::Design& design = ctx.layout->design;
   const std::uint64_t cycles = ctx.tb.cycles;
   const GoldenTrace& gold = *ctx.gold;
   const bool fast = !ctx.referenceSim;
 
   results.assign(indices.size(), MutantResult{});
-  stats.assign(indices.size(), MutantSimStats{});
+  work.assign(indices.size(), WorkLedger{});
 
   std::vector<BatchMember<P>> live;
   live.reserve(indices.size());
@@ -560,14 +559,13 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
       // the co-simulation is the golden run — nothing is killed, detected
       // or measured. The default-initialized result IS the full-replay
       // result; the member never joins the march.
-      stats[slot].cyclesSkipped += cycles;
+      work[slot].cyclesSkipped += cycles;
       continue;
     }
     m.isDelta = mutant.spec.kind == MutantKind::DeltaDelay;
     m.deltaCap = static_cast<std::uint64_t>(std::max(0, res.deltaTicks));
     live.push_back(std::move(m));
   }
-  const int batched = live.size() >= 2 ? static_cast<int>(live.size()) : 0;
 
   // Checkpoint fast-forward, member by member: restore the deepest campaign
   // checkpoint at or before each member's limit instead of re-simulating
@@ -595,7 +593,7 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
     }
   }
 
-  if (live.empty()) return 0;
+  if (live.empty()) return;
 
   // ONE fresh driver for the whole group, same stimulus id as the golden
   // run: every solo task would construct an identical driver, so sharing
@@ -700,14 +698,15 @@ int simulateMutantGroup(const MutationCampaignContext& ctx, const std::vector<in
   }
 
   for (const auto& m : live) {
-    stats[m.slot].cyclesSimulated += m.executed;
-    stats[m.slot].cyclesSkipped += cycles - m.executed;
+    WorkLedger& w = work[m.slot];
+    w.cyclesSimulated += m.executed;
+    w.cyclesSkipped += cycles - m.executed;
+    w.batchedMutants = live.size() >= 2 ? 1 : 0;
     if (m.qSym != ir::kNoSymbol) {
       results[m.slot].correctionChecked = m.correctionObserved;
       results[m.slot].corrected = m.correctionObserved && !m.correctionViolated;
     }
   }
-  return batched;
 }
 
 }  // namespace
@@ -728,12 +727,9 @@ MutantResult simulateMutant(const MutationCampaignContext& ctx, int mutantIndex,
     }
   }
   std::vector<MutantResult> results;
-  std::vector<MutantSimStats> groupStats;
-  simulateMutantGroup<P>(ctx, {mutantIndex}, results, groupStats);
-  if (stats != nullptr) {
-    stats->cyclesSimulated += groupStats[0].cyclesSimulated;
-    stats->cyclesSkipped += groupStats[0].cyclesSkipped;
-  }
+  std::vector<WorkLedger> work;
+  simulateMutantGroup<P>(ctx, {mutantIndex}, results, work);
+  if (stats != nullptr) *stats += work[0];
   if (!ctx.referenceSim) {
     std::lock_guard<std::mutex> lock(done.mu);
     done.byClass.emplace(cls, results[0]);
@@ -757,14 +753,12 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
   report.goldenFromCache = ctx.goldenFromCache;
   report.goldenFromDisk = ctx.goldenFromDisk;
 
-  report.nativeCompiles = ctx.nativeCompiles;
-  report.nativeCacheHits = ctx.nativeCacheHits;
-
   const auto [begin, end] = clampMutantRange(cfg, ctx.layout->mutants.size());
   const std::size_t n = end - begin;
   report.results.resize(n);
-  std::vector<MutantSimStats> simStats(n);
-  std::vector<char> servedFromCache(n, 0);
+  // One ledger per mutant slot, written only by the task that owns the slot
+  // (and, for class members, by the loop after the tasks).
+  std::vector<WorkLedger> slotLedgers(n);
 
   // Fault collapsing: the mutants of one class (one
   // abstraction::mutantClassSpec) behave bit-identically, so only the first
@@ -799,7 +793,6 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
   const std::size_t batch = static_cast<std::size_t>(ctx.batch);
   const std::size_t numTasks = reps.empty() ? 0 : (reps.size() + batch - 1) / batch;
   std::vector<double> taskSeconds(numTasks, 0.0);
-  std::vector<int> batchedPerTask(numTasks, 0);
 
   campaign::Executor executor(campaign::ExecutorConfig{cfg.threads, 0});
   report.threadsUsed = executor.effectiveThreads(numTasks);
@@ -818,11 +811,11 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
       // Cache x batch: the first member whose build lambda actually runs
       // batch-simulates every group member not yet produced locally into
       // freshResults; later misses in the same group serve from that map.
-      // A member whose key hits (memory or disk) never charges its
-      // simulation stats — any speculative fresh result for it is simply
-      // dropped, keeping the ledger identical to the solo schedule.
+      // A member whose key hits (memory or disk) is a cache hit and charges
+      // none of its simulation — any speculative fresh result for it is
+      // simply dropped, keeping the ledger identical to the solo schedule.
       std::unordered_map<int, MutantResult> freshResults;
-      std::unordered_map<int, MutantSimStats> freshStats;
+      std::unordered_map<int, WorkLedger> freshLedgers;
       for (std::size_t r = lo; r < hi; ++r) {
         const std::size_t i = reps[r];
         const int mutantIndex = static_cast<int>(begin + i);
@@ -843,11 +836,11 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
                       }
                     }
                     std::vector<MutantResult> rs;
-                    std::vector<MutantSimStats> ss;
-                    batchedPerTask[t] += simulateMutantGroup<P>(ctx, pending, rs, ss);
+                    std::vector<WorkLedger> ws;
+                    simulateMutantGroup<P>(ctx, pending, rs, ws);
                     for (std::size_t p = 0; p < pending.size(); ++p) {
                       freshResults[pending[p]] = rs[p];
-                      freshStats[pending[p]] = ss[p];
+                      freshLedgers[pending[p]] = ws[p];
                     }
                   }
                   MutantResult fresh = freshResults[mutantIndex];
@@ -858,44 +851,48 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
                 },
                 encodeMutantResultArtifact, decodeMutantResultArtifact, &memHit, &diskHit);
         report.results[i] = withIdentity(*cached, mutant);
-        servedFromCache[i] = (memHit || diskHit) ? 1 : 0;
-        if (!(memHit || diskHit)) simStats[i] = freshStats[mutantIndex];
+        if (memHit || diskHit) {
+          slotLedgers[i].mutantCacheHits = 1;
+        } else {
+          slotLedgers[i] = freshLedgers[mutantIndex];
+        }
       }
     } else {
       std::vector<int> indices;
       indices.reserve(hi - lo);
       for (std::size_t r = lo; r < hi; ++r) indices.push_back(static_cast<int>(begin + reps[r]));
       std::vector<MutantResult> rs;
-      std::vector<MutantSimStats> ss;
-      batchedPerTask[t] = simulateMutantGroup<P>(ctx, indices, rs, ss);
+      std::vector<WorkLedger> ws;
+      simulateMutantGroup<P>(ctx, indices, rs, ws);
       for (std::size_t r = lo; r < hi; ++r) {
         report.results[reps[r]] = rs[r - lo];
-        simStats[reps[r]] = ss[r - lo];
+        slotLedgers[reps[r]] = ws[r - lo];
       }
     }
     taskSeconds[t] = timer.seconds();
   });
-  // Every other member copies its representative's result. A member of a
-  // freshly simulated class charges its whole run as skipped (simulated +
-  // skipped stays the testbench length per mutant); a member of a class
-  // served from the cache is a cache hit and charges nothing.
+  // Every other member copies its representative's result. With the mutant
+  // cache on, the member is a cache hit and charges nothing: its class's
+  // entry is the one the representative just filled or found, whichever it
+  // was, so no total depends on which sweep item simulated a shared class.
+  // With the cache off it charges its whole run as skipped (simulated +
+  // skipped stays the testbench length per mutant).
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t r = repOf[i];
     if (r == i) continue;
     report.results[i] = withIdentity(report.results[r], ctx.layout->mutants[begin + i]);
-    servedFromCache[i] = servedFromCache[r];
-    if (!servedFromCache[r]) simStats[i].cyclesSkipped = tb.cycles;
+    if (cfg.useMutantCache) {
+      slotLedgers[i].mutantCacheHits = 1;
+    } else {
+      slotLedgers[i].cyclesSkipped = tb.cycles;
+    }
   }
-  for (char hit : servedFromCache) report.mutantCacheHits += hit ? 1 : 0;
-  for (int b : batchedPerTask) report.batchedMutants += b;
-  // Cycle ledger: per-mutant executed/skipped sums (deterministic — slots
-  // are summed in task order) plus the lazy checkpoint recording run, which
-  // ran at most once, only if some task fast-forwarded, and is charged only
-  // when THIS campaign performed the recording (a cache hit did no work).
-  for (const MutantSimStats& s : simStats) {
-    report.cyclesSimulated += s.cyclesSimulated;
-    report.cyclesSkipped += s.cyclesSkipped;
-  }
+  // The ledger: prepare's, plus every slot's, plus the lazy checkpoint
+  // recording run, which ran at most once, only if some task fast-forwarded,
+  // and is charged only when THIS campaign performed the recording (a cache
+  // hit did no work).
+  report += ctx.prepareLedger;
+  for (const WorkLedger& w : slotLedgers) report += w;
   if (ctx.checkpoints != nullptr &&
       ctx.checkpoints->recorded.load(std::memory_order_acquire) &&
       !ctx.checkpoints->fromCache && ctx.checkpoints->rec != nullptr) {

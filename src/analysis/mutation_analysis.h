@@ -115,32 +115,68 @@ struct MutantResult {
   bool operator==(const MutantResult&) const = default;
 };
 
-/// Cycle ledger of one mutant co-simulation (out-parameter of
-/// simulateMutant): how many scheduler transactions actually ran versus how
-/// many the divergence-driven fast path proved unnecessary (checkpoint
-/// fast-forward over the pre-divergence prefix plus verdict-saturation
-/// early exit over the tail). simulated + skipped == the testbench length.
-struct MutantSimStats {
+/// The work ledger: the six counters of a mutation campaign's work, declared
+/// once and summed by one operator+= — from one co-simulation
+/// (simulateMutant's out-parameter) through an analysis (AnalysisReport,
+/// which derives from it) to a merged campaign (campaign::CampaignResult).
+/// Ledgers, not verdicts: sameResults ignores them. (No operator== on
+/// purpose: the reports deriving from it would inherit a comparison that
+/// ignores their results.)
+struct WorkLedger {
+  /// Scheduler transactions the co-simulations actually executed versus
+  /// transactions the divergence-driven fast path proved unnecessary
+  /// (checkpoint fast-forward over the pre-divergence prefix, verdict
+  /// saturation over the tail). For one fresh co-simulation, simulated +
+  /// skipped == the testbench length.
   std::uint64_t cyclesSimulated = 0;
   std::uint64_t cyclesSkipped = 0;
+  /// Mutant results taken from the per-mutant result cache
+  /// (analysis/mutant_cache.h) instead of a co-simulation of their own;
+  /// every mutant on a fully warm run.
+  int mutantCacheHits = 0;
+  /// Native shared-library compiles performed versus libraries served from
+  /// the in-process or artifact-store cache; both 0 on the interpreter and
+  /// after a silent fallback to it (what --require-native rejects).
+  int nativeCompiles = 0;
+  int nativeCacheHits = 0;
+  /// Mutants whose fresh co-simulation ran lock-step in a batch of two or
+  /// more live members (AnalysisConfig::batch); 0 when batching is off.
+  int batchedMutants = 0;
+
+  WorkLedger& operator+=(const WorkLedger& o) noexcept {
+    cyclesSimulated += o.cyclesSimulated;
+    cyclesSkipped += o.cyclesSkipped;
+    mutantCacheHits += o.mutantCacheHits;
+    nativeCompiles += o.nativeCompiles;
+    nativeCacheHits += o.nativeCacheHits;
+    batchedMutants += o.batchedMutants;
+    return *this;
+  }
 };
 
-struct AnalysisReport {
+/// The ledger of one simulateMutant call.
+using MutantSimStats = WorkLedger;
+
+/// An analysis's results and its work ledger (the WorkLedger base), which
+/// is prepare's (the native library), plus one ledger per mutant, plus the
+/// once-per-campaign checkpoint recording run (cycles simulated, charged
+/// only by the campaign that performed it — it exists to serve the mutant
+/// loop). Per mutant:
+///   * a representative simulated here charges its own run;
+///   * a representative served by the mutant cache (memory or disk) is a
+///     cache hit and charges no cycles;
+///   * a class member with the mutant cache on is a cache hit and charges
+///     no cycles — its class's entry is the one its representative just
+///     filled or found — so no total depends on which item of a sweep
+///     simulated a shared class, and a cold campaign's mutants − hits are
+///     the co-simulations it ran;
+///   * a class member with the cache off charges its whole run as skipped,
+///     so simulated + skipped stays the testbench length per mutant.
+/// Under XLV_REFERENCE_SIM=1 every mutant is simulated: nothing is
+/// skipped, and cycles simulated == results * cyclesPerRun.
+struct AnalysisReport : WorkLedger {
   std::vector<MutantResult> results;
   std::uint64_t cyclesPerRun = 0;
-  /// Mutant-campaign cycle ledger: scheduler transactions actually executed
-  /// by the per-mutant co-simulations (including the once-per-campaign
-  /// checkpoint recording run, charged here because it exists only to serve
-  /// the mutant loop) versus transactions the divergence-driven fast path
-  /// skipped. A class member that copied a freshly simulated
-  /// representative charges its whole run as skipped, so simulated +
-  /// skipped stays the testbench length per mutant. Under
-  /// XLV_REFERENCE_SIM=1, cyclesSkipped is 0 and cyclesSimulated ==
-  /// results * cyclesPerRun. Mutants served from the result cache (members
-  /// of a cache-served class included) contribute to neither (like
-  /// simSeconds). Not part of sameResults — a ledger, not a verdict.
-  std::uint64_t cyclesSimulated = 0;
-  std::uint64_t cyclesSkipped = 0;
   /// Simulation work: sum of per-run wall times (golden + every injected
   /// run). Equals wallSeconds on one thread, exceeds it under parallel
   /// execution. Per-run times are wall clock, so oversubscription (threads
@@ -160,29 +196,10 @@ struct AnalysisReport {
   /// True when the golden trace was loaded from the cross-process artifact
   /// store (util/artifact_store.h) rather than recorded or found in memory.
   bool goldenFromDisk = false;
-  /// Mutant results served from the per-mutant result cache
-  /// (analysis/mutant_cache.h, AnalysisConfig::useMutantCache) instead of a
-  /// fresh co-simulation; every member of a class whose representative hit
-  /// counts. Equal to results.size() on a fully warm run — the "zero
-  /// re-simulations" ledger the variant-sweep tests assert. Members of a
-  /// freshly simulated class are neither hits nor co-simulations.
-  int mutantCacheHits = 0;
   /// Workers the per-mutant tasks could run on: the enclosing campaign
   /// pool's size when the analysis runs inside a campaign item, else
   /// AnalysisConfig::threads — capped at the task count.
   int threadsUsed = 1;
-  /// Native-backend ledger: shared-object compiles this analysis performed
-  /// versus libraries served from the in-process or artifact-store cache.
-  /// Both zero on the interpreter path (and when the toolchain is missing —
-  /// the silent-fallback case the CLI's --require-native flag turns into a
-  /// hard error). Ledgers, not verdicts: excluded from sameResults.
-  int nativeCompiles = 0;
-  int nativeCacheHits = 0;
-  /// Mutants whose fresh co-simulation ran lock-step in a batch of two or
-  /// more live members against one shared stimulus replay
-  /// (AnalysisConfig::batch). Cache-served, fully-skipped and class-member
-  /// mutants do not count; 0 when batching is off.
-  int batchedMutants = 0;
 
   /// Deterministic-content equality: per-mutant results and cycle budget,
   /// ignoring the timing/threading/cache fields. The single comparator
@@ -382,11 +399,10 @@ struct MutationCampaignContext {
   abstraction::NativeLibraryPtr nativeLib;
   /// Resolved batch size (>= 1; AnalysisConfig::batch after XLV_BATCH).
   int batch = 1;
-  /// Native-library acquisition ledger of prepare, surfaced on the report:
-  /// the one library of the injected layout, so at most one compile (or one
-  /// cache hit) per campaign.
-  int nativeCompiles = 0;
-  int nativeCacheHits = 0;
+  /// Prepare's share of the report's ledger: acquiring the one native
+  /// library of the injected layout, so at most one compile (or one cache
+  /// hit) per campaign.
+  WorkLedger prepareLedger;
 };
 
 /// Build the shared context: the compiled injected layout (and its native
@@ -408,14 +424,15 @@ MutationCampaignContext prepareMutationCampaign(
 /// is sticky or structurally pinned, so later cycles cannot change it (see
 /// the saturation predicate in mutation_analysis.cpp). Under
 /// XLV_REFERENCE_SIM=1 the full testbench replays from reset. Both paths
-/// return bit-identical results; `stats`, when non-null, receives the
-/// executed-vs-skipped cycle ledger.
+/// return bit-identical results; `stats`, when non-null, has this mutant's
+/// executed-vs-skipped cycles added to it.
 ///
 /// The fast path also collapses classes: once the context has simulated a
 /// mutant of this one's class, the result is a copy with this mutant's id,
-/// kind and deltaTicks, charged as a whole run skipped — the ledger
-/// analyzeMutations gives a class member. (Two members simulated at the
-/// same time may both run; their results are identical.)
+/// kind and deltaTicks, charged as a whole run skipped — the charge
+/// analyzeMutations gives a class member with the mutant cache off (this
+/// function does not use that cache). (Two members simulated at the same
+/// time may both run; their results are identical.)
 template <class P>
 MutantResult simulateMutant(const MutationCampaignContext& ctx, int mutantIndex,
                             MutantSimStats* stats = nullptr);

@@ -135,12 +135,7 @@ CampaignResult runCampaign(const CampaignSpec& spec) {
     result.goldenSeconds += it.goldenSeconds;
     result.goldenCacheHits += it.goldenFromCache ? 1 : 0;
     result.prefixCacheHits += it.prefixShared ? 1 : 0;
-    result.mutantCacheHits += a.mutantCacheHits;
-    result.cyclesSimulated += a.cyclesSimulated;
-    result.cyclesSkipped += a.cyclesSkipped;
-    result.nativeCompiles += a.nativeCompiles;
-    result.nativeCacheHits += a.nativeCacheHits;
-    result.batchedMutants += a.batchedMutants;
+    result += a;
   }
   if (store != nullptr) {
     const util::ArtifactStoreStats after = store->stats();

@@ -57,7 +57,10 @@ struct CampaignItemResult {
   std::string error;             ///< non-empty when the item threw
 };
 
-struct CampaignResult {
+/// A campaign's items and ledgers. The work ledger (the analysis::WorkLedger
+/// base) is the items' analysis ledgers summed, and through stitch/merge
+/// the shard fragments' too; the campaign-only ledgers follow.
+struct CampaignResult : analysis::WorkLedger {
   std::string name;
   std::vector<CampaignItemResult> items;  ///< always in task-id order
   /// Total simulation work: per-item task time plus, for items whose inner
@@ -70,30 +73,11 @@ struct CampaignResult {
   double goldenSeconds = 0.0;
   int goldenCacheHits = 0;    ///< items whose golden trace came from the cache
   int prefixCacheHits = 0;    ///< items that reused a shared stage prefix
-  /// Per-mutant co-simulations skipped via the result cache
-  /// (analysis/mutant_cache.h), summed over items. On a fully warm run this
-  /// equals the total mutant count — the "analysis-free" ledger.
-  int mutantCacheHits = 0;
   // Artifact-store traffic of this run (util/artifact_store.h; all zero
   // when no --cache-dir store is configured). Sums across merged shards.
   int diskHits = 0;       ///< artifacts loaded instead of recomputed
   int diskStores = 0;     ///< artifacts persisted for later runs
   int diskEvictions = 0;  ///< entries dropped by the LRU byte cap
-  /// Mutant-simulation cycle ledger summed over items (and, through
-  /// stitch/merge, over shard fragments): scheduler transactions the
-  /// per-mutant co-simulations actually executed versus transactions the
-  /// divergence-driven fast path (checkpoint fast-forward + verdict
-  /// saturation, analysis/mutation_analysis.h) proved unnecessary. Under
-  /// XLV_REFERENCE_SIM=1 cyclesSkipped is 0.
-  std::uint64_t cyclesSimulated = 0;
-  std::uint64_t cyclesSkipped = 0;
-  // Native-backend ledger summed over items (analysis/mutation_analysis.h):
-  // shared-library compiles this run performed, compiles it avoided via the
-  // memory/disk caches, and mutants that ran lock-step in batches of two or
-  // more. All zero under the interpreter backend / batch size 1.
-  int nativeCompiles = 0;
-  int nativeCacheHits = 0;
-  int batchedMutants = 0;
   double wallSeconds = 0.0;   ///< elapsed time of the whole campaign
   int threadsUsed = 1;
 

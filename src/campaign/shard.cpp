@@ -130,12 +130,7 @@ CampaignItemResult stitchFragments(std::size_t taskId, bool analysisRan,
   merged.report.analysis.goldenSeconds = 0.0;
   merged.report.analysis.goldenFromCache = true;
   merged.report.analysis.goldenFromDisk = true;
-  merged.report.analysis.mutantCacheHits = 0;
-  merged.report.analysis.cyclesSimulated = 0;
-  merged.report.analysis.cyclesSkipped = 0;
-  merged.report.analysis.nativeCompiles = 0;
-  merged.report.analysis.nativeCacheHits = 0;
-  merged.report.analysis.batchedMutants = 0;
+  static_cast<analysis::WorkLedger&>(merged.report.analysis) = {};
   merged.report.analysis.threadsUsed = 1;
   merged.taskSeconds = 0.0;
   merged.goldenSeconds = 0.0;
@@ -183,12 +178,7 @@ CampaignItemResult stitchFragments(std::size_t taskId, bool analysisRan,
     out.goldenSeconds += a.goldenSeconds;
     out.goldenFromCache = out.goldenFromCache && a.goldenFromCache;
     out.goldenFromDisk = out.goldenFromDisk && a.goldenFromDisk;
-    out.mutantCacheHits += a.mutantCacheHits;
-    out.cyclesSimulated += a.cyclesSimulated;
-    out.cyclesSkipped += a.cyclesSkipped;
-    out.nativeCompiles += a.nativeCompiles;
-    out.nativeCacheHits += a.nativeCacheHits;
-    out.batchedMutants += a.batchedMutants;
+    out += a;
     out.threadsUsed = std::max(out.threadsUsed, a.threadsUsed);
 
     merged.taskSeconds = std::max(merged.taskSeconds, part.taskSeconds);
@@ -327,15 +317,10 @@ CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutp
     merged.goldenSeconds += o.result.goldenSeconds;
     merged.goldenCacheHits += o.result.goldenCacheHits;
     merged.prefixCacheHits += o.result.prefixCacheHits;
-    merged.mutantCacheHits += o.result.mutantCacheHits;
     merged.diskHits += o.result.diskHits;
     merged.diskStores += o.result.diskStores;
     merged.diskEvictions += o.result.diskEvictions;
-    merged.cyclesSimulated += o.result.cyclesSimulated;
-    merged.cyclesSkipped += o.result.cyclesSkipped;
-    merged.nativeCompiles += o.result.nativeCompiles;
-    merged.nativeCacheHits += o.result.nativeCacheHits;
-    merged.batchedMutants += o.result.batchedMutants;
+    merged += o.result;
     merged.wallSeconds = std::max(merged.wallSeconds, o.result.wallSeconds);
     merged.threadsUsed = std::max(merged.threadsUsed, o.result.threadsUsed);
   }

@@ -23,8 +23,7 @@ std::size_t sweepCardinality(const SweepSpec& sweep) {
   const std::size_t perKind = dim(sweep.axes.corners.size()) *
                               dim(sweep.axes.thresholdFractions.size()) *
                               dim(sweep.axes.spreadFractions.size()) *
-                              dim(sweep.axes.mutantSets.size()) *
-                              dim(sweep.axes.backends.size());
+                              dim(sweep.axes.mutantSets.size());
   // The hf axis only applies to Counter items: Razor ignores hfRatio
   // (core::flowHfRatio), so sweeping it there would emit duplicate points.
   auto kindCount = [&](insertion::SensorKind k) {
@@ -56,9 +55,6 @@ std::string sweepPointLabel(const ips::CaseStudy& cs, const core::FlowOptions& o
   }
   if (!axes.mutantSets.empty()) {
     label += std::string("/mutants=") + core::mutantSetVariantName(opts.mutantSet);
-  }
-  if (!axes.backends.empty()) {
-    label += std::string("/backend=") + analysis::simBackendName(opts.backend);
   }
   return label;
 }
@@ -92,25 +88,22 @@ CampaignSpec expandSweep(const SweepSpec& sweep) {
           forEach(sweep.axes.spreadFractions, [&](std::optional<double> spread) {
             forEach(hfAxis, [&](std::optional<int> hf) {
               forEach(sweep.axes.mutantSets, [&](std::optional<core::MutantSetVariant> ms) {
-                forEach(sweep.axes.backends, [&](std::optional<analysis::SimBackend> be) {
-                  CampaignItem item;
-                  item.caseStudy = cs;
-                  item.options = sweep.base;
-                  if (kind) item.options.sensorKind = *kind;
-                  if (corner) item.options.staCorner = *corner;
-                  if (thr) item.options.staThresholdFraction = *thr;
-                  if (spread) item.options.staSpreadFraction = *spread;
-                  if (hf) item.options.hfRatio = *hf;
-                  if (ms) item.options.mutantSet = *ms;
-                  if (be) item.options.backend = *be;
-                  if (sweep.shareGoldenTraces) item.options.useGoldenCache = true;
-                  if (sweep.shareMutantResults) item.options.useMutantCache = true;
-                  item.label = sweepPointLabel(cs, item.options, sweep.axes);
-                  if (sweep.sharePrefixes) {
-                    item.prefixKey = core::flowPrefixKey(cs, item.options);
-                  }
-                  spec.items.push_back(std::move(item));
-                });
+                CampaignItem item;
+                item.caseStudy = cs;
+                item.options = sweep.base;
+                if (kind) item.options.sensorKind = *kind;
+                if (corner) item.options.staCorner = *corner;
+                if (thr) item.options.staThresholdFraction = *thr;
+                if (spread) item.options.staSpreadFraction = *spread;
+                if (hf) item.options.hfRatio = *hf;
+                if (ms) item.options.mutantSet = *ms;
+                if (sweep.shareGoldenTraces) item.options.useGoldenCache = true;
+                if (sweep.shareMutantResults) item.options.useMutantCache = true;
+                item.label = sweepPointLabel(cs, item.options, sweep.axes);
+                if (sweep.sharePrefixes) {
+                  item.prefixKey = core::flowPrefixKey(cs, item.options);
+                }
+                spec.items.push_back(std::move(item));
               });
             });
           });

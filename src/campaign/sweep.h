@@ -47,12 +47,6 @@ struct SweepAxes {
   /// duplicate sweep points.
   std::vector<int> hfRatios;
   std::vector<core::MutantSetVariant> mutantSets;
-  /// Simulation engines for the mutation campaign (Interpreter / Native).
-  /// Points differing only in backend share the golden trace AND the
-  /// per-mutant results — backends are bit-identical, so with
-  /// shareMutantResults the second backend's point is analysis-free, which
-  /// is itself a cross-engine conformance check.
-  std::vector<analysis::SimBackend> backends;
 };
 
 struct SweepSpec {

@@ -36,10 +36,6 @@ namespace xlv::util {
 struct OnceCacheStats {
   std::size_t hits = 0;    ///< requests served from an already-present entry
   std::size_t misses = 0;  ///< requests that inserted the entry (and built it)
-  double hitRate() const noexcept {
-    const std::size_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
 };
 
 template <class V>

@@ -167,22 +167,6 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   return p;
 }
 
-bool Subprocess::writeAll(std::string_view data) noexcept {
-  if (stdinFd_ < 0) return false;
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = write(stdinFd_, data.data() + off, data.size() - off);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-    } else if (n < 0 && errno == EINTR) {
-      continue;
-    } else {
-      return false;  // EPIPE (child died) or other write failure
-    }
-  }
-  return true;
-}
-
 void Subprocess::closeStdin() noexcept {
   if (stdinFd_ >= 0) {
     close(stdinFd_);

@@ -14,7 +14,6 @@
 #include <sys/types.h>
 
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,10 +76,6 @@ class Subprocess {
   int stdinFd() const noexcept { return stdinFd_; }
   int stdoutFd() const noexcept { return stdoutFd_; }
 
-  /// Write all bytes to the child's stdin. Returns false on any error
-  /// (notably EPIPE after the child died) — callers treat that as a dead
-  /// worker, never a crash.
-  bool writeAll(std::string_view data) noexcept;
   /// Close the child's stdin (EOF = clean shutdown request for workers).
   void closeStdin() noexcept;
 

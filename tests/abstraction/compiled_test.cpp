@@ -191,37 +191,5 @@ TEST(ScalarMachine, FourStateXPropagation) {
   EXPECT_TRUE(m.value(d.findSymbol("cmp")).anyUnknown());
 }
 
-// Reference Vec-based executor agrees with the scalar machine (both against
-// the same compiled program).
-TYPED_TEST(CompiledTypedTest, VecExecutorAgreesWithScalarMachine) {
-  using P = TypeParam;
-  Design d = opZoo();
-  CompiledDesign code = compileDesign(d);
-  ir::ValueStore<P> store(d);
-  CompiledExecutor<P> vecExec(d, code, store);
-  TlmIpModel<P> scalarModel(d, TlmModelConfig{0, false});
-
-  util::Prng rng(42);
-  const std::uint64_t a = rng.bits(16), b = rng.bits(16);
-  // Drive the same inputs into both.
-  store.set(d.findSymbol("a"), P::Vec::fromUint(16, a));
-  store.set(d.findSymbol("b"), P::Vec::fromUint(16, b));
-  scalarModel.setInputByName("a", a);
-  scalarModel.setInputByName("b", b);
-
-  // Run one representative process through the Vec executor manually.
-  int procIdx = -1;
-  for (std::size_t i = 0; i < d.processes.size(); ++i) {
-    if (d.processes[i].name == "p_arith") procIdx = static_cast<int>(i);
-  }
-  ASSERT_GE(procIdx, 0);
-  std::vector<ir::SignalWrite<P>> nba;
-  vecExec.run(procIdx, nba);
-  ASSERT_EQ(1u, nba.size());
-
-  scalarModel.scheduler();
-  EXPECT_EQ(nba[0].value.toUint(), scalarModel.valueUintByName("arith"));
-}
-
 }  // namespace
 }  // namespace xlv::abstraction

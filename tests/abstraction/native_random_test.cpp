@@ -7,17 +7,21 @@
 // compares, div/mod by a value that may be zero, selects, reductions), an
 // optional array of random size, registers with init values, a process
 // variable, bit-range stores and random constants; designs with a
-// high-frequency clock add an HF-clocked counter and delta mutants. Some
-// instances of one cell get a different width or different constants, so
-// the emitter sees both processes that may share one compiled body and
-// processes that must not.
+// high-frequency clock add an HF-clocked process that samples the register
+// and delta mutants. Some instances of one cell get a different width or
+// different constants, so the emitter sees both processes that may share
+// one compiled body and processes that must not.
 //
 // For each seed and both value policies, expectLockStep (lock_step.h) runs
 // the design with no mutant and with one random ADAM mutant: every symbol,
 // both planes and the state word image, every cycle. A second pass swaps
 // state between the engines mid-run (the interpreter's words into a fresh
 // native session, the native session's into a fresh interpreter) and runs
-// all four sessions in lock-step to the end. A failure names its seed.
+// all four sessions in lock-step to the end. A third pass injects every
+// phase on one register and checks the class rule: two sessions whose
+// active mutants share a class keep equal state images every cycle, on
+// the interpreter (no compiler needed) and on the native engine. A failure
+// names its seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,7 +186,10 @@ std::shared_ptr<const Module> buildCell(std::uint64_t structSeed, std::uint64_t 
   if (hf) {
     const Sig hfClk = mb.clock("hf", ClockRole::HighFreq);
     const Sig h = mb.signalInit("h", width, k.bits(width));
-    mb.onRising("tick", hfClk, [&](ProcBuilder& p) { p.assign(h, g.gen({Ex(a), Ex(h)}, 1)); });
+    // The HF process samples the register, as a Counter monitor samples its
+    // path, so the HF period a delay mutant lands in is observable.
+    mb.onRising("tick", hfClk,
+                [&](ProcBuilder& p) { p.assign(h, g.gen({Ex(a), Ex(h)}, 1) ^ Ex(r)); });
     pool.push_back(Ex(h));
   }
   const int wires = 1 + static_cast<int>(s.below(4));
@@ -325,6 +332,47 @@ void lockStepEverySeed(int handoffAt) {
   }
 }
 
+/// Every phase on one random register of `rd`: MinDelay, MaxDelay and, on
+/// a design with an HF clock, DeltaDelay 1..hfRatio plus one tick past it
+/// (a tick that never lands).
+std::vector<MutantSpec> everyPhase(std::uint64_t seed, const RandomDesign& rd) {
+  Prng rng(seed ^ 0x70686173ull);
+  const std::string target = rd.registers[rng.below(rd.registers.size())];
+  std::vector<MutantSpec> specs = {{target, MutantKind::MinDelay, 0},
+                                   {target, MutantKind::MaxDelay, 0}};
+  for (int tick = 1; rd.hfRatio > 0 && tick <= rd.hfRatio + 1; ++tick) {
+    specs.push_back({target, MutantKind::DeltaDelay, tick});
+  }
+  return specs;
+}
+
+/// Run two sessions built from `engine` (a layout or a native library),
+/// mutant `a` active in one and `b` in the other, on the seed's stimulus;
+/// the first cycle after which their saved word images differ, or -1.
+template <class Session, class Engine>
+int firstImageDifference(const Engine& engine, const TlmModelLayout& layout, int a, int b,
+                         std::uint64_t seed) {
+  Session sa(engine);
+  Session sb(engine);
+  sa.activateMutant(layout.mutants[static_cast<std::size_t>(a)].id);
+  sb.activateMutant(layout.mutants[static_cast<std::size_t>(b)].id);
+  std::vector<std::uint64_t> wa, wb;
+  for (int c = 0; c < kCycles; ++c) {
+    for (Session* s : {&sa, &sb}) {
+      for (SymbolId in : layout.design.inputs) {
+        s->setInputUint(in, randomStimulus(seed, static_cast<std::uint64_t>(c), in));
+      }
+      s->scheduler();
+    }
+    wa.clear();
+    sa.saveWords(wa);
+    wb.clear();
+    sb.saveWords(wb);
+    if (wa != wb) return c;
+  }
+  return -1;
+}
+
 template <class P>
 class NativeRandomTypedTest : public ::testing::Test {};
 using Policies = ::testing::Types<hdt::FourState, hdt::TwoState>;
@@ -338,6 +386,50 @@ TYPED_TEST(NativeRandomTypedTest, RandomDesignsRunInLockStep) {
 TYPED_TEST(NativeRandomTypedTest, RandomDesignsSwapEnginesMidRun) {
   XLV_REQUIRE_TOOLCHAIN();
   lockStepEverySeed<TypeParam>(kHandoffAt);
+}
+
+// The class rule (mutantClassSpec) on generated designs: mutants of one
+// class leave the same state, cycle by cycle, on the interpreter and — with
+// a toolchain — on the native engine. Mutants of different classes must
+// leave different states on some seed, or the check would be vacuous.
+TYPED_TEST(NativeRandomTypedTest, SameClassMutantsLeaveEqualStateImages) {
+  using P = TypeParam;
+  const bool native = nativeToolchainAvailable();
+  int distinctClassesThatDiffer = 0;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomDesign rd = buildDesign(seed);
+    const auto injected = mutation::injectMutants(rd.design, everyPhase(seed, rd));
+    const TlmModelLayoutPtr layout = buildTlmModelLayout(
+        injected.design, TlmModelConfig{rd.hfRatio, false}, injected.mutants);
+    const NativeLibraryPtr lib = native ? getNativeLibrary(*layout, kFourState<P>) : nullptr;
+    ASSERT_TRUE(!native || lib != nullptr) << "seed " << seed << ": native build failed";
+    int pairs = 0;
+    const int n = static_cast<int>(layout->mutants.size());
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        const int interp = firstImageDifference<TlmIpModel<P>>(layout, *layout, a, b, seed);
+        if (mutantClassSpec(layout->mutants[static_cast<std::size_t>(a)].spec, rd.hfRatio) !=
+            mutantClassSpec(layout->mutants[static_cast<std::size_t>(b)].spec, rd.hfRatio)) {
+          distinctClassesThatDiffer += interp >= 0 ? 1 : 0;
+          continue;
+        }
+        ++pairs;
+        EXPECT_EQ(-1, interp) << "seed " << seed << ": mutants " << a << " and " << b
+                              << " share a class, but their interpreter state images "
+                                 "differ at cycle " << interp;
+        if (lib != nullptr) {
+          const int nat = firstImageDifference<NativeSession>(lib, *layout, a, b, seed);
+          EXPECT_EQ(-1, nat) << "seed " << seed << ": mutants " << a << " and " << b
+                             << " share a class, but their native state images differ "
+                                "at cycle " << nat;
+        }
+      }
+    }
+    EXPECT_GT(pairs, 0) << "seed " << seed << ": no class of two or more members";
+  }
+  EXPECT_GT(distinctClassesThatDiffer, 0)
+      << "no two mutants of different classes ever left different states";
 }
 
 }  // namespace
