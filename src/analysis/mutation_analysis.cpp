@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -794,69 +795,86 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
   const std::size_t numTasks = reps.empty() ? 0 : (reps.size() + batch - 1) / batch;
   std::vector<double> taskSeconds(numTasks, 0.0);
 
+  // Serves the representatives reps[r], r in `todo`, from the mutant cache.
+  // A mutant's result is independent of which other (inactive) mutants ride
+  // along in the injected design (mutation/adam.h), so it is keyed by
+  // (golden key, class spec) alone and shared across mutant-set variants,
+  // re-runs and — through the artifact store — processes. The cached value
+  // is normalised to the class spec and fixed up here against this run's
+  // injected set (analysis/mutant_cache.h).
+  //
+  // Cache x batch: the first member whose build lambda actually runs
+  // batch-simulates every member of `todo` not yet produced locally into
+  // freshResults; later misses serve from that map. A member whose key hits
+  // (memory or disk) is a cache hit and charges none of its simulation —
+  // any speculative fresh result for it is simply dropped, keeping the
+  // ledger identical to the solo schedule.
+  //
+  // With `aside` set, a representative whose class another thread is
+  // building right now is not waited for (OnceCache's busy probe): its r
+  // goes to *aside and the walk moves on. Sweep items that share classes
+  // walk them in the same order, so waiting would idle this thread for
+  // as long as the other one simulates.
+  const auto serveFromCache = [&](const std::vector<std::size_t>& todo,
+                                  std::vector<std::size_t>* aside) {
+    std::unordered_map<int, MutantResult> freshResults;
+    std::unordered_map<int, WorkLedger> freshLedgers;
+    for (std::size_t k = 0; k < todo.size(); ++k) {
+      const std::size_t i = reps[todo[k]];
+      const int mutantIndex = static_cast<int>(begin + i);
+      const auto& mutant = ctx.layout->mutants.at(static_cast<std::size_t>(mutantIndex));
+      const mutation::MutantSpec& keySpec = keySpecs[i];
+      bool memHit = false, diskHit = false, busy = false;
+      const std::shared_ptr<const MutantResult> cached = util::getOrBuildWithStore<MutantResult>(
+          mutantResultCache(), util::processArtifactStore(), "mutant",
+          mutantResultKey(ctx.goldenKey, keySpec),
+          [&] {
+            if (freshResults.find(mutantIndex) == freshResults.end()) {
+              std::vector<int> pending;
+              for (std::size_t j = k; j < todo.size(); ++j) {
+                const int idx = static_cast<int>(begin + reps[todo[j]]);
+                if (freshResults.find(idx) == freshResults.end()) pending.push_back(idx);
+              }
+              std::vector<MutantResult> rs;
+              std::vector<WorkLedger> ws;
+              simulateMutantGroup<P>(ctx, pending, rs, ws);
+              for (std::size_t p = 0; p < pending.size(); ++p) {
+                freshResults[pending[p]] = rs[p];
+                freshLedgers[pending[p]] = ws[p];
+              }
+            }
+            MutantResult fresh = freshResults[mutantIndex];
+            fresh.id = -1;
+            fresh.kind = keySpec.kind;
+            fresh.deltaTicks = keySpec.deltaTicks;
+            return fresh;
+          },
+          encodeMutantResultArtifact, decodeMutantResultArtifact, &memHit, &diskHit,
+          aside != nullptr ? &busy : nullptr);
+      if (busy) {
+        aside->push_back(todo[k]);
+        continue;
+      }
+      report.results[i] = withIdentity(*cached, mutant);
+      if (memHit || diskHit) {
+        slotLedgers[i].mutantCacheHits = 1;
+      } else {
+        slotLedgers[i] = freshLedgers[mutantIndex];
+      }
+    }
+  };
+
   campaign::Executor executor(campaign::ExecutorConfig{cfg.threads, 0});
   report.threadsUsed = executor.effectiveThreads(numTasks);
+  std::vector<std::vector<std::size_t>> asideOf(numTasks);
   executor.run(numTasks, [&](std::size_t t) {
     util::Timer timer;
     const std::size_t lo = t * batch;
     const std::size_t hi = std::min(reps.size(), lo + batch);
     if (cfg.useMutantCache) {
-      // A mutant's result is independent of which other (inactive) mutants
-      // ride along in the injected design (mutation/adam.h), so it is keyed
-      // by (golden key, class spec) alone and shared across mutant-set
-      // variants, re-runs and — through the artifact store — processes.
-      // The cached value is normalised to the class spec and fixed up here
-      // against this run's injected set (analysis/mutant_cache.h).
-      //
-      // Cache x batch: the first member whose build lambda actually runs
-      // batch-simulates every group member not yet produced locally into
-      // freshResults; later misses in the same group serve from that map.
-      // A member whose key hits (memory or disk) is a cache hit and charges
-      // none of its simulation — any speculative fresh result for it is
-      // simply dropped, keeping the ledger identical to the solo schedule.
-      std::unordered_map<int, MutantResult> freshResults;
-      std::unordered_map<int, WorkLedger> freshLedgers;
-      for (std::size_t r = lo; r < hi; ++r) {
-        const std::size_t i = reps[r];
-        const int mutantIndex = static_cast<int>(begin + i);
-        const auto& mutant = ctx.layout->mutants.at(static_cast<std::size_t>(mutantIndex));
-        const mutation::MutantSpec& keySpec = keySpecs[i];
-        bool memHit = false, diskHit = false;
-        const std::shared_ptr<const MutantResult> cached =
-            util::getOrBuildWithStore<MutantResult>(
-                mutantResultCache(), util::processArtifactStore(), "mutant",
-                mutantResultKey(ctx.goldenKey, keySpec),
-                [&] {
-                  if (freshResults.find(mutantIndex) == freshResults.end()) {
-                    std::vector<int> pending;
-                    for (std::size_t j = r; j < hi; ++j) {
-                      const int idx = static_cast<int>(begin + reps[j]);
-                      if (freshResults.find(idx) == freshResults.end()) {
-                        pending.push_back(idx);
-                      }
-                    }
-                    std::vector<MutantResult> rs;
-                    std::vector<WorkLedger> ws;
-                    simulateMutantGroup<P>(ctx, pending, rs, ws);
-                    for (std::size_t p = 0; p < pending.size(); ++p) {
-                      freshResults[pending[p]] = rs[p];
-                      freshLedgers[pending[p]] = ws[p];
-                    }
-                  }
-                  MutantResult fresh = freshResults[mutantIndex];
-                  fresh.id = -1;
-                  fresh.kind = keySpec.kind;
-                  fresh.deltaTicks = keySpec.deltaTicks;
-                  return fresh;
-                },
-                encodeMutantResultArtifact, decodeMutantResultArtifact, &memHit, &diskHit);
-        report.results[i] = withIdentity(*cached, mutant);
-        if (memHit || diskHit) {
-          slotLedgers[i].mutantCacheHits = 1;
-        } else {
-          slotLedgers[i] = freshLedgers[mutantIndex];
-        }
-      }
+      std::vector<std::size_t> todo(hi - lo);
+      std::iota(todo.begin(), todo.end(), lo);
+      serveFromCache(todo, &asideOf[t]);
     } else {
       std::vector<int> indices;
       indices.reserve(hi - lo);
@@ -870,6 +888,18 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
       }
     }
     taskSeconds[t] = timer.seconds();
+  });
+  // The second pass: only the tasks that set a class aside run again, and
+  // now wait for it. By then it is normally built, so it is a hit, as a
+  // waiter would have been; a class whose builder threw is built here.
+  std::vector<std::size_t> late;
+  for (std::size_t t = 0; t < numTasks; ++t) {
+    if (!asideOf[t].empty()) late.push_back(t);
+  }
+  executor.run(late.size(), [&](std::size_t k) {
+    util::Timer timer;
+    serveFromCache(asideOf[late[k]], nullptr);
+    taskSeconds[late[k]] += timer.seconds();
   });
   // Every other member copies its representative's result. With the mutant
   // cache on, the member is a cache hit and charges nothing: its class's

@@ -440,6 +440,15 @@ MutantResult simulateMutant(const MutationCampaignContext& ctx, int mutantIndex,
 /// Run the full analysis: one golden run plus one injected run per mutant
 /// class representative (see "Fault collapsing" above), scheduled on
 /// cfg.threads workers (see AnalysisConfig::threads).
+///
+/// With cfg.useMutantCache the task list runs in two passes. Pass 1 serves
+/// every representative whose key is free (simulated, a miss) or built (a
+/// hit), and sets aside one that another thread is simulating right now,
+/// without waiting for it. Pass 2 runs only the tasks that set something
+/// aside and waits for those keys, which are hits by then (or are built
+/// there, if their builder threw). A set-aside representative therefore
+/// counts as a cache hit, as a waiter would, and a cold campaign's
+/// mutants − mutantCacheHits stays the co-simulations it ran.
 template <class P>
 AnalysisReport analyzeMutations(const ir::Design& golden,
                                 const mutation::InjectedDesign& injected,

@@ -43,7 +43,10 @@
 // Otherwise the thread building a key can wait on its own nested job while
 // a helper of that job waits for the same key. Every build in the codebase
 // (stage prefix, golden trace, checkpoints, mutant result, native library)
-// is serial.
+// is serial. The mutation analysis's set-aside walk keeps to the rule: its
+// busy probe never waits, and its second pass waits for a key only from a
+// task, never from inside a build, so the key's builder is always a serial
+// build that finishes on its own.
 #pragma once
 
 #include <cstddef>

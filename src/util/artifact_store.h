@@ -138,7 +138,8 @@ void configureProcessArtifactStore(const std::optional<ArtifactStoreConfig>& cfg
 ///
 /// `wasHit` keeps OnceCache semantics (served by work this call did not run
 /// itself); `diskHit` additionally reports that the value was loaded from
-/// the store by THIS call. A payload whose decode throws DecodeError is
+/// the store by THIS call; `busy` is OnceCache's probe, and a key it finds
+/// busy returns null having read and written nothing in the store. A payload whose decode throws DecodeError is
 /// dropped as corrupt and rebuilt — decode failures must degrade to a
 /// rebuild, never to a wrong or torn artifact. The contract is exact:
 /// decoders signal bad BYTES (truncation, version skew, implausible
@@ -153,7 +154,7 @@ std::shared_ptr<const V> getOrBuildWithStore(
     const std::string& key, const std::function<V()>& build,
     const std::function<std::string(const V&)>& encode,
     const std::function<V(std::string_view)>& decode, bool* wasHit = nullptr,
-    bool* diskHit = nullptr) {
+    bool* diskHit = nullptr, bool* busy = nullptr) {
   if (diskHit != nullptr) *diskHit = false;
   return mem.getOrBuild(
       key,
@@ -173,7 +174,7 @@ std::shared_ptr<const V> getOrBuildWithStore(
         if (store != nullptr) store->store(domain, key, encode(value));
         return value;
       },
-      wasHit);
+      wasHit, busy);
 }
 
 }  // namespace xlv::util

@@ -18,6 +18,13 @@
 // mutex/condvar code on purpose: std::call_once cannot re-run a callable
 // that threw under ThreadSanitizer's pthread_once interceptor.)
 //
+// A caller with other work to do need not wait: getOrBuild's `busy` probe
+// returns null at once when another caller is building the key — nothing
+// built, nothing counted — so the caller can set the key aside, do that
+// other work and ask again (blocking) later, when the key is most likely
+// built. The mutation analysis walks its mutant classes this way
+// (analysis/mutation_analysis.cpp).
+//
 // Entries live until clear(). Layer util::ArtifactStore underneath
 // (util/artifact_store.h, getOrBuildWithStore) to share builds across
 // processes.
@@ -46,15 +53,24 @@ class OnceCache {
   /// served by a build it did not run itself (a waiter on an in-flight
   /// build counts as a hit: the work is not repeated). A caller that
   /// re-runs the build because an earlier attempt threw counts as a miss.
+  ///
+  /// `busy`, when non-null, makes the call a probe that never waits: if
+  /// another caller is building `key`, it sets *busy and returns null at
+  /// once, without building and without counting a hit or a miss.
+  /// Otherwise it clears *busy and serves the key as above.
   std::shared_ptr<const V> getOrBuild(const std::string& key,
                                       const std::function<V()>& build,
-                                      bool* wasHit = nullptr) {
+                                      bool* wasHit = nullptr, bool* busy = nullptr) {
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it == entries_.end()) {
       it = entries_.emplace(key, std::make_shared<Entry>()).first;
     }
     const std::shared_ptr<Entry> entry = it->second;
+    if (busy != nullptr) {
+      *busy = entry->building;
+      if (*busy) return nullptr;
+    }
     entry->done.wait(lock, [&] { return !entry->building; });
     if (entry->value != nullptr) {
       ++hits_;

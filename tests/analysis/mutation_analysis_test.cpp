@@ -1,11 +1,21 @@
-// Mutation analysis harness: kill/detect/risen/corrected classification and
-// the Table 5 mutant-set generators.
+// Mutation analysis harness: kill/detect/risen/corrected classification,
+// the Table 5 mutant-set generators, and the mutant cache's set-aside walk.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
+#include "abstraction/tlm_model.h"
+#include "analysis/golden_cache.h"
+#include "analysis/mutant_cache.h"
 #include "analysis/mutation_analysis.h"
+#include "core/flow.h"
+#include "ips/case_study.h"
 #include "ir/builder.h"
 #include "ir/elaborate.h"
 #include "sta/sta.h"
@@ -186,6 +196,102 @@ TEST(MutationAnalysis, SimulationKnobsParseStrictly) {
   EXPECT_EQ(1, resolveBatchSize(0));
   EXPECT_EQ(SimBackend::Interpreter, resolveSimBackend(SimBackend::Auto));
   EXPECT_FALSE(referenceSimMode());
+}
+
+/// The Filter case study with Counter sensors, analysed with the mutant
+/// cache on.
+struct FilterCounter {
+  ips::CaseStudy cs = ips::buildFilterCase();
+  core::FlowReport flow;
+  Testbench tb;
+  AnalysisConfig cfg;
+
+  FilterCounter() {
+    core::FlowOptions opts;
+    opts.sensorKind = SensorKind::Counter;
+    opts.testbenchCycles = 80;
+    core::stageElaborate(cs, opts, flow);
+    core::stageInsertion(cs, opts, flow);
+    core::stageInjection(cs, opts, flow);
+    tb = cs.testbench;
+    tb.cycles = opts.testbenchCycles;
+    cfg.hfRatio = flow.hfRatio;
+    cfg.sensorKind = SensorKind::Counter;
+    cfg.useMutantCache = true;
+  }
+
+  AnalysisReport analyze(int threads) const {
+    AnalysisConfig c = cfg;
+    c.threads = threads;
+    return analyzeMutations<hdt::FourState>(flow.augmentedDesign, flow.injected, flow.sensors,
+                                            tb, c);
+  }
+};
+
+// A class another thread is simulating does not hold up the rest of the
+// analysis: the analysis sets it aside, simulates every other class and
+// only then waits for it. A helper thread claims the first
+// representative's class and keeps it in flight until the mutant cache has
+// built every other class, or for at most 10 s. An analysis that waited at
+// the held class would build nothing meanwhile, so the helper would run
+// into its cap.
+TEST(MutantCacheSetAside, AClassInFlightElsewhereDoesNotStallTheOthers) {
+  const FilterCounter f;
+  core::clearProcessCaches();
+  const AnalysisReport reference = f.analyze(1);
+  const std::size_t classes = mutantResultCache().stats().misses;
+  ASSERT_GE(classes, 2u);
+
+  const mutation::MutantSpec cls =
+      abstraction::mutantClassSpec(f.flow.injected.mutants.at(0).spec, f.cfg.hfRatio);
+  const std::string heldKey =
+      mutantResultKey(goldenTraceKey(f.flow.augmentedDesign, f.flow.sensors, f.tb, f.cfg, "4s"),
+                      cls);
+  MutantResult stored = reference.results.at(0);  // as the cache stores it
+  stored.id = -1;
+  stored.kind = cls.kind;
+  stored.deltaTicks = cls.deltaTicks;
+
+  for (int threads : {1, 4}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    core::clearProcessCaches();
+    std::mutex mu;
+    std::condition_variable cv;
+    bool started = false;
+    bool cappedOut = false;
+    std::jthread helper([&] {
+      mutantResultCache().getOrBuild(heldKey, [&] {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          started = true;
+        }
+        cv.notify_all();
+        const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (mutantResultCache().stats().misses != classes - 1) {
+          if (std::chrono::steady_clock::now() >= cap) {
+            cappedOut = true;
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return stored;
+      });
+    });
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return started; });
+    }
+    const AnalysisReport r = f.analyze(threads);
+    helper.join();  // (an exception above joins it on the way out)
+
+    EXPECT_FALSE(cappedOut) << what << ": the analysis waited at the held class";
+    EXPECT_TRUE(reference.sameResults(r)) << what;
+    // The held class was built by the helper, so the analysis counts it as a
+    // hit: one more than the cold reference, which built every class.
+    EXPECT_EQ(reference.mutantCacheHits + 1, r.mutantCacheHits) << what;
+    EXPECT_EQ(static_cast<std::size_t>(r.total() - r.mutantCacheHits), classes - 1) << what;
+  }
+  core::clearProcessCaches();
 }
 
 }  // namespace

@@ -1,16 +1,24 @@
 // OnceCache under contention: N threads x M keys hammering getOrBuild with
 // a throwing first build per key — exactly-once successful builds,
 // retry-after-throw, and ledger consistency (hits + misses == successful
-// calls).
+// calls). And the busy probe: a key another thread is building returns
+// null at once, builds nothing, counts nothing and touches no store.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <filesystem>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "util/artifact_store.h"
 #include "util/once_cache.h"
 
 namespace xlv::util {
@@ -88,6 +96,149 @@ TEST(OnceCacheStress, ExactlyOnceBuildsWithThrowingFirstAttempt) {
   EXPECT_EQ(static_cast<std::size_t>(kThreads * kRounds * kKeys), stats.hits + stats.misses);
   EXPECT_EQ(static_cast<std::size_t>(kKeys), cache.size());
   (void)totalAttempts;
+}
+
+/// Holds one key in flight: a thread runs getOrBuild(key) with a build
+/// that reports it has started, then waits on a latch until finish() and
+/// returns `value` (or throws, with `fails`). The constructor returns once
+/// the build is running.
+class HeldBuild {
+ public:
+  HeldBuild(OnceCache<int>& cache, const std::string& key, int value, bool fails = false)
+      : thread_([this, &cache, key, value, fails] {
+          try {
+            cache.getOrBuild(key, [&]() -> int {
+              std::unique_lock<std::mutex> lock(mu_);
+              started_ = true;
+              cv_.notify_all();
+              cv_.wait(lock, [&] { return released_; });
+              if (fails) throw std::runtime_error("held build fails");
+              return value;
+            });
+          } catch (const std::runtime_error&) {
+          }
+        }) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return started_; });
+  }
+  ~HeldBuild() {
+    if (thread_.joinable()) finish();
+  }
+  HeldBuild(const HeldBuild&) = delete;
+  HeldBuild& operator=(const HeldBuild&) = delete;
+
+  /// Opens the latch and waits until the build has returned or thrown.
+  void finish() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool started_ = false;
+  bool released_ = false;
+  std::thread thread_;  // last: starts once the members above exist
+};
+
+TEST(OnceCacheProbe, ABusyKeyReturnsNullWithoutWaitingBuildingOrCounting) {
+  OnceCache<int> cache;
+  HeldBuild held(cache, "k", 7);
+  int builds = 0;
+  const auto build = [&] { return ++builds; };
+  bool wasHit = true, busy = false;
+  EXPECT_EQ(nullptr, cache.getOrBuild("k", build, &wasHit, &busy));
+  EXPECT_TRUE(busy);
+  EXPECT_EQ(0, builds);
+  EXPECT_EQ(0u, cache.stats().hits);
+  EXPECT_EQ(0u, cache.stats().misses);
+
+  // A free key is no different under the probe: it is built, as a miss.
+  const auto other = cache.getOrBuild("other", build, &wasHit, &busy);
+  ASSERT_NE(nullptr, other);
+  EXPECT_FALSE(busy);
+  EXPECT_FALSE(wasHit);
+  EXPECT_EQ(1, builds);
+  EXPECT_EQ(1u, cache.stats().misses);
+}
+
+TEST(OnceCacheProbe, AfterTheBuildFinishesTheProbeIsAHit) {
+  OnceCache<int> cache;
+  HeldBuild held(cache, "k", 7);
+  held.finish();
+  int builds = 0;
+  bool wasHit = false, busy = true;
+  const auto v = cache.getOrBuild("k", [&] { return ++builds; }, &wasHit, &busy);
+  ASSERT_NE(nullptr, v);
+  EXPECT_EQ(7, *v);
+  EXPECT_FALSE(busy);
+  EXPECT_TRUE(wasHit);
+  EXPECT_EQ(0, builds);
+  EXPECT_EQ(1u, cache.stats().hits);
+  EXPECT_EQ(1u, cache.stats().misses);
+}
+
+TEST(OnceCacheProbe, AfterABuildThrowsTheProbeClaimsTheKeyAsAMiss) {
+  OnceCache<int> cache;
+  HeldBuild held(cache, "k", 7, /*fails=*/true);
+  bool wasHit = true, busy = false;
+  EXPECT_EQ(nullptr, cache.getOrBuild("k", [] { return 0; }, &wasHit, &busy));
+  EXPECT_TRUE(busy);
+  held.finish();
+
+  int builds = 0;
+  const auto v = cache.getOrBuild("k", [&] { return ++builds, 9; }, &wasHit, &busy);
+  ASSERT_NE(nullptr, v);
+  EXPECT_EQ(9, *v);
+  EXPECT_FALSE(busy);
+  EXPECT_FALSE(wasHit);
+  EXPECT_EQ(1, builds);
+  EXPECT_EQ(0u, cache.stats().hits);
+  EXPECT_EQ(1u, cache.stats().misses);
+}
+
+TEST(OnceCacheProbe, ABusyKeyReadsAndWritesNothingInTheStore) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("xlv-once-probe-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    ArtifactStore store(ArtifactStoreConfig{dir.string(), 0});
+    // The key is on disk, so a read would show as a store hit.
+    store.store("d", "k", "5");
+    store.resetStats();
+    OnceCache<int> mem;
+    HeldBuild held(mem, "k", 7);
+
+    int builds = 0, encodes = 0, decodes = 0;
+    const std::function<int()> build = [&] { return ++builds; };
+    const std::function<std::string(const int&)> encode = [&](const int& v) {
+      ++encodes;
+      return std::to_string(v);
+    };
+    const std::function<int(std::string_view)> decode = [&](std::string_view bytes) {
+      ++decodes;
+      return std::stoi(std::string(bytes));
+    };
+    bool wasHit = true, diskHit = true, busy = false;
+    EXPECT_EQ(nullptr, getOrBuildWithStore<int>(mem, &store, "d", "k", build, encode, decode,
+                                                &wasHit, &diskHit, &busy));
+    EXPECT_TRUE(busy);
+    EXPECT_FALSE(diskHit);
+    EXPECT_EQ(0, builds);
+    EXPECT_EQ(0, encodes);
+    EXPECT_EQ(0, decodes);
+    const ArtifactStoreStats s = store.stats();
+    EXPECT_EQ(0u, s.hits);
+    EXPECT_EQ(0u, s.misses);
+    EXPECT_EQ(0u, s.stores);
+    EXPECT_EQ(0u, mem.stats().hits + mem.stats().misses);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

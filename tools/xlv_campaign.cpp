@@ -240,7 +240,8 @@ void printSummary(const campaign::CampaignResult& r) {
   std::printf(
       "ledger: sim %.3fs, golden %.3fs, wall %.3fs, golden hits %d, prefix hits %d, "
       "mutant hits %d, threads %d\n"
-      "cycles: simulated %llu, skipped %llu (fast-forward + early exit + class members)\n"
+      "cycles: simulated %llu, skipped %llu (fast-forward + early exit; + class members "
+      "only when the mutant cache is off)\n"
       "store:  disk hits %d, stores %d, evictions %d\n"
       "native: compiles %d, cache hits %d, batched mutants %d\n",
       r.simSeconds, r.goldenSeconds, r.wallSeconds, r.goldenCacheHits, r.prefixCacheHits,
