@@ -1,8 +1,14 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <exception>
+#include <numeric>
+#include <string_view>
+#include <unordered_map>
 
+#include "analysis/golden_cache.h"
+#include "analysis/mutant_cache.h"
 #include "campaign/serialize.h"
 #include "util/artifact_store.h"
 #include "util/log.h"
@@ -66,7 +72,36 @@ std::string defaultLabel(const CampaignItem& item) {
   return item.caseStudy.name + "/" + insertion::sensorKindName(item.options.sensorKind);
 }
 
+/// The stats of the shared caches whose blocked waits a campaign logs.
+struct SharedCacheStats {
+  util::OnceCacheStats golden = analysis::goldenTraceCache().stats();
+  util::OnceCacheStats mutant = analysis::mutantResultCache().stats();
+  util::OnceCacheStats prefix = core::flowPrefixCache().stats();
+};
+
+/// "<waits> (<seconds> s)" between two stats of one cache.
+std::string waitDelta(const util::OnceCacheStats& before, const util::OnceCacheStats& after) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%zu (%.3f s)", after.waits - before.waits,
+                after.waitSeconds - before.waitSeconds);
+  return buf;
+}
+
 }  // namespace
+
+std::vector<std::size_t> runOrder(const CampaignSpec& spec) {
+  std::unordered_map<std::string_view, std::size_t> seen;
+  std::vector<std::size_t> rank(spec.items.size(), 0);
+  for (std::size_t i = 0; i < spec.items.size(); ++i) {
+    const std::string& key = spec.items[i].prefixKey;
+    if (!key.empty()) rank[i] = seen[key]++;
+  }
+  std::vector<std::size_t> order(spec.items.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return rank[a] < rank[b]; });
+  return order;
+}
 
 CampaignResult runCampaign(const CampaignSpec& spec) {
   util::Timer wall;
@@ -74,20 +109,24 @@ CampaignResult runCampaign(const CampaignSpec& spec) {
   result.name = spec.name;
   result.items.resize(spec.items.size());
 
-  // Artifact-store traffic is attributed by stats delta around this run
-  // (one campaign per process in the sharded flow; concurrent campaigns in
-  // one process would share the attribution, which only skews the ledger,
-  // never the results).
+  // Artifact-store traffic, and the time threads spent blocked on shared
+  // builds in flight (logged at the end), are attributed by stats delta
+  // around this run (one campaign per process in the sharded flow;
+  // concurrent campaigns in one process would share the attribution, which
+  // only skews the ledger and the log, never the results).
   util::ArtifactStore* store = util::processArtifactStore();
   const util::ArtifactStoreStats storeBefore =
       store != nullptr ? store->stats() : util::ArtifactStoreStats{};
+  const SharedCacheStats cachesBefore;
 
   Executor executor(spec.executor);
   result.threadsUsed = executor.effectiveThreads(spec.items.size());
   XLV_INFO("campaign") << "'" << spec.name << "': " << spec.items.size() << " items on "
                        << result.threadsUsed << " threads";
 
-  executor.run(spec.items.size(), [&](std::size_t i) {
+  const std::vector<std::size_t> order = runOrder(spec);
+  executor.run(order.size(), [&](std::size_t k) {
+    const std::size_t i = order[k];
     const CampaignItem& item = spec.items[i];
     CampaignItemResult& out = result.items[i];
     out.taskId = i;
@@ -143,6 +182,11 @@ CampaignResult runCampaign(const CampaignSpec& spec) {
     result.diskStores = static_cast<int>(after.stores - storeBefore.stores);
     result.diskEvictions = static_cast<int>(after.evictions - storeBefore.evictions);
   }
+  const SharedCacheStats cachesAfter;
+  XLV_INFO("campaign") << "'" << spec.name << "': blocked on builds in flight: golden "
+                       << waitDelta(cachesBefore.golden, cachesAfter.golden) << ", mutant "
+                       << waitDelta(cachesBefore.mutant, cachesAfter.mutant) << ", prefix "
+                       << waitDelta(cachesBefore.prefix, cachesAfter.prefix);
   result.wallSeconds = wall.seconds();
   return result;
 }

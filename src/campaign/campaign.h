@@ -102,8 +102,21 @@ struct CampaignResult : analysis::WorkLedger {
 /// mergeShards uses it to check the copies of a retried unit agree.
 bool sameItemResults(const CampaignItemResult& x, const CampaignItemResult& y) noexcept;
 
-/// Run every item of the spec; blocks until the campaign completes.
+/// Run every item of the spec; blocks until the campaign completes. Items
+/// start in runOrder(spec), at every thread count (threads == 1 runs them
+/// inline in that order); results stay in spec order, `items[i].taskId == i`,
+/// so the order moves no result, ledger total or encoded byte.
 CampaignResult runCampaign(const CampaignSpec& spec);
+
+/// The order runCampaign starts the spec's items in: every item whose
+/// prefixKey has not appeared earlier in the spec, and every item without
+/// one, in spec order; then every second occurrence of a key, then every
+/// third (a stable sort by occurrence rank). In spec order a sweep's threads
+/// would start one family's mutant-set variants together and wait for the
+/// golden trace they share; first occurrences first, the executor's chunked
+/// claims spread the families over the threads, and the later occurrences
+/// find their traces and classes built.
+std::vector<std::size_t> runOrder(const CampaignSpec& spec);
 
 /// The process exit code a completed campaign maps to: 0 when every item
 /// succeeded, 3 when any item errored (the tools/xlv_campaign contract CI

@@ -102,7 +102,8 @@ MetricDirection metricDirection(std::string_view name) noexcept {
   };
   if (endsWith("_ok") || endsWith("_available")) return MetricDirection::Exact;
   if (contains("speedup") || contains("reduction")) return MetricDirection::HigherIsBetter;
-  if (name.starts_with("cycles_simulated") || name.starts_with("native_source_bytes")) {
+  if (name.starts_with("cycles_simulated") || name.starts_with("cosimulations") ||
+      name.starts_with("native_source_bytes")) {
     return MetricDirection::LowerIsBetter;
   }
   return MetricDirection::Informational;

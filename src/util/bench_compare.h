@@ -17,9 +17,10 @@
 //                                          timings on the same host, so host
 //                                          speed cancels); current must be
 //                                          >= baseline * (1 - tolerance);
-//   cycles_simulated*           lower    — deterministic work counters for a
-//                                          fixed XLV_BENCH_SCALE; current
-//                                          must be <= baseline * (1 + tol);
+//   cycles_simulated*,          lower    — deterministic work counters for a
+//   cosimulations*                         fixed XLV_BENCH_SCALE or seed;
+//                                          current must be
+//                                          <= baseline * (1 + tol);
 //   native_source_bytes*        lower    — emitted native source size, which
 //                                          the compile time grows with;
 //   everything else             info     — absolute seconds, point counts,

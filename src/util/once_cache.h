@@ -25,6 +25,10 @@
 // built. The mutation analysis walks its mutant classes this way
 // (analysis/mutation_analysis.cpp).
 //
+// stats() counts hits and misses, and the calls that blocked on a build in
+// flight with the time they spent blocked, so a caller can see how long its
+// threads waited without patching the cache.
+//
 // Entries live until clear(). Layer util::ArtifactStore underneath
 // (util/artifact_store.h, getOrBuildWithStore) to share builds across
 // processes.
@@ -38,11 +42,18 @@
 #include <string>
 #include <unordered_map>
 
+#include "util/timer.h"
+
 namespace xlv::util {
 
 struct OnceCacheStats {
   std::size_t hits = 0;    ///< requests served from an already-present entry
   std::size_t misses = 0;  ///< requests that inserted the entry (and built it)
+  /// Requests that found their key building and blocked until the build
+  /// ended, and the seconds they spent blocked. A hit on a built key and a
+  /// busy probe count nothing here.
+  std::size_t waits = 0;
+  double waitSeconds = 0.0;
 };
 
 template <class V>
@@ -53,10 +64,12 @@ class OnceCache {
   /// served by a build it did not run itself (a waiter on an in-flight
   /// build counts as a hit: the work is not repeated). A caller that
   /// re-runs the build because an earlier attempt threw counts as a miss.
+  /// Either way, a call that blocked on a build in flight also counts one
+  /// wait.
   ///
   /// `busy`, when non-null, makes the call a probe that never waits: if
   /// another caller is building `key`, it sets *busy and returns null at
-  /// once, without building and without counting a hit or a miss.
+  /// once, without building and without counting a hit, a miss or a wait.
   /// Otherwise it clears *busy and serves the key as above.
   std::shared_ptr<const V> getOrBuild(const std::string& key,
                                       const std::function<V()>& build,
@@ -71,7 +84,12 @@ class OnceCache {
       *busy = entry->building;
       if (*busy) return nullptr;
     }
-    entry->done.wait(lock, [&] { return !entry->building; });
+    if (entry->building) {
+      const Timer blocked;
+      entry->done.wait(lock, [&] { return !entry->building; });
+      ++waits_;
+      waitSeconds_ += blocked.seconds();
+    }
     if (entry->value != nullptr) {
       ++hits_;
       if (wasHit != nullptr) *wasHit = true;
@@ -105,7 +123,7 @@ class OnceCache {
 
   OnceCacheStats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return OnceCacheStats{hits_, misses_};
+    return OnceCacheStats{hits_, misses_, waits_, waitSeconds_};
   }
 
   /// Drop all entries and reset the counters. Not linearizable with respect
@@ -116,6 +134,8 @@ class OnceCache {
     entries_.clear();
     hits_ = 0;
     misses_ = 0;
+    waits_ = 0;
+    waitSeconds_ = 0.0;
   }
 
  private:
@@ -130,6 +150,8 @@ class OnceCache {
   std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
+  std::size_t waits_ = 0;
+  double waitSeconds_ = 0.0;
 };
 
 }  // namespace xlv::util

@@ -56,6 +56,7 @@ TEST(BenchCompare, DirectionRulesFollowNames) {
   EXPECT_EQ(MetricDirection::HigherIsBetter, metricDirection("native_speedup_single"));
   EXPECT_EQ(MetricDirection::HigherIsBetter, metricDirection("cycle_reduction_smoke"));
   EXPECT_EQ(MetricDirection::LowerIsBetter, metricDirection("cycles_simulated_fast"));
+  EXPECT_EQ(MetricDirection::LowerIsBetter, metricDirection("cosimulations_sweep_cold"));
   EXPECT_EQ(MetricDirection::LowerIsBetter, metricDirection("native_source_bytes_single"));
   EXPECT_EQ(MetricDirection::Informational, metricDirection("wall_seconds_single"));
   EXPECT_EQ(MetricDirection::Informational, metricDirection("cycles_skipped_fast"));

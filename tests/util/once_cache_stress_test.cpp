@@ -2,11 +2,14 @@
 // a throwing first build per key — exactly-once successful builds,
 // retry-after-throw, and ledger consistency (hits + misses == successful
 // calls). And the busy probe: a key another thread is building returns
-// null at once, builds nothing, counts nothing and touches no store.
+// null at once, builds nothing, counts nothing and touches no store. A
+// caller that blocks on a build in flight counts one wait; a hit and a
+// probe count none.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <functional>
@@ -199,6 +202,49 @@ TEST(OnceCacheProbe, AfterABuildThrowsTheProbeClaimsTheKeyAsAMiss) {
   EXPECT_EQ(1, builds);
   EXPECT_EQ(0u, cache.stats().hits);
   EXPECT_EQ(1u, cache.stats().misses);
+}
+
+TEST(OnceCacheWaits, ACallerThatBlocksOnABuildInFlightCountsOneWait) {
+  OnceCache<int> cache;
+  HeldBuild held(cache, "k", 7);
+  std::atomic<bool> calling{false};
+  std::shared_ptr<const int> served;
+  bool wasHit = false;
+  std::thread waiter([&] {
+    calling = true;
+    served = cache.getOrBuild("k", [] { return 0; }, &wasHit);
+  });
+  while (!calling) std::this_thread::yield();
+  // The waiter only has to take the cache's lock to find the key building.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(0u, cache.stats().waits);
+  held.finish();
+  waiter.join();
+  ASSERT_NE(nullptr, served);
+  EXPECT_EQ(7, *served);
+  EXPECT_TRUE(wasHit);
+  OnceCacheStats stats = cache.stats();
+  EXPECT_EQ(1u, stats.waits);
+  EXPECT_GT(stats.waitSeconds, 0.0);
+  EXPECT_EQ(1u, stats.hits);
+  EXPECT_EQ(1u, stats.misses);
+
+  // A hit on the built key and a busy probe on another key in flight block
+  // on nothing and count no wait.
+  ASSERT_NE(nullptr, cache.getOrBuild("k", [] { return 0; }));
+  HeldBuild other(cache, "other", 8);
+  bool busy = false;
+  EXPECT_EQ(nullptr, cache.getOrBuild("other", [] { return 0; }, nullptr, &busy));
+  EXPECT_TRUE(busy);
+  other.finish();
+  stats = cache.stats();
+  EXPECT_EQ(1u, stats.waits);
+  EXPECT_EQ(2u, stats.hits);
+  EXPECT_EQ(2u, stats.misses);
+
+  cache.clear();
+  EXPECT_EQ(0u, cache.stats().waits);
+  EXPECT_EQ(0.0, cache.stats().waitSeconds);
 }
 
 TEST(OnceCacheProbe, ABusyKeyReadsAndWritesNothingInTheStore) {
