@@ -101,7 +101,7 @@ int main() {
     std::vector<ips::CaseStudy> cases = bench::allCases();
     for (auto& c : cases) c.testbench.cycles = bench::scaled(c.testbench.cycles) / 2 + 1;
     campaign::CampaignSpec spec =
-        campaign::fullMatrixCampaign(cases, base, campaign::ExecutorConfig{threads, 0});
+        campaign::fullMatrixCampaign(cases, base, campaign::ExecutorConfig{threads});
     const campaign::CampaignResult r = campaign::runCampaign(spec);
     int ok = 0;
     for (const auto& it : r.items) ok += it.error.empty() ? 1 : 0;

@@ -49,7 +49,7 @@ campaign::SweepSpec makeSweep(int threads, bool shareCaches) {
   sweep.axes.thresholdFractions = {0.25, 0.35};
   sweep.axes.mutantSets = {core::MutantSetVariant::Full, core::MutantSetVariant::MinDelay,
                            core::MutantSetVariant::MaxDelay};
-  sweep.executor = campaign::ExecutorConfig{threads, 0};
+  sweep.executor = campaign::ExecutorConfig{threads};
   sweep.sharePrefixes = shareCaches;
   sweep.shareGoldenTraces = shareCaches;
   sweep.shareMutantResults = shareCaches;

@@ -188,7 +188,9 @@ class ScalarMachine {
   }
 
   // --- execution -----------------------------------------------------------------
-  void run(int procIndex, std::vector<ScalarWrite>& nba) {
+  // The op loop starts on a 64-byte boundary: left to the linker, its phase
+  // within a cache line moved with unrelated code and its speed with it.
+  [[gnu::aligned(64)]] void run(int procIndex, std::vector<ScalarWrite>& nba) {
     const auto& ops = code_.procs[static_cast<std::size_t>(procIndex)].ops;
     if (static_cast<int>(stack_.size()) <
         code_.procs[static_cast<std::size_t>(procIndex)].maxStack + 4) {

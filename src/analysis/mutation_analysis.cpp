@@ -864,7 +864,7 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
     }
   };
 
-  campaign::Executor executor(campaign::ExecutorConfig{cfg.threads, 0});
+  campaign::Executor executor(campaign::ExecutorConfig{cfg.threads});
   report.threadsUsed = executor.effectiveThreads(numTasks);
   std::vector<std::vector<std::size_t>> asideOf(numTasks);
   executor.run(numTasks, [&](std::size_t t) {

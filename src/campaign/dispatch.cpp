@@ -8,9 +8,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <fstream>
-#include <iterator>
-#include <map>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -353,10 +350,6 @@ int runDispatchWorker(const DispatchWorkerOptions& opt) {
   const std::uint64_t generation = static_cast<std::uint64_t>(opt.generation);
   FrameReader reader;
   std::uint64_t itemsDone = 0;
-  // Decoded specs served from handoff files, keyed by path; the fingerprint
-  // re-check below makes a stale cache entry (path re-used for a different
-  // campaign) a refusal, never a silent wrong-spec run.
-  std::map<std::string, CampaignSpec> specCache;
 
   auto sendStatus = [&](const char* state) {
     StatusFrame st;
@@ -390,35 +383,12 @@ int runDispatchWorker(const DispatchWorkerOptions& opt) {
     try {
       submit = decodeSubmitFrame(doc);
     } catch (const util::DecodeError& e) {
-      // Version skew or an unexpected frame kind; refusing to talk beats
-      // running a unit from a different schema.
+      // Version skew, an unknown case study or an unexpected frame kind;
+      // refusing to talk beats running a unit from a different schema.
       XLV_ERROR("campaignd") << "worker " << index << ": bad submit frame: " << e.what();
       return 7;
     }
     if (submit.shutdown) return 0;
-
-    auto it = specCache.find(submit.specPath);
-    if (it == specCache.end()) {
-      try {
-        std::ifstream in(submit.specPath, std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        if (!in && bytes.empty()) {
-          throw std::runtime_error("cannot read '" + submit.specPath + "'");
-        }
-        it = specCache.emplace(submit.specPath, decodeCampaignSpec(bytes)).first;
-      } catch (const std::exception& e) {
-        XLV_ERROR("campaignd") << "worker " << index
-                               << ": spec handoff load failed: " << e.what();
-        return 8;
-      }
-    }
-    const CampaignSpec& spec = it->second;
-    if (submit.specFnv != campaignSpecFnv(spec)) {
-      XLV_ERROR("campaignd") << "worker " << index
-                             << ": submit fingerprint mismatch (spec skew)";
-      return 8;
-    }
 
     maybeInjectPoison(submit.unit);
     maybeInjectFault(opt.workerIndex, opt.generation, itemsDone);
@@ -460,15 +430,13 @@ int runDispatchWorker(const DispatchWorkerOptions& opt) {
     result.taskIndex = submit.taskIndex;
     result.attempt = submit.attempt;
     try {
-      result.output =
-          runShardUnits(spec, {submit.unit}, static_cast<int>(submit.taskIndex),
-                        static_cast<int>(submit.taskCount));
+      result.output = runUnitFrame(submit);
     } catch (const std::exception& e) {
       stopBeater();
       // Item-level failures travel INSIDE the result; reaching here means
-      // the unit itself was malformed (task id outside the spec). The
-      // pool sees the death and re-queues; the attempt budget then
-      // quarantines an unrunnable unit instead of looping forever.
+      // the frame itself was malformed (not exactly one item). The pool
+      // sees the death and re-queues; the attempt budget then quarantines
+      // an unrunnable unit instead of looping forever.
       XLV_ERROR("campaignd") << "worker " << index << ": unit failed: " << e.what();
       return 10;
     }

@@ -9,8 +9,8 @@
 //     campaign/shard.h: whole items and mutant-range fragments, weighted by
 //     mutant-class count) and queues them heaviest-first (TaskQueue),
 //   * spawns a pool of worker subprocesses (util/subprocess.h) that each
-//     loop { recv unit, run it via runShardUnits, stream the ShardOutput
-//     back } (runDispatchWorker),
+//     loop { recv a unit's frame, run it via runUnitFrame, stream the
+//     ShardOutput back } (runDispatchWorker),
 //   * schedules by WORK-STEALING: a worker that finishes early just claims
 //     the next queued unit, so one mispredicted 100x fragment delays one
 //     worker, not the whole campaign, and
@@ -341,15 +341,15 @@ struct DispatchWorkerOptions {
 };
 
 /// Worker main loop (the "worker" subcommand of tools/xlv_campaignd): recv
-/// SubmitFrames, run each unit via runShardUnits, stream StatusFrame /
+/// SubmitFrames, run each via runUnitFrame, stream StatusFrame /
 /// HeartbeatFrame / ResultFrame back. Returns the process exit code: 0
 /// after a clean shutdown frame or pool EOF, nonzero on protocol errors
-/// (codec version skew, spec fingerprint mismatch, stdin I/O failure).
+/// (a frame that does not decode, stdin I/O failure).
 ///
-/// Every submit names its campaign's spec handoff file (specPath); the
-/// worker loads and caches it keyed by path, which is how one pool serves
-/// many campaigns at once. The SubmitFrame's specFnv must match the spec
-/// actually loaded, or the worker refuses with exit 8.
+/// Every submit carries its unit's item as a one-item spec, so the worker
+/// keeps nothing between units, which is how one pool serves many
+/// campaigns at once. The output carries the frame's specFnv; the merge
+/// checks it against the whole spec.
 ///
 /// Fault-injection hooks (tests/campaign/dispatch_fault_test.cpp), honored
 /// only when XLV_TEST_FAULT_WORKER (default 0) names this workerIndex AND

@@ -192,7 +192,7 @@ struct Pool {
 }  // namespace
 
 Executor::Executor(ExecutorConfig cfg)
-    : threads_(resolveThreadCount(cfg.threads)), chunkSize_(std::max(0, cfg.chunkSize)) {}
+    : threads_(resolveThreadCount(cfg.threads)) {}
 
 int Executor::effectiveThreads(std::size_t n) const noexcept {
   if (n == 0) return 1;
@@ -214,10 +214,8 @@ void Executor::run(std::size_t n, const std::function<void(std::size_t)>& task) 
     return;
   }
 
-  std::size_t chunk = static_cast<std::size_t>(chunkSize_);
-  if (chunk == 0) {
-    chunk = std::clamp<std::size_t>(n / (static_cast<std::size_t>(threads) * 8), 1, 64);
-  }
+  const std::size_t chunk =
+      std::clamp<std::size_t>(n / (static_cast<std::size_t>(threads) * 8), 1, 64);
   Job job(n, chunk, task);
   if (enclosing != nullptr) {
     enclosing->runJob(job, false);

@@ -3,7 +3,8 @@
 // The paper's mutation analysis (Section 7) is embarrassingly parallel: every
 // delay mutant is an independent golden-vs-injected TLM co-simulation. This
 // executor turns an index space [0, n) into dynamically claimed chunks served
-// by a pool of worker threads, with three properties the campaign layer
+// by a pool of worker threads (a chunk is n / (threads * 8) consecutive
+// indices, clamped to [1, 64]), with three properties the campaign layer
 // relies on:
 //
 //   * determinism   — tasks are identified by their index; callers write
@@ -62,9 +63,6 @@ struct ExecutorConfig {
   /// (see resolveThreadCount), otherwise std::thread::hardware_concurrency().
   /// Negative values degrade to 1 (serial), never to auto.
   int threads = 0;
-  /// Task indices claimed per atomic fetch. 0 = auto (n / (threads * 8),
-  /// clamped to [1, 64]); larger chunks amortize contention for short tasks.
-  int chunkSize = 0;
 };
 
 /// Resolve a requested thread count against the XLV_THREADS override and the
@@ -105,7 +103,6 @@ class Executor {
 
  private:
   int threads_ = 1;
-  int chunkSize_ = 0;
 };
 
 }  // namespace xlv::campaign

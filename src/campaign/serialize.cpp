@@ -163,7 +163,6 @@ template <class Ar>
 void fields(Ar& ar, CampaignSpec& spec) {
   ar.str("name", spec.name);
   ar.i64("executor.threads", spec.executor.threads);
-  ar.i64("executor.chunkSize", spec.executor.chunkSize);
   ar.list("items", spec.items, [&](auto& item) { fields(ar, item); });
 }
 
@@ -249,7 +248,7 @@ void fields(Ar& ar, SubmitFrame& f) {
   ar.u64("taskCount", f.taskCount);
   ar.u64("attempt", f.attempt);
   fields(ar, f.unit);
-  ar.str("specPath", f.specPath);
+  fields(ar, f.spec);
   ar.boolean("shutdown", f.shutdown);
 }
 
@@ -426,6 +425,12 @@ bool ResultFrame::operator==(const ResultFrame& other) const {
   // equality; the byte-stable canonical encoding IS its identity.
   return seq == other.seq && taskIndex == other.taskIndex && attempt == other.attempt &&
          encodeShardOutput(output) == encodeShardOutput(other.output);
+}
+
+bool SubmitFrame::operator==(const SubmitFrame& other) const {
+  // The one-item spec holds a case study, which has no memberwise equality;
+  // the canonical encoding is the frame's identity.
+  return encodeSubmitFrame(*this) == encodeSubmitFrame(other);
 }
 
 bool ItemResultFrame::operator==(const ItemResultFrame& other) const {

@@ -1,7 +1,8 @@
 // Cross-process serialization of the campaign domain types.
 //
-// The campaign worker pool (campaign/dispatch.h) ships a CampaignSpec to
-// worker processes and ships their unit results back (campaign/shard.h);
+// The campaign worker pool (campaign/dispatch.h) ships each unit's item to
+// a worker process as a one-item CampaignSpec inside its submit frame and
+// ships the unit results back (campaign/shard.h);
 // the codecs here are the wire layer for both, built on util/codec.h
 // (versioned header, length-prefixed fields, strict field-order checking).
 // serialize.cpp also holds the unit-output codec declared in shard.h
@@ -62,7 +63,9 @@ namespace xlv::campaign {
 /// v7: fault tolerance — ClientSubmitFrame gains the optional deadlineMs,
 /// CampaignDoneFrame carries the quarantined unit indices (poison units
 /// isolated by bisection instead of failing their campaign).
-inline constexpr int kCampaignCodecVersion = 7;
+/// v8: SubmitFrame carries its unit's item as a one-item spec in place of
+/// the spec handoff file's path; the spec loses executor.chunkSize.
+inline constexpr int kCampaignCodecVersion = 8;
 
 /// Names accepted by buildCaseStudyByName (the spec wire format's case-study
 /// identity space).
@@ -106,9 +109,12 @@ core::FlowPrefix decodeFlowPrefix(std::string_view data, const ips::CaseStudy& c
 // corruption, reordering or version skew) and byte-stable.
 
 /// Dispatcher -> worker: run one stealable unit (a whole campaign item or a
-/// mutant-range fragment), or shut down cleanly.
+/// mutant-range fragment), or shut down cleanly. The frame is all a worker
+/// needs: unitFrame (campaign/shard.h) builds it, runUnitFrame runs it.
 struct SubmitFrame {
-  std::uint64_t specFnv = 0;    ///< fingerprint of the spec the unit belongs to
+  /// Fingerprint of the whole spec the unit belongs to, copied into the
+  /// unit's ShardOutput for the merge to check.
+  std::uint64_t specFnv = 0;
   /// Which campaign the unit belongs to (the pool multiplexes several,
   /// campaign/server.h).
   std::uint64_t campaignId = 0;
@@ -116,13 +122,13 @@ struct SubmitFrame {
   std::uint64_t taskIndex = 0;  ///< index into the campaign's dispatch unit list
   std::uint64_t taskCount = 0;  ///< total units (the merge's shardCount)
   std::uint64_t attempt = 0;    ///< 0 = first run, >0 = crash-recovery retry
-  ShardUnit unit;
-  /// Spec handoff file for this unit's campaign: the worker loads (and
-  /// caches by path) the spec from here, which is how one worker pool
-  /// serves many campaigns. specFnv must match the loaded spec.
-  std::string specPath;
+  ShardUnit unit;  ///< global task id and mutant range
+  /// The unit's item as a one-item spec: the campaign's name and executor
+  /// settings plus spec.items[unit.taskId]. Each frame carries its own
+  /// item, which is how one worker pool serves many campaigns.
+  CampaignSpec spec;
   bool shutdown = false;  ///< true: no more work; unit/task fields ignored
-  bool operator==(const SubmitFrame&) const = default;
+  bool operator==(const SubmitFrame& other) const;
 };
 
 /// Worker -> dispatcher: lifecycle announcement ("ready" after spawn and

@@ -14,8 +14,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <thread>
@@ -29,7 +27,6 @@
 
 namespace xlv::campaign {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 namespace {
@@ -119,8 +116,8 @@ struct Campaign {
   /// The campaign's ledger record, kept up to date as it runs (unitsTotal
   /// is the current task count; unitsCompleted is filled in by finalize).
   CampaignLedgerEntry entry;
+  CampaignSpec spec;  ///< what the submit frames carry their items from
   std::uint64_t specFnv = 0;
-  std::string specPath;  ///< per-campaign spec handoff file
   TaskQueue queue;
   /// Cancelled or errored: pending units left the scheduler, in-flight
   /// units drain with their results discarded, then the campaign finalizes.
@@ -167,7 +164,6 @@ class Server {
     }
     if (listenFd_ >= 0) ::close(listenFd_);
     if (!boundPath_.empty()) ::unlink(boundPath_.c_str());
-    for (Campaign* c : liveCampaigns()) removeSpecFile(*c);
     if (drainWriteFd_ >= 0) {
       gDrainPipeWrite.store(-1);
       ::close(drainWriteFd_);
@@ -182,20 +178,12 @@ class Server {
   /// outputs collect into `sink` instead of streaming to a client.
   void addLocalCampaign(const CampaignSpec& spec, const DispatchUnitPlan& plan,
                         std::vector<ShardOutput>& sink) {
-    Campaign* c = startCampaign(spec, plan, spec.name, 0);
-    if (c == nullptr) throw DispatchError("cannot write the spec handoff file");
-    c->sink = &sink;
+    startCampaign(spec, plan, spec.name, 0).sink = &sink;
   }
   ServeResult run();
 
  private:
   enum class Ref : unsigned char { Listener, WorkerOut, WorkerIn, Client, DrainPipe };
-
-  std::vector<Campaign*> liveCampaigns() {
-    std::vector<Campaign*> out;
-    for (auto& [id, c] : campaigns_) out.push_back(&c);
-    return out;
-  }
 
   bool spawnWorker(std::size_t i);
   void assignWork();
@@ -204,7 +192,7 @@ class Server {
   void onClientReadable(ClientConn& conn);
   void processClientFrames(ClientConn& conn);
   void admit(ClientConn& conn, const ClientSubmitFrame& f);
-  Campaign* startCampaign(const CampaignSpec& spec, const DispatchUnitPlan& plan,
+  Campaign& startCampaign(CampaignSpec spec, const DispatchUnitPlan& plan,
                           const std::string& name, std::uint64_t deadlineMs);
   void reject(ClientConn& conn, const std::string& reason, std::uint64_t retryMs);
   void flushConn(ClientConn& conn);
@@ -222,7 +210,6 @@ class Server {
   void finishSuccess(Campaign& c);
   void finalize(Campaign& c);
   void sweepFinished();
-  void removeSpecFile(const Campaign& c);
   void rrRemove(std::uint64_t id);
   std::size_t inFlight(std::uint64_t id) const;
   std::size_t totalPendingUnits() const;
@@ -365,15 +352,10 @@ void Server::assignWork() {
 void Server::submitUnit(std::size_t wi, Campaign& c) {
   ServerWorker& s = workers_[wi];
   const DispatchTask& t = c.queue.claim();
-  SubmitFrame submit;
-  submit.specFnv = c.specFnv;
+  SubmitFrame submit = unitFrame(c.spec, c.specFnv, t.unit, t.index, c.entry.unitsTotal);
   submit.campaignId = c.entry.campaignId;
   submit.seq = ++seqCounter_;
-  submit.taskIndex = t.index;
-  submit.taskCount = c.entry.unitsTotal;
   submit.attempt = t.attempts - 1;
-  submit.unit = t.unit;
-  submit.specPath = c.specPath;
   s.ready = false;
   s.busy = true;
   s.campaignId = c.entry.campaignId;
@@ -500,43 +482,30 @@ void Server::admit(ClientConn& conn, const ClientSubmitFrame& f) {
     return;
   }
 
-  Campaign* c = startCampaign(spec, plan, f.clientName, f.deadlineMs);
-  if (c == nullptr) {
-    reject(conn, "server cannot stage the spec handoff file", opt_.rejectRetryAfterMs);
-    return;
-  }
-  c->conn = &conn;
-  conn.campaignId = c->entry.campaignId;
+  Campaign& c = startCampaign(std::move(spec), plan, f.clientName, f.deadlineMs);
+  c.conn = &conn;
+  conn.campaignId = c.entry.campaignId;
 
   AcceptFrame accept;
-  accept.campaignId = c->entry.campaignId;
-  accept.specFnv = c->specFnv;
-  accept.unitCount = c->entry.unitsTotal;
+  accept.campaignId = c.entry.campaignId;
+  accept.specFnv = c.specFnv;
+  accept.unitCount = c.entry.unitsTotal;
   conn.out.enqueue(frameWire(encodeAcceptFrame(accept)));
   flushConn(conn);  // may cancel c (client write failure sets finishing)
   // An empty spec is done before it began.
-  if (!c->finishing && c->entry.unitsTotal == 0) finishSuccess(*c);
+  if (!c.finishing && c.entry.unitsTotal == 0) finishSuccess(c);
 }
 
-/// Stage the spec handoff file and put the campaign's units on the
-/// scheduler; null when the handoff file cannot be written.
-Campaign* Server::startCampaign(const CampaignSpec& spec, const DispatchUnitPlan& plan,
+/// Put the campaign's units on the scheduler; it keeps the spec until it
+/// finalizes, for the items its submit frames carry.
+Campaign& Server::startCampaign(CampaignSpec spec, const DispatchUnitPlan& plan,
                                 const std::string& name, std::uint64_t deadlineMs) {
   const std::uint64_t id = ++lastCampaignId_;
-  const fs::path specPath =
-      fs::temp_directory_path() / ("xlv-campaignd-" + std::to_string(::getpid()) + "-" +
-                                   std::to_string(id) + ".xlv");
-  {
-    std::ofstream out(specPath, std::ios::binary | std::ios::trunc);
-    out << encodeCampaignSpec(spec);  // canonical bytes: fnv-checkable by workers
-    if (!out) return nullptr;
-  }
-
   Campaign c;
   c.entry.campaignId = id;
   c.entry.name = name;
+  c.spec = std::move(spec);
   c.specFnv = plan.specFnv;
-  c.specPath = specPath.string();
   c.queue = TaskQueue(plan);
   c.entry.unitsTotal = c.queue.taskCount();
   if (deadlineMs > 0) {
@@ -548,7 +517,7 @@ Campaign* Server::startCampaign(const CampaignSpec& spec, const DispatchUnitPlan
   ++ledger_.campaignsAccepted;
   XLV_INFO("campaignd") << "campaign " << id << " ('" << name << "') admitted: "
                         << live.entry.unitsTotal << " units";
-  return &live;
+  return live;
 }
 
 void Server::reject(ClientConn& conn, const std::string& reason, std::uint64_t retryMs) {
@@ -864,7 +833,6 @@ void Server::finalize(Campaign& c) {
                         << e.unitsCompleted << "/" << e.unitsTotal << " units, "
                         << e.requeues << " re-queues"
                         << (e.cancelled ? " (cancelled)" : "");
-  removeSpecFile(c);
   rrRemove(e.campaignId);
   if (c.conn != nullptr) c.conn->campaignId = 0;
   const std::uint64_t id = e.campaignId;
@@ -881,12 +849,6 @@ void Server::sweepFinished() {
     auto it = campaigns_.find(id);
     if (it != campaigns_.end()) finalize(it->second);
   }
-}
-
-void Server::removeSpecFile(const Campaign& c) {
-  if (c.specPath.empty()) return;
-  std::error_code ec;
-  fs::remove(c.specPath, ec);
 }
 
 void Server::rrRemove(std::uint64_t id) {

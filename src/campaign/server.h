@@ -12,7 +12,9 @@
 // agnostic, so a socket fd and a pipe are read alike. Client-facing frame
 // schemas live in campaign/serialize: ClientSubmitFrame -> AcceptFrame |
 // RejectFrame, then streamed ItemResultFrames and a final
-// CampaignDoneFrame.
+// CampaignDoneFrame. An admitted campaign keeps its decoded spec until it
+// finalizes; every SubmitFrame to a worker carries its unit's item
+// (unitFrame, campaign/shard.h), so the server stages nothing on disk.
 //
 // Scheduling is ROUND-ROBIN FAIR ACROSS campaigns and HEAVIEST-FIRST WITHIN
 // a campaign: each idle worker takes the heaviest pending unit of the next

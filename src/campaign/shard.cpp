@@ -75,31 +75,41 @@ DispatchUnitPlan planDispatchUnits(const CampaignSpec& spec, std::size_t maxFrag
   return plan;
 }
 
-ShardOutput runShardUnits(const CampaignSpec& spec, const std::vector<ShardUnit>& units,
-                          int shardIndex, int shardCount) {
-  CampaignSpec sub;
-  sub.name = spec.name + "/shard" + std::to_string(shardIndex);
-  sub.executor = spec.executor;
-  sub.items.reserve(units.size());
-  for (const ShardUnit& unit : units) {
-    CampaignItem item = spec.items.at(unit.taskId);
-    if (!unit.wholeItem()) {
-      item.options.mutantBegin = unit.mutantBegin;
-      item.options.mutantEnd = unit.mutantEnd;
-    }
-    sub.items.push_back(std::move(item));
+SubmitFrame unitFrame(const CampaignSpec& spec, std::uint64_t specFnv, const ShardUnit& unit,
+                      std::size_t taskIndex, std::size_t taskCount) {
+  SubmitFrame frame;
+  frame.specFnv = specFnv;
+  frame.taskIndex = taskIndex;
+  frame.taskCount = taskCount;
+  frame.unit = unit;
+  frame.spec.name = spec.name;
+  frame.spec.executor = spec.executor;
+  frame.spec.items.push_back(spec.items.at(unit.taskId));
+  return frame;
+}
+
+ShardOutput runUnitFrame(const SubmitFrame& frame) {
+  if (frame.spec.items.size() != 1) {
+    throw std::invalid_argument("unit frame carries " +
+                                std::to_string(frame.spec.items.size()) +
+                                " items, expected 1");
+  }
+  CampaignSpec sub = frame.spec;
+  sub.name += "/shard" + std::to_string(frame.taskIndex);
+  if (!frame.unit.wholeItem()) {
+    sub.items[0].options.mutantBegin = frame.unit.mutantBegin;
+    sub.items[0].options.mutantEnd = frame.unit.mutantEnd;
   }
 
   ShardOutput out;
-  out.specFnv = campaignSpecFnv(spec);
-  out.shardIndex = shardIndex;
-  out.shardCount = shardCount;
-  out.units = units;
+  out.specFnv = frame.specFnv;
+  out.shardIndex = static_cast<int>(frame.taskIndex);
+  out.shardCount = static_cast<int>(frame.taskCount);
+  out.units = {frame.unit};
   out.result = runCampaign(sub);
-  // Task ids must be the GLOBAL ids the merge keys on, not shard-local ones.
-  for (std::size_t i = 0; i < out.result.items.size(); ++i) {
-    out.result.items[i].taskId = units[i].taskId;
-  }
+  // The task id must be the GLOBAL id the merge keys on, not the one-item
+  // campaign's 0.
+  out.result.items[0].taskId = frame.unit.taskId;
   return out;
 }
 

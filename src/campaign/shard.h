@@ -11,10 +11,11 @@
 //     count exceeds maxFragmentMutants is split into MUTANT-RANGE FRAGMENTS
 //     (FlowOptions::mutantBegin/End): every fragment re-runs the cheap flow
 //     prefix but analyzes only its mutant slice, with global MutantResult
-//     ids, so one oversized item can span processes.
-//   * runner   — runShardUnits() executes a unit list as an ordinary
+//     ids, so one oversized item can span processes. unitFrame() builds the
+//     frame a worker receives for one unit: the unit and its item.
+//   * runner   — runUnitFrame() executes a frame's item as an ordinary
 //     in-process campaign (thread pool, caches and merge rule unchanged)
-//     and tags every result with its GLOBAL task id.
+//     and tags the result with its GLOBAL task id.
 //   * merger   — mergeShards() reassembles the outputs: whole items land in
 //     task-id order, fragments of one item are stitched back by
 //     concatenating their analysis subranges, ledgers (simSeconds /
@@ -22,10 +23,10 @@
 //     and the first failure surfaced is the lowest-task-id one — exactly
 //     the single-process semantics.
 //
-// Integrity: unit plans and outputs carry the FNV-1a fingerprint of the
-// canonical spec encoding (campaign/serialize.h), so an output from a
-// different spec — or a different schema version — is rejected instead of
-// silently merged.
+// Integrity: unit plans, frames and outputs carry the FNV-1a fingerprint
+// of the canonical spec encoding (campaign/serialize.h), so an output from
+// a different spec — or a different schema version — is rejected instead
+// of silently merged.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,8 @@
 #include "campaign/campaign.h"
 
 namespace xlv::campaign {
+
+struct SubmitFrame;  // campaign/serialize.h
 
 /// One schedulable unit: a whole campaign item, or a mutant-range fragment
 /// of one.
@@ -78,6 +81,13 @@ struct DispatchUnitPlan {
 /// weighs 1. Weights only order the queue; they never change a result.
 DispatchUnitPlan planDispatchUnits(const CampaignSpec& spec, std::size_t maxFragmentMutants);
 
+/// The frame a worker receives for `unit`, task `taskIndex` of `taskCount`:
+/// `specFnv` (the plan's fingerprint of `spec`), the unit, and the unit's
+/// item as a one-item spec with the campaign's name and executor settings.
+/// The pool fills in campaignId, seq and attempt.
+SubmitFrame unitFrame(const CampaignSpec& spec, std::uint64_t specFnv, const ShardUnit& unit,
+                      std::size_t taskIndex, std::size_t taskCount);
+
 /// The execution record of one unit list: an ordinary CampaignResult whose
 /// items are the units' results (taskIds global, list order) plus the
 /// coordinates needed to validate a merge.
@@ -89,12 +99,12 @@ struct ShardOutput {
   CampaignResult result;
 };
 
-/// Execute a unit list as output `shardIndex` of `shardCount` in this
-/// process, tagging every result with its GLOBAL task id. The worker pool
-/// runs one unit per task (shardIndex = task index, shardCount = task
-/// count), so each streamed result is a mergeable one-unit ShardOutput.
-ShardOutput runShardUnits(const CampaignSpec& spec, const std::vector<ShardUnit>& units,
-                          int shardIndex, int shardCount);
+/// Run a unit frame in this process: its one item, limited to the unit's
+/// mutant range, as an ordinary campaign. The output is a mergeable
+/// one-unit ShardOutput (shardIndex = task index, shardCount = task count,
+/// the frame's specFnv) whose item carries the unit's GLOBAL task id.
+/// Throws std::invalid_argument unless the frame carries exactly one item.
+ShardOutput runUnitFrame(const SubmitFrame& frame);
 
 /// Merge unit outputs back into one CampaignResult bit-identical
 /// (sameResults) to runCampaign(spec). Every index in [0, shardCount) must

@@ -106,7 +106,7 @@ TEST(Campaign, MergesItemsInTaskIdOrder) {
 
   CampaignSpec spec;
   spec.name = "order-test";
-  spec.executor = ExecutorConfig{4, 0};
+  spec.executor = ExecutorConfig{4};
   std::vector<ips::CaseStudy> cases = {ips::buildFilterCase(), ips::buildDspCase()};
   for (const auto& cs : cases) {
     CampaignItem item;
@@ -130,7 +130,7 @@ TEST(Campaign, MergesItemsInTaskIdOrder) {
 
 TEST(Campaign, CapturesItemFailuresWithoutAbortingTheBatch) {
   CampaignSpec spec;
-  spec.executor = ExecutorConfig{2, 0};
+  spec.executor = ExecutorConfig{2};
 
   CampaignItem good;
   good.caseStudy = ips::buildFilterCase();
@@ -158,7 +158,7 @@ TEST(Campaign, FullMatrixSpansCasesTimesKinds) {
   std::vector<ips::CaseStudy> cases = {ips::buildFilterCase(), ips::buildDspCase()};
   core::FlowOptions base;
   base.analysisThreads = 0;
-  const CampaignSpec spec = fullMatrixCampaign(cases, base, ExecutorConfig{4, 0});
+  const CampaignSpec spec = fullMatrixCampaign(cases, base, ExecutorConfig{4});
   ASSERT_EQ(4u, spec.items.size());
   EXPECT_EQ(SensorKind::Razor, spec.items[0].options.sensorKind);
   EXPECT_EQ(SensorKind::Counter, spec.items[1].options.sensorKind);
@@ -177,9 +177,9 @@ TEST(Campaign, OneItemCampaignSpreadsItsMutantsOverThePool) {
   CampaignSpec spec;
   spec.items.push_back(item);
 
-  spec.executor = ExecutorConfig{1, 0};
+  spec.executor = ExecutorConfig{1};
   const CampaignResult serial = runCampaign(spec);
-  spec.executor = ExecutorConfig{4, 0};
+  spec.executor = ExecutorConfig{4};
   const CampaignResult pooled = runCampaign(spec);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(pooled.ok());

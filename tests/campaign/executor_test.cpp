@@ -24,7 +24,7 @@ namespace {
 
 TEST(Executor, RunsEveryTaskExactlyOnce) {
   for (int threads : {1, 2, 8}) {
-    Executor ex(ExecutorConfig{threads, 0});
+    Executor ex(ExecutorConfig{threads});
     constexpr std::size_t kTasks = 250;
     std::vector<std::atomic<int>> hits(kTasks);
     ex.run(kTasks, [&](std::size_t i) { hits[i].fetch_add(1); });
@@ -36,7 +36,7 @@ TEST(Executor, RunsEveryTaskExactlyOnce) {
 
 TEST(Executor, MapMergesInTaskIdOrder) {
   for (int threads : {1, 3, 8}) {
-    Executor ex(ExecutorConfig{threads, 2});
+    Executor ex(ExecutorConfig{threads});
     const std::vector<int> out =
         ex.map<int>(100, [](std::size_t i) { return static_cast<int>(i) * 7; });
     ASSERT_EQ(100u, out.size());
@@ -47,7 +47,7 @@ TEST(Executor, MapMergesInTaskIdOrder) {
 }
 
 TEST(Executor, SingleThreadRunsInlineInIndexOrder) {
-  Executor ex(ExecutorConfig{1, 0});
+  Executor ex(ExecutorConfig{1});
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
   ex.run(20, [&](std::size_t i) {
@@ -59,7 +59,7 @@ TEST(Executor, SingleThreadRunsInlineInIndexOrder) {
 }
 
 TEST(Executor, EmptyRunIsANoop) {
-  Executor ex(ExecutorConfig{4, 0});
+  Executor ex(ExecutorConfig{4});
   bool called = false;
   ex.run(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
@@ -67,7 +67,7 @@ TEST(Executor, EmptyRunIsANoop) {
 
 TEST(Executor, PropagatesTaskException) {
   for (int threads : {1, 4}) {
-    Executor ex(ExecutorConfig{threads, 1});
+    Executor ex(ExecutorConfig{threads});
     EXPECT_THROW(
         ex.run(16,
                [](std::size_t i) {
@@ -82,7 +82,7 @@ TEST(Executor, RethrowsLowestIndexExceptionAtAnyThreadCount) {
   // Tasks 3 and 11 both fail; the reported failure must be task 3's,
   // matching what the serial loop would throw first.
   for (int threads : {1, 2, 8}) {
-    Executor ex(ExecutorConfig{threads, 1});
+    Executor ex(ExecutorConfig{threads});
     std::string message;
     try {
       ex.run(16, [](std::size_t i) {
@@ -98,8 +98,8 @@ TEST(Executor, RethrowsLowestIndexExceptionAtAnyThreadCount) {
 }
 
 TEST(Executor, ExplicitThreadCountWins) {
-  EXPECT_EQ(3, Executor(ExecutorConfig{3, 0}).threads());
-  EXPECT_EQ(1, Executor(ExecutorConfig{1, 0}).threads());
+  EXPECT_EQ(3, Executor(ExecutorConfig{3}).threads());
+  EXPECT_EQ(1, Executor(ExecutorConfig{1}).threads());
 }
 
 TEST(Executor, EnvOverrideDrivesAutoThreadCount) {
@@ -143,8 +143,8 @@ TEST(Executor, NestedRunsStayWithinTheOutermostThreadBudget) {
   std::atomic<int> running{0};
   std::atomic<int> highWater{0};
   std::atomic<int> done{0};
-  Executor(ExecutorConfig{4, 0}).run(4, [&](std::size_t) {
-    Executor(ExecutorConfig{4, 0}).run(16, [&](std::size_t) {
+  Executor(ExecutorConfig{4}).run(4, [&](std::size_t) {
+    Executor(ExecutorConfig{4}).run(16, [&](std::size_t) {
       const int now = running.fetch_add(1) + 1;
       int seen = highWater.load();
       while (now > seen && !highWater.compare_exchange_weak(seen, now)) {
@@ -169,9 +169,9 @@ TEST(Executor, IdleWorkersHelpANestedRun) {
   int arrived = 0;
   std::set<std::thread::id> nestedThreads;
   std::atomic<int> metInTime{0};
-  Executor(ExecutorConfig{4, 0}).run(2, [&](std::size_t outer) {
+  Executor(ExecutorConfig{4}).run(2, [&](std::size_t outer) {
     if (outer != 0) return;
-    Executor(ExecutorConfig{1, 0}).run(2, [&](std::size_t) {
+    Executor(ExecutorConfig{1}).run(2, [&](std::size_t) {
       std::unique_lock<std::mutex> lock(mutex);
       nestedThreads.insert(std::this_thread::get_id());
       ++arrived;
@@ -194,11 +194,11 @@ TEST(Executor, NestedExceptionReachesItsCallerThenTheOuterRuleApplies) {
     std::string caughtByTask1;
     std::string outerMessage;
     try {
-      Executor(ExecutorConfig{threads, 0}).run(4, [&](std::size_t outer) {
+      Executor(ExecutorConfig{threads}).run(4, [&](std::size_t outer) {
         if (outer == 3) throw std::runtime_error("outer 3");
         if (outer == 0) return;
         auto nested = [outer] {
-          Executor(ExecutorConfig{4, 1}).run(8, [outer](std::size_t i) {
+          Executor(ExecutorConfig{4}).run(8, [outer](std::size_t i) {
             if (i == 3 || i == 5) {
               throw std::runtime_error("outer " + std::to_string(outer) + " nested " +
                                        std::to_string(i));
@@ -227,8 +227,8 @@ TEST(Executor, NestedExceptionReachesItsCallerThenTheOuterRuleApplies) {
 TEST(Executor, SerialOutermostRunKeepsNestedRunsInline) {
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::pair<std::size_t, std::size_t>> order;
-  Executor(ExecutorConfig{1, 0}).run(3, [&](std::size_t outer) {
-    const Executor nested(ExecutorConfig{4, 0});
+  Executor(ExecutorConfig{1}).run(3, [&](std::size_t outer) {
+    const Executor nested(ExecutorConfig{4});
     EXPECT_EQ(1, nested.effectiveThreads(5));
     nested.run(5, [&](std::size_t i) {
       EXPECT_EQ(caller, std::this_thread::get_id());
@@ -244,13 +244,13 @@ TEST(Executor, SerialOutermostRunKeepsNestedRunsInline) {
 
 TEST(Executor, NestedRunReportsTheEnclosingPoolSize) {
   std::atomic<int> nestedThreads{0};
-  Executor(ExecutorConfig{3, 0}).run(1, [&](std::size_t) {
-    const Executor nested(ExecutorConfig{1, 0});
+  Executor(ExecutorConfig{3}).run(1, [&](std::size_t) {
+    const Executor nested(ExecutorConfig{1});
     nestedThreads = nested.effectiveThreads(10);
     EXPECT_EQ(2, nested.effectiveThreads(2)) << "capped at the task count";
   });
   EXPECT_EQ(3, nestedThreads.load());
-  EXPECT_EQ(1, Executor(ExecutorConfig{1, 0}).effectiveThreads(10));
+  EXPECT_EQ(1, Executor(ExecutorConfig{1}).effectiveThreads(10));
 }
 
 std::size_t threadCount() {
@@ -280,11 +280,11 @@ std::size_t settledThreadCount() {
 TEST(Executor, NoThreadOutlivesTheOutermostRun) {
   // A first pooled run lets a runtime that starts a thread of its own on
   // the first thread creation (ThreadSanitizer does) do so uncounted.
-  Executor(ExecutorConfig{2, 0}).run(2, [](std::size_t) {});
+  Executor(ExecutorConfig{2}).run(2, [](std::size_t) {});
   const std::size_t before = settledThreadCount();
   std::atomic<int> done{0};
-  Executor(ExecutorConfig{4, 0}).run(3, [&](std::size_t) {
-    Executor(ExecutorConfig{4, 0}).run(8, [&](std::size_t) { done.fetch_add(1); });
+  Executor(ExecutorConfig{4}).run(3, [&](std::size_t) {
+    Executor(ExecutorConfig{4}).run(8, [&](std::size_t) { done.fetch_add(1); });
   });
   EXPECT_EQ(24, done.load());
   // The run's joined threads can linger in the listing too (see
@@ -310,8 +310,8 @@ TEST(Executor, NestedTasksWaitingOnAOnceCacheBuildComplete) {
   for (int round = 0; round < kRounds; ++round) {
     const std::string key = "key-" + std::to_string(round);
     std::atomic<long> sum{0};
-    Executor(ExecutorConfig{4, 0}).run(4, [&](std::size_t) {
-      Executor(ExecutorConfig{4, 1}).run(16, [&](std::size_t) {
+    Executor(ExecutorConfig{4}).run(4, [&](std::size_t) {
+      Executor(ExecutorConfig{4}).run(16, [&](std::size_t) {
         const auto value = cache.getOrBuild(key, [&] {
           builds.fetch_add(1);
           std::this_thread::sleep_for(std::chrono::microseconds(200));

@@ -16,9 +16,12 @@
 // The tests skip (not fail) when the tools were not built.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -27,15 +30,22 @@
 #include <cstring>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "campaign/dispatch.h"
+#include "campaign/serialize.h"
 #include "campaign/server.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
+
+extern char** environ;
 
 namespace xlv::campaign {
 namespace {
@@ -786,6 +796,132 @@ TEST(CampaignServer, RejectedSubmissionIsRetriedAfterTheServersHint) {
   ASSERT_TRUE(huge.done);
   EXPECT_TRUE(referenceResult().sameResults(huge.result));
   EXPECT_EQ(server.ledger().campaignsRejected, 2u);
+}
+
+namespace fs = std::filesystem;
+
+/// The daemon binary in a process group of its own, with TMPDIR pointing at
+/// `tmpdir`, its worker 0 hung on its first unit (so a campaign stays in
+/// flight) and its --verbose log written to `log`. killAll() SIGKILLs the
+/// daemon, then the workers it left behind; this process is their child
+/// subreaper meanwhile, so it reaps them too.
+class DaemonGroup {
+ public:
+  DaemonGroup(std::vector<std::string> args, const fs::path& tmpdir, const fs::path& log)
+      : log_(log) {
+    ::prctl(PR_SET_CHILD_SUBREAPER, 1);
+    std::vector<std::string> env;
+    for (char** e = environ; *e != nullptr; ++e) {
+      if (std::strncmp(*e, "TMPDIR=", 7) != 0) env.emplace_back(*e);
+    }
+    env.push_back("TMPDIR=" + tmpdir.string());
+    env.push_back("XLV_TEST_HANG_AFTER_ITEMS=0");
+    args.insert(args.begin(), XLV_CAMPAIGND_BIN);
+    args.push_back("--verbose");
+    std::vector<char*> argv, envp;
+    for (auto& a : args) argv.push_back(a.data());
+    for (auto& e : env) envp.push_back(e.data());
+    argv.push_back(nullptr);
+    envp.push_back(nullptr);
+    const int logFd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      ::setpgid(0, 0);
+      ::dup2(logFd, 2);
+      ::execve(argv[0], argv.data(), envp.data());
+      ::_exit(127);
+    }
+    if (pid_ > 0) ::setpgid(pid_, pid_);
+    ::close(logFd);
+  }
+  ~DaemonGroup() { killAll(); }
+  DaemonGroup(const DaemonGroup&) = delete;
+  DaemonGroup& operator=(const DaemonGroup&) = delete;
+
+  /// True once the log reports an admitted campaign (false after 20 s).
+  bool waitAdmitted() const {
+    for (int i = 0; i < 2000; ++i) {
+      std::ifstream in(log_);
+      const std::string text((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      if (text.find("admitted") != std::string::npos) return true;
+      ::usleep(10000);
+    }
+    return false;
+  }
+
+  void killAll() {
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      ::waitpid(pid_, nullptr, 0);
+      ::kill(-pid_, SIGKILL);
+      while (::waitpid(-pid_, nullptr, 0) > 0) {
+      }
+      pid_ = -1;
+    }
+    ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  }
+
+ private:
+  fs::path log_;
+  pid_t pid_ = -1;
+};
+
+/// The names of the entries in `dir`, for a failure message.
+std::string listDir(const fs::path& dir) {
+  std::ostringstream out;
+  for (const auto& entry : fs::directory_iterator(dir)) out << entry.path().filename() << " ";
+  return out.str();
+}
+
+TEST(CampaignServer, KilledDaemonLeavesNothingInTheTempDirectory) {
+  // A unit's item travels in its submit frame, so neither mode writes to
+  // the temp directory, and a daemon SIGKILLed with a campaign in flight
+  // leaves nothing behind there.
+  XLV_REQUIRE_DAEMON();
+  FaultEnv env;
+  const fs::path work =
+      fs::temp_directory_path() / ("xlv-serve-test-tmpdir-" + std::to_string(::getpid()));
+  fs::remove_all(work);
+  fs::create_directories(work);
+  const std::unique_ptr<const fs::path, void (*)(const fs::path*)> removeWork(
+      &work, [](const fs::path* p) { std::error_code ec; fs::remove_all(*p, ec); });
+  const fs::path specPath = work / "spec.xlv";
+  std::ofstream(specPath, std::ios::binary) << encodeCampaignSpec(builtinCampaignSpec("single"));
+
+  {
+    const fs::path tmpdir = work / "run-tmp";
+    fs::create_directories(tmpdir);
+    DaemonGroup daemon({"run", "--spec", specPath.string(), "--workers", "1", "-o",
+                        (work / "run.xlv").string()},
+                       tmpdir, work / "run.log");
+    ASSERT_TRUE(daemon.waitAdmitted()) << "run never admitted its campaign";
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));  // the unit reaches the worker
+    daemon.killAll();
+    EXPECT_TRUE(fs::is_empty(tmpdir)) << "run left: " << listDir(tmpdir);
+  }
+  {
+    const fs::path tmpdir = work / "serve-tmp";
+    fs::create_directories(tmpdir);
+    SubmitOptions o;
+    o.socketPath = (work / "serve.sock").string();
+    o.clientName = "killed";
+    o.maxRetries = 3;  // the socket file can appear just before listen()
+    o.retryBaseMs = 20;
+    DaemonGroup daemon({"serve", "--socket", o.socketPath, "--workers", "1"}, tmpdir,
+                       work / "serve.log");
+    for (int i = 0; i < 2000 && !fs::exists(o.socketPath); ++i) ::usleep(10000);
+    SubmitOutcome out;
+    std::thread client([&] { out = submitCampaign(builtinCampaignSpec("single"), o); });
+    const bool admitted = daemon.waitAdmitted();
+    if (admitted) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    daemon.killAll();
+    client.join();
+    ASSERT_TRUE(admitted) << "serve never admitted the campaign";
+    EXPECT_TRUE(out.accepted);
+    EXPECT_FALSE(out.done) << "the campaign was still in flight when the daemon died";
+    EXPECT_TRUE(fs::is_empty(tmpdir)) << "serve left: " << listDir(tmpdir);
+  }
 }
 
 TEST(CampaignServer, ServerRejectsMalformedOptions) {

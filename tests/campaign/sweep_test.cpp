@@ -136,7 +136,7 @@ SweepSpec threeAxisSweep(int threads) {
   sweep.axes.corners = {sta::Corner::byName("typical"), sta::Corner::byName("slow")};
   sweep.axes.thresholdFractions = {0.25, 0.3};
   sweep.axes.mutantSets = {MutantSetVariant::Full, MutantSetVariant::MaxDelay};
-  sweep.executor = ExecutorConfig{threads, 0};
+  sweep.executor = ExecutorConfig{threads};
   return sweep;
 }
 

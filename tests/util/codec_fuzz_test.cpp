@@ -204,7 +204,6 @@ campaign::CampaignSpec randomCampaignSpec(Prng& rng) {
   campaign::CampaignSpec spec;
   spec.name = randomString(rng);
   spec.executor.threads = static_cast<int>(rng.below(16));
-  spec.executor.chunkSize = static_cast<int>(rng.below(16));
   static const char* const kCases[] = {"Plasma", "DSP", "Filter", "Handshake"};
   const std::size_t items = rng.below(4);
   for (std::size_t i = 0; i < items; ++i) {
@@ -246,7 +245,8 @@ campaign::SubmitFrame randomSubmitFrame(Prng& rng) {
   f.taskCount = 1 + rng.below(256);
   f.attempt = rng.below(4);
   f.unit = randomShardUnit(rng);
-  if (rng.chance(0.5)) f.specPath = randomString(rng);
+  f.spec = randomCampaignSpec(rng);  // v8: the unit's item as a one-item spec
+  if (f.spec.items.size() > 1) f.spec.items.resize(1);
   f.shutdown = rng.chance(0.2);
   return f;
 }
@@ -505,27 +505,27 @@ TEST(CodecFuzz, EncodingsMatchThePinnedFormat) {
   // specs and one flow-prefix artifact. A mismatch is a wire-format change:
   // make it deliberately — bump the codec's version and re-pin.
   const std::map<std::string, std::uint64_t> pinned = {
-      {"mutant-result", 0x5e1ee3e8f38669f7ULL},
+      {"mutant-result", 0xe8778458f5c09f71ULL},
       {"mutant-artifact", 0xe7e679e645cd19e6ULL},
-      {"analysis-report", 0xce766544f3529233ULL},
-      {"campaign-result", 0xdbe1fb9750a0d8e0ULL},
-      {"campaign-spec", 0x1e8694ef50a53d23ULL},
-      {"shard-output", 0xf72bbe3eb4973381ULL},
-      {"dispatch-submit", 0x4dc899f4aadda29dULL},
-      {"dispatch-status", 0xe5d59858c87e96c4ULL},
-      {"dispatch-heartbeat", 0x1986dde7961bdc3cULL},
-      {"dispatch-result", 0xefb35e7d2108c6c3ULL},
-      {"client-submit", 0xff93708065214c0ULL},
-      {"dispatch-accept", 0x9a729ad36e9c84dULL},
-      {"dispatch-reject", 0xf86c84cb0dbc81cULL},
-      {"dispatch-item-result", 0xd553d39ca58d1eacULL},
-      {"dispatch-done", 0x7a843a5a175224d2ULL},
+      {"analysis-report", 0x1a5237f0a900f557ULL},
+      {"campaign-result", 0x8befe3feca98d25eULL},
+      {"campaign-spec", 0xe404a7294a55d297ULL},
+      {"shard-output", 0x65534e3f14dba7bULL},
+      {"dispatch-submit", 0x388623f835f4fb9fULL},
+      {"dispatch-status", 0x23aecfe10f74ba64ULL},
+      {"dispatch-heartbeat", 0xddbd8bed3eb4cb6cULL},
+      {"dispatch-result", 0xb19186a492cd23d9ULL},
+      {"client-submit", 0xd0a538ff0e87a59fULL},
+      {"dispatch-accept", 0xa7fbd20b94171889ULL},
+      {"dispatch-reject", 0xd32f90922de668cULL},
+      {"dispatch-item-result", 0x4fe44991e7caf514ULL},
+      {"dispatch-done", 0xf2b0fbc07451214ULL},
       {"golden-trace", 0xf12b9d5ebe2599c8ULL},
       {"campaign-checkpoints", 0x10c6551361d0136bULL},
-      {"preset:smoke", 0xfa77ddad15962183ULL},
-      {"preset:single", 0x8f83eaad93ab8c47ULL},
-      {"preset:failing", 0x12226b1eaf46f7f8ULL},
-      {"flow-prefix:Filter/razor", 0x96ecd5f2135069a4ULL},
+      {"preset:smoke", 0x34b34f75c8dfc7e1ULL},
+      {"preset:single", 0x35077167b7f76093ULL},
+      {"preset:failing", 0x533aecd430adc708ULL},
+      {"flow-prefix:Filter/razor", 0x4e95d4e5a19d0983ULL},
   };
   std::map<std::string, std::uint64_t> actual;
   for (const Codec& codec : codecs()) {

@@ -5,7 +5,9 @@
 // loop: it splits each spec into stealable units (whole items and
 // mutant-range fragments, campaign/shard.h), spawns a pool of worker
 // subprocesses of ITSELF (the internal `worker` subcommand), schedules by
-// work-stealing — an idle worker claims the heaviest queued unit — and
+// work-stealing — an idle worker claims the heaviest queued unit, which
+// arrives with its item in the submit frame on the worker's stdin, so the
+// daemon writes nothing to the temp directory — and
 // merges the unit results into one CampaignResult that is bit-identical
 // (sameResults) to the single-process run. A worker that crashes, exits or
 // goes silent past the heartbeat timeout is SIGKILLed/reaped and its unit
@@ -53,7 +55,7 @@
 // one or more items errored or were quarantined (the merged output is
 // still written), 6 the worker pool could not be spawned or was lost. The
 // internal worker subcommand exits 0 on clean shutdown and nonzero on
-// protocol errors (see campaign/dispatch.h).
+// protocol errors (see campaign/dispatch.h and the campaign README).
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
